@@ -41,9 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", help="C<ell> or <t>P<ell>")
     p.add_argument("--parts", help="comma-separated path orders for kind=join")
 
-    p = sub.add_parser("spectral", help="Q-index of graph6 input")
+    p = sub.add_parser("spectral", help="Q-index of graph6 input: graph6,q,radius lines")
     p.add_argument("--graph6", default="-", help="file of graph6 lines, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("enumerate", help="stream a graph class as graph6 lines")
     p.add_argument("--n", type=int, required=True)
@@ -102,8 +101,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_spectral(args) -> int:
     for g in _read_graphs(args.graph6):
-        res = q_index(g, args.tol)
-        print(f"{graph6_encode(g)},{res.q:.12f},{res.residual:.3e},{res.iterations}")
+        res = q_index(g)
+        print(f"{graph6_encode(g)},{res.q:.12f},{res.radius:.3e}")
     return 0
 
 

@@ -115,28 +115,25 @@ class ArgmaxResult:
 
 
 def extremal_argmax(cls: EnumerationClass, sep: float = 1e-9) -> ArgmaxResult:
-    """All Q-index maximizers of the class within separation `sep`.
+    """All Q-index maximizers of the class, from one solve per member.
 
-    Close contenders are re-solved at a 100x finer tolerance before being
-    split into winners and excluded; the margin is the gap between the
-    maximum and the best excluded graph (inf when nothing is excluded).
+    A member is excluded only when the maximum beats it by more than
+    `sep` plus both enclosure radii (the q_compare contract); the rest
+    are winners. The margin is the gap between the maximum and the best
+    excluded member (inf when nothing is excluded).
     """
+    if sep < 0:
+        raise ValueError("sep must be nonnegative")
     members = list(enumerate_class(cls))
     if not members:
         raise CapacityError(f"empty class {cls}")
-    coarse = sep / 10
-    values = [(q_index(g, coarse).q, g) for g in members]
-    qmax = max(q for q, _ in values)
-    # anything conceivably within sep of the max gets the fine treatment
-    near = [(q, g) for q, g in values if q >= qmax - 2 * sep]
-    fine = sep / 1000
-    refined = [(q_index(g, fine).q, g) for _, g in near]
-    qmax = max(q for q, _ in refined)
-    winners = [(q, g) for q, g in refined if q >= qmax - sep]
-    excluded = [q for q, _ in values if q < qmax - 2 * sep]
-    excluded += [q for q, _ in refined if q < qmax - sep]
-    margin = qmax - max(excluded) if excluded else float("inf")
-    winner_graphs = tuple(
-        g for _, g in sorted(winners, key=lambda item: canonical_code(item[1]))
-    )
-    return ArgmaxResult(winner_graphs, qmax, margin)
+    solved = [(q_index(g), g) for g in members]
+    top = max((res for res, _ in solved), key=lambda res: res.q)
+    winners, excluded = [], []
+    for res, g in solved:
+        if top.q - res.q > sep + res.radius + top.radius:
+            excluded.append(res.q)
+        else:
+            winners.append(g)
+    margin = top.q - max(excluded) if excluded else float("inf")
+    return ArgmaxResult(tuple(sorted(winners, key=canonical_code)), top.q, margin)

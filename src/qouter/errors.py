@@ -32,14 +32,6 @@ class EtaUndefinedError(ValueError):
     """eta(u) requested for an isolated vertex."""
 
 
-class ConvergenceError(RuntimeError):
-    """Eigen-solver hit the iteration cap; carries the best estimate."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class ConstructionError(RuntimeError):
     """A constructed graph failed its own class assertions (a bug)."""
 

@@ -31,19 +31,6 @@ REFUTED = "Refuted"
 TIE = "Tie"
 OUT_OF_SCOPE = "OutOfScope"
 
-LEMMA_NAMES = (
-    "obv",
-    "addedges",
-    "delta",
-    "qmu",
-    "perron",
-    "edgemove2",
-    "edgemove3",
-    "edgemove",
-    "edgeshift",
-    "claim41",
-)
-
 PATH_THEOREM_CELLS = ((1, 4), (1, 5), (1, 6), (2, 2), (2, 3))
 
 
@@ -219,7 +206,8 @@ def _report(name, params, violations, margin, notes=None) -> VerificationReport:
     )
 
 
-def _check_obv(n_range):
+def _check_obv(n_range, sep):
+    del sep  # a combinatorial suite
     violations = []
     literal_exceptions = []
     for n in n_range:
@@ -311,7 +299,7 @@ def _check_delta(n_range, sep):
     for n in n_range:
         star_code = canonical_code(star(n))
         for g in connected_graphs(n):
-            q = q_index(g, 1e-12).q
+            q = q_index(g).q
             bound = g.max_degree() + 1
             if q < bound - 1e-9:
                 violations.append((g, f"q={q} below max-degree bound {bound}"))
@@ -332,7 +320,7 @@ def _check_qmu(n_range, sep):
         if n < 2:
             continue
         for g in connected_graphs(n):
-            q = q_index(g, 1e-12).q
+            q = q_index(g).q
             bound = eta_max(g)
             if q > bound + 1e-9:
                 violations.append((g, f"q={q} above eta bound {bound}"))
@@ -498,7 +486,7 @@ def _check_claim41(n_range, sep):
     for spec in claim41_specs(n_min, n_max):
         g = path_join(spec)
         hub = g.n - 1
-        res = q_index(g, 1e-12)
+        res = q_index(g)
         x = res.vector / res.vector[hub]
         q = res.q
         lo, hi = 1 / q, 1 / q + 30 / (q * q)
@@ -517,46 +505,29 @@ def _check_claim41(n_range, sep):
     )
 
 
+# suite name -> (runner, default n range)
+_LEMMA_SUITES = {
+    "obv": (_check_obv, range(2, 9)),
+    "addedges": (_check_addedges, range(2, 8)),
+    "delta": (_check_delta, range(2, 8)),
+    "qmu": (_check_qmu, range(2, 8)),
+    "perron": (_check_perron, range(3, 8)),
+    "edgemove2": (_check_edgemove2, range(3, 8)),
+    "edgemove3": (_check_edgemove3, range(4, 8)),
+    "edgemove": (_check_edgemove, range(7, 8)),
+    "edgeshift": (_check_edgeshift, range(2, 9)),
+    "claim41": (_check_claim41, range(6, 41)),
+}
+LEMMA_NAMES = tuple(_LEMMA_SUITES)
+
+
 def check_lemma(name: str, n_range=None, sep: float = 1e-9) -> VerificationReport:
     """Run one invariant suite over its enumerated class."""
-    if name not in LEMMA_NAMES:
+    if name not in _LEMMA_SUITES:
         raise ParameterError(f"unknown lemma suite {name!r}; options: {LEMMA_NAMES}")
-    defaults = {
-        "obv": range(2, 9),
-        "addedges": range(2, 8),
-        "delta": range(2, 8),
-        "qmu": range(2, 8),
-        "perron": range(3, 8),
-        "edgemove2": range(3, 8),
-        "edgemove3": range(4, 8),
-        "edgemove": range(7, 8),
-        "edgeshift": range(2, 9),
-        "claim41": range(6, 41),
-    }
-    n_range = list(n_range if n_range is not None else defaults[name])
-
-    def run():
-        if name == "obv":
-            return _check_obv(n_range)
-        if name == "addedges":
-            return _check_addedges(n_range, sep)
-        if name == "delta":
-            return _check_delta(n_range, sep)
-        if name == "qmu":
-            return _check_qmu(n_range, sep)
-        if name == "perron":
-            return _check_perron(n_range, sep)
-        if name == "edgemove2":
-            return _check_edgemove2(n_range, sep)
-        if name == "edgemove3":
-            return _check_edgemove3(n_range, sep)
-        if name == "edgemove":
-            return _check_edgemove(n_range, sep)
-        if name == "edgeshift":
-            return _check_edgeshift(n_range, sep)
-        return _check_claim41(n_range, sep)
-
-    return _timed(run)
+    runner, default_range = _LEMMA_SUITES[name]
+    n_range = list(n_range if n_range is not None else default_range)
+    return _timed(lambda: runner(n_range, sep))
 
 
 # -- campaigns --------------------------------------------------------

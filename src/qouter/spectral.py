@@ -1,11 +1,12 @@
 """Q-index, Perron vector, eta bound, and Rayleigh-quotient deltas.
 
-q(G) is the largest eigenvalue of Q(G) = D(G) + A(G). Q is symmetric
-positive semidefinite and, for a connected graph, entrywise nonnegative
-and irreducible, so power iteration from the all-ones vector converges to
-the (simple) Perron pair. Since Q is symmetric, the residual norm
-||Qx - qx|| bounds the eigenvalue error directly, which is what the
-comparison logic leans on.
+q(G) is the largest eigenvalue of Q(G) = D(G) + A(G). Graphs have at most
+64 vertices, so each connected component gets one dense symmetric
+eigensolve. On a component Q is nonnegative and irreducible, so its top
+eigenvector x can be taken positive, and the Collatz-Wielandt bracket
+min_i (Qx)_i/x_i <= q <= max_i (Qx)_i/x_i encloses the Perron root. The
+distance from the computed q to the far end of that bracket is reported
+as `radius`; comparisons count a gap only beyond the radii.
 """
 
 from __future__ import annotations
@@ -17,20 +18,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, EtaUndefinedError
+from .errors import EtaUndefinedError
 from .graphs import Graph, bits
-
-DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 2_000_000
 
 
 @dataclass(frozen=True)
 class SpectralResult:
     q: float
-    vector: np.ndarray  # unit 2-norm; positive iff connected
-    residual: float
-    iterations: int
-    connected: bool = True
+    vector: np.ndarray  # unit 2-norm, read-only; zero off the extremal component
+    radius: float  # |true q - q| <= radius
+    connected: bool
 
 
 def q_matrix(g: Graph) -> np.ndarray:
@@ -41,63 +38,44 @@ def q_matrix(g: Graph) -> np.ndarray:
     return a + np.diag(a.sum(axis=1))
 
 
-def _power_iteration(mat: np.ndarray, tol: float) -> tuple[float, np.ndarray, float, int]:
-    n = mat.shape[0]
-    if n == 1:
-        return float(mat[0, 0]), np.ones(1), 0.0, 0
-    x = np.ones(n) / np.sqrt(n)
-    q = 0.0
-    res = np.inf
-    for it in range(1, MAX_ITERATIONS + 1):
-        y = mat @ x
-        q = float(x @ y)
-        res = float(np.linalg.norm(y - q * x))
-        if res <= tol:
-            return q, x, res, it
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            # zero matrix row space; the all-zeros spectrum
-            return 0.0, x, 0.0, it
-        x = y / norm
-    raise ConvergenceError(
-        f"power iteration stalled at residual {res:.3e} (tol {tol:.1e})",
-        best=SpectralResult(q, x, res, MAX_ITERATIONS),
-    )
+def _perron(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Perron root, unit Perron vector and enclosure radius of an
+    irreducible nonnegative symmetric matrix."""
+    values, vectors = np.linalg.eigh(mat)
+    q = float(values[-1])
+    x = vectors[:, -1]
+    if x.sum() < 0:
+        x = -x
+    if x.min() <= 0:
+        return q, x, float("inf")  # no positive vector, no bracket
+    ratios = (mat @ x) / x
+    return q, x, max(q - float(ratios.min()), float(ratios.max()) - q)
 
 
 @lru_cache(maxsize=1 << 18)
-def _q_index_cached(g: Graph, tol: float) -> SpectralResult:
-    comps = g.components()
-    if len(comps) == 1:
-        q, x, res, it = _power_iteration(q_matrix(g), tol)
-        return SpectralResult(q, x, res, it, connected=True)
-    best = None
-    best_mask = 0
-    total_it = 0
-    for mask in comps:
-        sub = g.induced(bits(mask))
-        q, x, res, it = _power_iteration(q_matrix(sub), tol)
-        total_it += it
-        if best is None or q > best[0]:
-            best = (q, x, res)
-            best_mask = mask
-    assert best is not None
-    full = np.zeros(g.n)
-    for i, v in enumerate(bits(best_mask)):
-        full[v] = best[1][i]
-    return SpectralResult(best[0], full, best[2], total_it, connected=False)
-
-
-def q_index(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
-    """Perron root and unit eigenvector of Q(g).
+def q_index(g: Graph) -> SpectralResult:
+    """Perron root and unit eigenvector of Q(g), with an enclosure radius.
 
     For a disconnected graph the result is the maximum over components,
     with the vector supported on an extremal component and the result
-    flagged via `connected=False`.
+    flagged via `connected=False`. The result is cached and shared, so
+    its vector is read-only.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _q_index_cached(g, tol)
+    comps = g.components()
+    best = None
+    for mask in comps:
+        members = list(bits(mask))
+        sub = g if len(comps) == 1 else g.induced(members)
+        q, x, radius = _perron(q_matrix(sub))
+        if best is None or q > best[0]:
+            best = (q, x, radius, members)
+    q, x, radius, members = best
+    # a fresh array: caching the column view x would keep every n x n
+    # eigenvector matrix alive
+    vector = np.zeros(g.n)
+    vector[members] = x
+    vector.flags.writeable = False
+    return SpectralResult(q, vector, radius, connected=len(comps) == 1)
 
 
 def eta(g: Graph, u: int) -> float:
@@ -136,17 +114,16 @@ class Ordering(enum.Enum):
 
 
 def q_compare(g1: Graph, g2: Graph, sep: float = 1e-9) -> Ordering:
-    """Certified comparison of q(g1) vs q(g2).
+    """Certified comparison of q(g1) vs q(g2), from one solve each.
 
-    Returns GREATER/LESS only when the gap exceeds `sep` after both
-    solves converge; close calls are re-run at a 100x finer tolerance and,
-    if still within `sep`, reported INDISTINGUISHABLE rather than forced.
+    Returns GREATER/LESS only when the gap exceeds `sep` plus both
+    enclosure radii, so the enclosures widened by `sep` are disjoint
+    (sep = 0 asks only that the enclosures be disjoint); otherwise
+    INDISTINGUISHABLE rather than a guess.
     """
     if sep < 0:
         raise ValueError("sep must be nonnegative")
-    for tol in (sep / 10 or DEFAULT_TOL, sep / 1000 or DEFAULT_TOL):
-        q1 = q_index(g1, tol).q
-        q2 = q_index(g2, tol).q
-        if abs(q1 - q2) > sep:
-            return Ordering.GREATER if q1 > q2 else Ordering.LESS
+    a, b = q_index(g1), q_index(g2)
+    if abs(a.q - b.q) > sep + a.radius + b.radius:
+        return Ordering.GREATER if a.q > b.q else Ordering.LESS
     return Ordering.INDISTINGUISHABLE

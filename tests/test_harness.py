@@ -50,6 +50,13 @@ def test_verify_cycle_theorem_confirms():
     assert report.runtime_ms >= 0
 
 
+def test_verify_cycle_theorem_sep_zero():
+    # sep = 0 asks only for disjoint enclosures; it is not an invalid tolerance
+    report = verify_cycle_theorem(5, 4, sep=0)
+    assert report.status == CONFIRMED
+    assert report.margin > 0
+
+
 def test_verify_cycle_theorem_validation():
     with pytest.raises(ParameterError):
         verify_cycle_theorem(4, 5)

@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from qouter.enumeration import EnumerationClass, extremal_argmax
 from qouter.errors import EtaUndefinedError
 from qouter.graphs import complete, cycle, disjoint_union, from_edges, path, star
+from qouter.recognition import ForbiddenPattern
 from qouter.spectral import (
     Ordering,
     eta,
@@ -58,12 +60,12 @@ def test_relabeling_invariance():
 
 def test_perron_vector_positive_and_accurate():
     g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 2)])
-    res = q_index(g, 1e-12)
+    res = q_index(g)
     assert res.connected
     assert np.all(res.vector > 0)
     assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(q_matrix(g) @ res.vector - res.q * res.vector) <= 1e-12
-    assert res.residual <= 1e-12
+    assert res.radius <= 1e-12
 
 
 def test_disconnected_takes_max_component():
@@ -76,9 +78,49 @@ def test_disconnected_takes_max_component():
     assert np.all(res.vector[2:] > 0)
 
 
-def test_tol_validation():
+def test_path_closed_form():
+    # q(P_n) = 2 + 2cos(pi/n) shares no code with the solver; P_64 is the
+    # capacity edge and the slowest case for an iterative solver
+    assert q_index(path(1)).radius == 0
+    for n in range(2, 65):
+        res = q_index(path(n))
+        exact = 2 + 2 * math.cos(math.pi / n)
+        assert abs(res.q - exact) <= 1e-12
+        assert res.q - res.radius <= exact <= res.q + res.radius
+
+
+def test_no_bracket_without_a_positive_vector():
+    # K_{1,20} with a 20-vertex pendant path: the Perron entries along the
+    # path decay below rounding, so the computed vector is not positive
+    edges = [(0, i) for i in range(1, 21)] + [(i, i + 1) for i in range(20, 40)]
+    g = from_edges(41, edges)
+    res = q_index(g)
+    assert res.radius == math.inf
+    assert res.q == pytest.approx(eig_q(g), abs=1e-9)
+    assert q_compare(g, star(41)) is Ordering.INDISTINGUISHABLE
+
+
+def test_cached_vector_is_read_only():
+    before = q_index(path(4)).vector.copy()
     with pytest.raises(ValueError):
-        q_index(path(3), 0.0)
+        q_index(path(4)).vector[:] = 0
+    assert np.array_equal(q_index(path(4)).vector, before)
+    with pytest.raises(ValueError):
+        q_index(disjoint_union([path(2), star(4)])).vector[0] = 1.0
+
+
+def test_sep_edge_values():
+    g = cycle(6)
+    h = g.permuted([1, 2, 3, 4, 5, 0])
+    # sep = 0: only the enclosures have to be disjoint
+    assert q_compare(complete(4), path(4), sep=0) is Ordering.GREATER
+    assert q_compare(g, h, sep=0) is Ordering.INDISTINGUISHABLE
+    result = extremal_argmax(EnumerationClass(5, ForbiddenPattern.cycle(4)), sep=0)
+    assert result.unique and result.margin > 0
+    for compare in (lambda: q_compare(g, h, sep=-1e-12),
+                    lambda: extremal_argmax(EnumerationClass(5), sep=-1e-12)):
+        with pytest.raises(ValueError, match="sep must be nonnegative"):
+            compare()
 
 
 def test_eta():
