@@ -160,9 +160,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    n_range = None
-    if args.n_min is not None and args.n_max is not None:
-        n_range = range(args.n_min, args.n_max + 1)
+    if (args.n_min is None) != (args.n_max is None):
+        raise SystemExit("lemma requires both --n-min and --n-max, or neither")
+    n_range = None if args.n_min is None else range(args.n_min, args.n_max + 1)
     report = harness.check_lemma(args.name, n_range, args.sep)
     return _emit_report(report, args.out)
 

@@ -6,8 +6,8 @@ import csv
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -15,12 +15,13 @@ from . import recognition, transforms
 from .canon import canonical_code
 from .constructions import PathJoinSpec, cycle_extremal, h_gadget, path_extremal, path_join
 from .enumeration import (
+    EXHAUSTIVE_CAP,
     EnumerationClass,
     connected_graphs,
     connected_outerplanar,
     extremal_argmax,
 )
-from .errors import ConfigError, ParameterError, PreconditionError
+from .errors import ConfigError, ParameterError
 from .graph6 import graph6_encode
 from .graphs import Graph, bits, star
 from .recognition import ForbiddenPattern
@@ -276,23 +277,6 @@ def _check_obv(n_range, sep):
     return _report("obv", {"n_range": list(n_range)}, violations, 0.0, notes=notes)
 
 
-def _check_addedges(n_range, sep):
-    violations = []
-    margin = float("inf")
-    for n in n_range:
-        for g in connected_graphs(n):
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if g.has_edge(u, v):
-                        continue
-                    bigger = g.add_edge(u, v)
-                    if q_compare(bigger, g, sep) is not Ordering.GREATER:
-                        violations.append((g, f"adding edge {u}-{v} did not raise q"))
-                    else:
-                        margin = min(margin, q_index(bigger).q - q_index(g).q)
-    return _report("addedges", {"n_range": list(n_range), "sep": sep}, violations, margin)
-
-
 def _check_delta(n_range, sep):
     violations = []
     slack = float("inf")
@@ -317,8 +301,6 @@ def _check_qmu(n_range, sep):
     violations = []
     slack = float("inf")
     for n in n_range:
-        if n < 2:
-            continue
         for g in connected_graphs(n):
             q = q_index(g).q
             bound = eta_max(g)
@@ -328,16 +310,18 @@ def _check_qmu(n_range, sep):
     return _report("qmu", {"n_range": list(n_range), "sep": sep}, violations, slack)
 
 
-def _move_suite(name, n_range, sep, instances):
+def _move_suite(name, kind, n_range, sep):
+    """Every application of the move `kind` of transforms.MOVES to a
+    connected graph of each order must raise q."""
     violations = []
     margin = float("inf")
     count = 0
     for n in n_range:
         for g in connected_graphs(n):
-            for label, result in instances(g):
+            for vertices, result in transforms.move_results(g, kind):
                 count += 1
                 if q_compare(result, g, sep) is not Ordering.GREATER:
-                    violations.append((g, f"{label} did not raise q"))
+                    violations.append((g, f"{kind} {vertices} did not raise q"))
                 else:
                     margin = min(margin, q_index(result).q - q_index(g).q)
     return _report(
@@ -349,79 +333,8 @@ def _move_suite(name, n_range, sep, instances):
     )
 
 
-def _check_perron(n_range, sep):
-    def instances(g):
-        n = g.n
-        for u in range(n):
-            for v in range(n):
-                for w in range(n):
-                    if len({u, v, w}) != 3:
-                        continue
-                    try:
-                        result = transforms.perron_rotate(g, u, v, w)
-                    except PreconditionError:
-                        continue
-                    yield f"rotate ({u},{v},{w})", result
-
-    return _move_suite("perron", n_range, sep, instances)
-
-
-def _check_edgemove2(n_range, sep):
-    def instances(g):
-        n = g.n
-        for u in range(n):
-            for v in range(n):
-                for w in range(n):
-                    if len({u, v, w}) != 3:
-                        continue
-                    try:
-                        result = transforms.leaf_reattach(g, u, v, w)
-                    except PreconditionError:
-                        continue
-                    yield f"reattach ({u},{v},{w})", result
-
-    return _move_suite("edgemove2", n_range, sep, instances)
-
-
-def _check_edgemove3(n_range, sep):
-    def instances(g):
-        n = g.n
-        for u in range(n):
-            for w1 in range(n):
-                for w2 in range(n):
-                    if len({u, w1, w2}) != 3:
-                        continue
-                    try:
-                        result = transforms.pendant_pull(g, u, w1, w2)
-                    except PreconditionError:
-                        continue
-                    yield f"pull ({u},{w1},{w2})", result
-
-    return _move_suite("edgemove3", n_range, sep, instances)
-
-
-def _check_edgemove(n_range, sep):
-    def instances(g):
-        n = g.n
-        for u in range(n):
-            for w in range(n):
-                if w == u:
-                    continue
-                for v1 in range(n):
-                    for v2 in range(v1 + 1, n):
-                        if len({u, w, v1, v2}) != 4:
-                            continue
-                        try:
-                            result = transforms.chord_swap(g, u, w, v1, v2)
-                        except PreconditionError:
-                            continue
-                        yield f"swap ({u},{w},{v1},{v2})", result
-
-    return _move_suite("edgemove", n_range, sep, instances)
-
-
 def _check_edgeshift(n_range, sep):
-    total_cap = max(n_range) if n_range else 8
+    total_cap = max(n_range)
     violations = []
     margin = float("inf")
     count = 0
@@ -478,8 +391,7 @@ def _random_partition(rng, total):
 
 def _check_claim41(n_range, sep):
     del sep
-    n_values = [n for n in (n_range or range(6, 41)) if 6 <= n <= 40]
-    n_min, n_max = min(n_values), max(n_values)
+    n_min, n_max = min(n_range), max(n_range)
     violations = []
     slack = float("inf")
     count = 0
@@ -505,28 +417,41 @@ def _check_claim41(n_range, sep):
     )
 
 
-# suite name -> (runner, default n range)
+_ENUMERABLE = range(1, EXHAUSTIVE_CAP + 1)
+
+# suite name -> (runner, default n range, orders the suite is defined for).
+# qmu needs an edge; edgeshift's n is the largest t + s, and its gadgets
+# add t + s vertices to seeds of up to 3, within the 64-vertex limit.
 _LEMMA_SUITES = {
-    "obv": (_check_obv, range(2, 9)),
-    "addedges": (_check_addedges, range(2, 8)),
-    "delta": (_check_delta, range(2, 8)),
-    "qmu": (_check_qmu, range(2, 8)),
-    "perron": (_check_perron, range(3, 8)),
-    "edgemove2": (_check_edgemove2, range(3, 8)),
-    "edgemove3": (_check_edgemove3, range(4, 8)),
-    "edgemove": (_check_edgemove, range(7, 8)),
-    "edgeshift": (_check_edgeshift, range(2, 9)),
-    "claim41": (_check_claim41, range(6, 41)),
+    "obv": (_check_obv, range(2, 9), _ENUMERABLE),
+    "addedges": (partial(_move_suite, "addedges", "AddEdge"), range(2, 8), _ENUMERABLE),
+    "delta": (_check_delta, range(2, 8), _ENUMERABLE),
+    "qmu": (_check_qmu, range(2, 8), range(2, EXHAUSTIVE_CAP + 1)),
+    "perron": (partial(_move_suite, "perron", "PerronRotate"), range(3, 8), _ENUMERABLE),
+    "edgemove2": (partial(_move_suite, "edgemove2", "LeafReattach"), range(3, 8), _ENUMERABLE),
+    "edgemove3": (partial(_move_suite, "edgemove3", "PendantPull"), range(4, 8), _ENUMERABLE),
+    "edgemove": (partial(_move_suite, "edgemove", "ChordSwap"), range(7, 8), _ENUMERABLE),
+    "edgeshift": (_check_edgeshift, range(2, 9), range(2, 62)),
+    "claim41": (_check_claim41, range(6, 41), range(6, 41)),
 }
 LEMMA_NAMES = tuple(_LEMMA_SUITES)
 
 
 def check_lemma(name: str, n_range=None, sep: float = 1e-9) -> VerificationReport:
-    """Run one invariant suite over its enumerated class."""
+    """Run one invariant suite over its enumerated class.
+
+    n_range must be nonempty and lie within the orders the suite is
+    defined for; otherwise ParameterError.
+    """
     if name not in _LEMMA_SUITES:
         raise ParameterError(f"unknown lemma suite {name!r}; options: {LEMMA_NAMES}")
-    runner, default_range = _LEMMA_SUITES[name]
+    runner, default_range, domain = _LEMMA_SUITES[name]
     n_range = list(n_range if n_range is not None else default_range)
+    if not n_range or any(n not in domain for n in n_range):
+        raise ParameterError(
+            f"lemma suite {name!r} needs orders in {domain.start}..{domain.stop - 1}, "
+            f"got {n_range}"
+        )
     return _timed(lambda: runner(n_range, sep))
 
 
@@ -539,13 +464,12 @@ class CampaignConfig:
     n_min: int = 5
     n_max: int = 9
     sep: float = 1e-9
-    jobs: int = 1
     out: str = "reports"
 
 
 def parse_campaign_config(path) -> CampaignConfig:
     cfg = CampaignConfig(checks=[])
-    known = {"checks", "n_min", "n_max", "sep", "jobs", "out"}
+    known = {"checks", "n_min", "n_max", "sep", "out"}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -559,7 +483,7 @@ def parse_campaign_config(path) -> CampaignConfig:
         try:
             if key == "checks":
                 cfg.checks = [tok.strip() for tok in value.split(",") if tok.strip()]
-            elif key in ("n_min", "n_max", "jobs"):
+            elif key in ("n_min", "n_max"):
                 setattr(cfg, key, int(value))
             elif key == "sep":
                 cfg.sep = float(value)
@@ -625,12 +549,7 @@ def run_campaign(config_path) -> tuple[int, list[Path]]:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = _campaign_tasks(cfg)
-    reports: list[VerificationReport] = []
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(lambda item: item[1](), tasks))
-    else:
-        reports = [fn() for _, fn in tasks]
+    reports = [fn() for _, fn in tasks]
     files = []
     for report in reports:
         name = report.check_id.replace(":", "_").replace(",", "_").replace("=", "")

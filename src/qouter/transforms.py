@@ -19,8 +19,6 @@ from .constructions import h_gadget
 
 PERRON_MARGIN = 1e-10
 
-MOVE_KINDS = ("AddEdge", "PerronRotate", "LeafReattach", "PendantPull", "ChordSwap", "PathShift")
-
 
 @dataclass(frozen=True)
 class TransformMove:
@@ -126,51 +124,100 @@ def path_shift(h: Graph, u: int, t: int, s: int) -> Graph:
     return h_gadget(h, u, t + 1, s - 1)
 
 
+# -- the move table ---------------------------------------------------
+#
+# Each candidate generator reads its tuples off the membership clauses of
+# its move's hypotheses and yields them in lexicographic order; the apply
+# function checks every clause again and stays the only authority.
+
+
+def _add_edge_candidates(g: Graph):
+    """Non-edges u < v."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.has_edge(u, v):
+                yield u, v
+
+
+def _perron_rotate_candidates(g: Graph):
+    """v != u, then w in N(v) minus N[u]."""
+    for u in range(g.n):
+        closed_u = g.adj[u] | (1 << u)
+        for v in range(g.n):
+            if v != u:
+                for w in bits(g.adj[v] & ~closed_u):
+                    yield u, v, w
+
+
+def _leaf_reattach_candidates(g: Graph):
+    """v in N(u), then w in N(v) minus N[u]."""
+    for u in range(g.n):
+        closed_u = g.adj[u] | (1 << u)
+        for v in bits(g.adj[u]):
+            for w in bits(g.adj[v] & ~closed_u):
+                yield u, v, w
+
+
+def _pendant_pull_candidates(g: Graph):
+    """A leaf w1 outside N[u] whose one neighbor w2 is outside N[u]."""
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        closed_u = g.adj[u] | (1 << u)
+        for w1 in bits(full & ~closed_u):
+            if g.adj[w1].bit_count() == 1 and not g.adj[w1] & closed_u:
+                yield u, w1, g.adj[w1].bit_length() - 1
+
+
+def _chord_swap_candidates(g: Graph):
+    """w outside N[u] with N(w) = {v1 < v2} inside N(u)."""
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        closed_u = g.adj[u] | (1 << u)
+        for w in bits(full & ~closed_u):
+            if g.adj[w].bit_count() == 2 and not g.adj[w] & ~g.adj[u]:
+                v1, v2 = bits(g.adj[w])
+                yield u, w, v1, v2
+
+
+# The single definition of the vertex moves, in greedy_ascent's scan order:
+# kind -> (name of its guarded apply function, candidate generator). The
+# apply function is looked up by name at call time, so rebinding the module
+# attribute (as perfbench/tracer.py does) reaches every caller.
+MOVES = {
+    "AddEdge": ("add_edge_move", _add_edge_candidates),
+    "PerronRotate": ("perron_rotate", _perron_rotate_candidates),
+    "LeafReattach": ("leaf_reattach", _leaf_reattach_candidates),
+    "PendantPull": ("pendant_pull", _pendant_pull_candidates),
+    "ChordSwap": ("chord_swap", _chord_swap_candidates),
+}
+
+
+def move_results(g: Graph, kind: str):
+    """Yield (vertices, rewritten graph) for every vertex tuple at which the
+    move `kind` of MOVES applies to g, in lexicographic order."""
+    name, candidates = MOVES[kind]
+    apply = globals()[name]
+    for vertices in candidates(g):
+        try:
+            yield vertices, apply(g, *vertices)
+        except (PreconditionError, EdgeStateError):
+            continue
+
+
 # -- greedy ascent ----------------------------------------------------
 
 
-def _scan_moves(g: Graph):
-    """Candidate moves in the fixed deterministic scan order."""
-    n = g.n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.has_edge(u, v):
-                yield TransformMove("AddEdge", (u, v)), lambda u=u, v=v: add_edge_move(g, u, v)
-    for u in range(n):
-        for v in range(n):
-            for w in range(n):
-                if len({u, v, w}) == 3:
-                    yield (
-                        TransformMove("PerronRotate", (u, v, w)),
-                        lambda u=u, v=v, w=w: perron_rotate(g, u, v, w),
-                    )
-    for u in range(n):
-        for v in range(n):
-            for w in range(n):
-                if len({u, v, w}) == 3:
-                    yield (
-                        TransformMove("LeafReattach", (u, v, w)),
-                        lambda u=u, v=v, w=w: leaf_reattach(g, u, v, w),
-                    )
-    for u in range(n):
-        for w1 in range(n):
-            for w2 in range(n):
-                if len({u, w1, w2}) == 3:
-                    yield (
-                        TransformMove("PendantPull", (u, w1, w2)),
-                        lambda u=u, w1=w1, w2=w2: pendant_pull(g, u, w1, w2),
-                    )
-    for u in range(n):
-        for w in range(n):
-            if w == u:
+def _first_move(g: Graph, pattern: recognition.ForbiddenPattern | None):
+    for kind in MOVES:
+        for vertices, candidate in move_results(g, kind):
+            if not candidate.is_connected():
                 continue
-            for v1 in range(n):
-                for v2 in range(v1 + 1, n):
-                    if len({u, w, v1, v2}) == 4:
-                        yield (
-                            TransformMove("ChordSwap", (u, w, v1, v2)),
-                            lambda u=u, w=w, v1=v1, v2=v2: chord_swap(g, u, w, v1, v2),
-                        )
+            if not recognition.is_outerplanar(candidate):
+                continue
+            if pattern is not None and not recognition.is_f_free(candidate, pattern):
+                continue
+            return TransformMove(kind, vertices), candidate
+    return None
 
 
 def greedy_ascent(
@@ -180,30 +227,18 @@ def greedy_ascent(
 ) -> tuple[Graph, list[TraceStep]]:
     """Apply class-preserving Q-increasing moves until a local maximum.
 
-    At each step the first applicable move is taken, scanning move kinds
-    in declaration order and vertex tuples lexicographically; a move is
-    applicable when its hypotheses hold and the result stays connected,
-    outerplanar, and pattern-free.
+    The moves are those of MOVES. At each step the first applicable move
+    is taken, scanning kinds in table order and each kind's vertex tuples
+    in its generator's lexicographic order; a move is applicable when its
+    hypotheses hold and the result stays connected, outerplanar, and
+    pattern-free.
     """
     trace: list[TraceStep] = []
     current = g
     for _ in range(max_steps):
-        applied = False
-        for move, action in _scan_moves(current):
-            try:
-                candidate = action()
-            except (PreconditionError, EdgeStateError):
-                continue
-            if not candidate.is_connected():
-                continue
-            if not recognition.is_outerplanar(candidate):
-                continue
-            if pattern is not None and not recognition.is_f_free(candidate, pattern):
-                continue
-            current = candidate
-            trace.append(TraceStep(move, q_index(current).q))
-            applied = True
+        step = _first_move(current, pattern)
+        if step is None:
             break
-        if not applied:
-            break
+        move, current = step
+        trace.append(TraceStep(move, q_index(current).q))
     return current, trace

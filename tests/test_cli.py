@@ -117,6 +117,13 @@ def test_lemma_subcommand(capsys):
     assert report["parameters"]["n_range"] == [2, 3, 4, 5]
 
 
+def test_lemma_needs_both_bounds(capsys):
+    for bound in ("--n-min", "--n-max"):
+        with pytest.raises(SystemExit) as err:
+            main(["lemma", "delta", bound, "4"])
+        assert "--n-min and --n-max" in str(err.value)
+
+
 def test_campaign_subcommand(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("checks = cycle\nn_min = 5\nn_max = 5\n"

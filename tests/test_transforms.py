@@ -1,15 +1,23 @@
+import random
+from itertools import permutations
+
 import pytest
 
+from qouter import transforms
 from qouter.canon import canonical_code
 from qouter.constructions import cycle_extremal, h_gadget
+from qouter.enumeration import connected_graphs
 from qouter.errors import EdgeStateError, PreconditionError
+from qouter.graph6 import graph6_decode
 from qouter.graphs import Graph, cycle, from_edges, path, star
 from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
 from qouter.transforms import (
+    MOVES,
     add_edge_move,
     chord_swap,
     greedy_ascent,
     leaf_reattach,
+    move_results,
     path_shift,
     pendant_pull,
     perron_rotate,
@@ -138,3 +146,83 @@ def test_greedy_ascent_respects_max_steps():
     seed = path(6)
     _, trace = greedy_ascent(seed, ForbiddenPattern.cycle(4), max_steps=1)
     assert len(trace) == 1
+
+
+# Arity of each move, and the positions of the one unordered pair in its
+# tuple (the edge uv of AddEdge, the chord v1v2 of ChordSwap), which the
+# scan lists once, smaller vertex first.
+_SHAPES = {
+    "AddEdge": (2, (0, 1)),
+    "PerronRotate": (3, None),
+    "LeafReattach": (3, None),
+    "PendantPull": (3, None),
+    "ChordSwap": (4, (2, 3)),
+}
+
+
+def _exhaustive(g, kind):
+    """Every distinct-vertex tuple, in lexicographic order, that the
+    move's apply function accepts."""
+    arity, pair = _SHAPES[kind]
+    apply = getattr(transforms, MOVES[kind][0])
+    found = []
+    for vertices in permutations(range(g.n), arity):
+        if pair and vertices[pair[0]] > vertices[pair[1]]:
+            continue
+        try:
+            found.append((vertices, apply(g, *vertices)))
+        except (PreconditionError, EdgeStateError):
+            pass
+    return found
+
+
+def _assert_table_matches(g):
+    """Assert every kind's generator agrees with the exhaustive scan on g;
+    return the kinds that apply somewhere."""
+    kinds = set()
+    for kind in MOVES:
+        expected = _exhaustive(g, kind)
+        assert list(move_results(g, kind)) == expected, (kind, g)
+        if expected:
+            kinds.add(kind)
+    return kinds
+
+
+def test_move_table_matches_exhaustive_scan():
+    assert list(MOVES) == list(_SHAPES)
+    # ChordSwap needs d(u) >= 5 and a w outside N[u], so n >= 7: add the
+    # hub over P5 with w on the chord 1-2
+    chord = path(5).with_new_vertex(0b11111).with_new_vertex(0b00110)
+    rng = random.Random(2024)
+    applied = set()
+    for g in [g for n in range(1, 7) for g in connected_graphs(n)] + [chord]:
+        kinds = _assert_table_matches(g)
+        applied |= kinds
+        # the narrow moves apply on a handful of graphs, each under one
+        # labeling; check those under more labelings as well
+        if kinds - {"AddEdge", "PerronRotate"}:
+            for _ in range(20):
+                _assert_table_matches(g.permuted(rng.sample(range(g.n), g.n)))
+    # every kind applies somewhere, so the comparison is not vacuous
+    assert applied == set(MOVES)
+
+
+def test_greedy_ascent_trace_is_pinned():
+    # a 20-vertex random recursive tree; the trace was recorded from the
+    # exhaustive scan that the move table replaced
+    seed = graph6_decode("Sq_O__ACA??G_??_?O??__????_@??A??")
+    _, trace = greedy_ascent(seed, ForbiddenPattern.cycle(4))
+    assert [(step.move.kind, step.move.vertices) for step in trace] == [
+        ("AddEdge", (0, 3)),
+        ("AddEdge", (0, 17)),
+        ("AddEdge", (2, 4)),
+        ("AddEdge", (3, 8)),
+        ("AddEdge", (3, 11)),
+        ("AddEdge", (3, 15)),
+        ("AddEdge", (10, 19)),
+        ("AddEdge", (12, 16)),
+        ("AddEdge", (13, 14)),
+        ("PerronRotate", (0, 6, 14)),
+        ("PerronRotate", (0, 8, 18)),
+        ("PerronRotate", (1, 7, 19)),
+    ]
