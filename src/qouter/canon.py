@@ -13,25 +13,22 @@ from .graphs import Graph, bits
 
 
 def _refine(g: Graph, mark: int | None) -> list[int]:
-    """Stable color per vertex; marks isolate one vertex in its own class."""
-    n = g.n
-    keys = [
-        (1 if v == mark else 0, g.adj[v].bit_count())
-        for v in range(n)
-    ]
-    order = sorted(set(keys))
-    color = [order.index(k) for k in keys]
-    ncolors = len(order)
+    """Stable color per vertex; marks isolate one vertex in its own class.
+
+    Colors are indices into the sorted distinct keys, so they are
+    isomorphism-invariant; `_search` places them in ascending order.
+    """
+    nbrs = [list(bits(row)) for row in g.adj]
+    keys = [(v == mark, len(nv)) for v, nv in enumerate(nbrs)]
     while True:
-        keys2 = [
-            (color[v], tuple(sorted(color[u] for u in bits(g.adj[v]))))
-            for v in range(n)
+        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        color = [order[k] for k in keys]
+        keys = [
+            (color[v], tuple(sorted([color[u] for u in nv])))
+            for v, nv in enumerate(nbrs)
         ]
-        order2 = sorted(set(keys2))
-        if len(order2) == ncolors:
+        if len(set(keys)) == len(order):
             return color
-        color = [order2.index(k) for k in keys2]
-        ncolors = len(order2)
 
 
 def _twins(g: Graph, u: int, v: int) -> bool:

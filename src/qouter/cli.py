@@ -13,6 +13,7 @@ from pathlib import Path
 from . import harness
 from .constructions import cycle_extremal, path_extremal, path_join
 from .enumeration import EnumerationClass, enumerate_class
+from .errors import CapacityError, ConfigError, ParameterError, PatternError
 from .graph6 import graph6_decode, graph6_encode
 from .recognition import ForbiddenPattern
 from .spectral import q_index
@@ -109,8 +110,8 @@ def _cmd_spectral(args) -> int:
 def _cmd_enumerate(args) -> int:
     pattern = ForbiddenPattern.parse(args.pattern) if args.pattern else None
     if args.count_only:
-        print("n,pattern,count")
         count = sum(1 for _ in enumerate_class(EnumerationClass(args.n, pattern)))
+        print("n,pattern,count")
         print(f"{args.n},{pattern or ''},{count}")
         return 0
     for g in enumerate_class(EnumerationClass(args.n, pattern)):
@@ -185,7 +186,11 @@ def main(argv=None) -> int:
         "lemma": _cmd_lemma,
         "campaign": _cmd_campaign,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ParameterError, CapacityError, PatternError, ConfigError) as exc:
+        print(f"qouter: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

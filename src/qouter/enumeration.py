@@ -1,13 +1,36 @@
 """Isomorph-free exhaustive generation and extremal argmax.
 
-Graphs of order n are produced by extending every (n-1)-vertex graph of
-the class with one new vertex. A child is kept only if the new vertex is
-in the automorphism orbit of an invariantly chosen deletion vertex
-(canonical-augmentation rejection); children arising from distinct
-extensions of the same parent are deduplicated per parent, so memory
-stays proportional to the frontier. Forbidden-subgraph freeness is not
-hereditary upward and is therefore applied as a final filter only;
-outerplanarity (subgraph-closed) prunes during generation.
+Each class is built one order at a time by McKay's canonical
+augmentation (J. Algorithms 26, 1998): level n extends every member of
+the cached level n - 1 by one new vertex z, and a child is kept only if
+z lies in the automorphism orbit of the canonical deletion vertex v*,
+the eligible vertex placed last by `canonical_labeling`. Children from
+distinct extensions of one parent are deduplicated per parent, so the
+dedup set never outgrows one parent's children.
+
+Each class deletes only vertices that leave a member of the class one
+order down, and adds z only with the neighbourhoods such a vertex has:
+
+- connected outerplanar graphs delete a non-cut vertex of degree <= 2.
+  For n >= 2 one exists in a leaf block: a bridge has a leaf end, and a
+  2-connected outerplanar block has two vertices of degree 2, at most
+  one of them the cut vertex joining it to the rest. So z gets one or
+  two neighbours.
+- outerplanar graphs delete a vertex of degree <= 2, connected or not:
+  each is a spanning subgraph of a maximal outerplanar graph, which has
+  two such vertices once n >= 3. So z gets 0 to 2 neighbours.
+- connected graphs delete a non-cut vertex (any leaf of a spanning
+  tree), and z gets any nonempty neighbourhood.
+
+In each class z itself is eligible: deleting it gives back the parent.
+Cut vertices come from bitmask reachability on the child's rows.
+Before the canonical search, a child is rejected unless z has the
+largest unmarked refinement colour among the eligible vertices: the
+colours are isomorphism-invariant and the search places them in
+ascending order, so v* and its whole orbit carry that colour.
+Outerplanarity, being closed under subgraphs, is tested on the
+survivors of that filter. Forbidden-subgraph freeness is not
+hereditary upward and is therefore applied as a final filter only.
 """
 
 from __future__ import annotations
@@ -17,9 +40,9 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import recognition
-from .canon import canonical_code, canonical_labeling
+from .canon import _refine, canonical_code, canonical_labeling
 from .errors import CapacityError
-from .graphs import Graph
+from .graphs import Graph, bits
 from .spectral import q_index
 
 EXHAUSTIVE_CAP = 10
@@ -32,71 +55,94 @@ class EnumerationClass:
     require_connected: bool = True
 
 
-def _children(parent: Graph, hereditary_ok: Callable[[Graph], bool],
-              require_connected: bool) -> Iterator[Graph]:
-    seen: set[bytes] = set()
-    start = 1 if require_connected else 0
-    for mask in range(start, 1 << parent.n):
+@lru_cache(maxsize=None)
+def _masks(order: int, connected: bool, outerplanar: bool) -> tuple[int, ...]:
+    """Neighbourhoods of the new vertex, ascending: nonempty if connected,
+    at most two vertices if outerplanar."""
+    low = 1 if connected else 0
+    high = 2 if outerplanar else order
+    return tuple(m for m in range(low, 1 << order) if m.bit_count() <= high)
+
+
+def _non_cut(adj: tuple[int, ...], v: int) -> bool:
+    """Whether deleting v leaves the rest of a connected graph connected."""
+    row = adj[v]
+    if row & (row - 1) == 0:
+        return True
+    rest = ((1 << len(adj)) - 1) & ~(1 << v)
+    seen = frontier = row & -row
+    while frontier:
+        grow = 0
+        for u in bits(frontier):
+            grow |= adj[u]
+        frontier = grow & rest & ~seen
+        seen |= frontier
+    return seen == rest
+
+
+def _children(parent: Graph, connected: bool, outerplanar: bool) -> Iterator[Graph]:
+    seen: set[tuple[int, ...]] = set()
+    z = parent.n
+    for mask in _masks(parent.n, connected, outerplanar):
         child = parent.with_new_vertex(mask)
-        if not hereditary_ok(child):
+        adj = child.adj
+        color = _refine(child, None)
+        # z is eligible, so only eligible vertices of colour >= color[z]
+        # can reject the child or be v*.
+        top = [
+            v for v in range(child.n)
+            if color[v] >= color[z]
+            and (not outerplanar or adj[v].bit_count() <= 2)
+            and (not connected or _non_cut(adj, v))
+        ]
+        if any(color[v] > color[z] for v in top):
+            continue
+        if outerplanar and not recognition.is_outerplanar(child):
             continue
         code, labeling = canonical_labeling(child)
-        if require_connected:
-            eligible = [
-                v for v in range(child.n)
-                if child.delete_vertex(v).is_connected()
-            ]
-        else:
-            eligible = list(range(child.n))
-        pos = {v: i for i, v in enumerate(labeling)}
-        vstar = max(eligible, key=pos.__getitem__)
-        z = child.n - 1
+        vstar = max(top, key=labeling.index)
         if z != vstar and canonical_code(child, mark=z) != canonical_code(child, mark=vstar):
             continue
-        key = bytes([child.n]) + b"".join(r.to_bytes(8, "big") for r in code)
-        if key in seen:
+        if code in seen:
             continue
-        seen.add(key)
+        seen.add(code)
         yield child
 
 
-def _generate(n: int, hereditary_ok, require_connected: bool) -> tuple[Graph, ...]:
+def _generate(n: int, generator: Callable[[int], tuple[Graph, ...]],
+              connected: bool, outerplanar: bool) -> tuple[Graph, ...]:
+    """Level n of a class from `generator(n - 1)`, its cached level below."""
+    if not 1 <= n <= EXHAUSTIVE_CAP:
+        raise CapacityError(f"exhaustive enumeration needs 1 <= n <= {EXHAUSTIVE_CAP}, got {n}")
     if n == 1:
         return (Graph(1, (0,)),)
-    out: list[Graph] = []
-    for parent in _generate(n - 1, hereditary_ok, require_connected):
-        out.extend(_children(parent, hereditary_ok, require_connected))
-    return tuple(out)
+    return tuple(
+        child
+        for parent in generator(n - 1)
+        for child in _children(parent, connected, outerplanar)
+    )
 
 
 @lru_cache(maxsize=None)
 def connected_outerplanar(n: int) -> tuple[Graph, ...]:
     """All connected outerplanar graphs of order n, one per isomorphism class."""
-    if n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_CAP}")
-    return _generate(n, recognition.is_outerplanar, True)
+    return _generate(n, connected_outerplanar, True, True)
 
 
 @lru_cache(maxsize=None)
 def outerplanar_graphs(n: int) -> tuple[Graph, ...]:
     """All (possibly disconnected) outerplanar graphs of order n, up to iso."""
-    if n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_CAP}")
-    return _generate(n, recognition.is_outerplanar, False)
+    return _generate(n, outerplanar_graphs, False, True)
 
 
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> tuple[Graph, ...]:
     """All connected graphs of order n, up to isomorphism."""
-    if n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_CAP}")
-    return _generate(n, lambda g: True, True)
+    return _generate(n, connected_graphs, True, False)
 
 
 def enumerate_class(cls: EnumerationClass) -> Iterator[Graph]:
     """Stream the class members, pairwise non-isomorphic."""
-    if cls.n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_CAP}")
     base = connected_outerplanar(cls.n) if cls.require_connected else outerplanar_graphs(cls.n)
     for g in base:
         if cls.pattern is None or recognition.is_f_free(g, cls.pattern):

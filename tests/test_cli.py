@@ -124,6 +124,32 @@ def test_lemma_needs_both_bounds(capsys):
         assert "--n-min and --n-max" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lemma", "claim41", "--n-min", "2", "--n-max", "5"], "needs orders in 6..40"),
+        (["verify", "cycle", "--n", "4", "--pattern", "C5"], "ell <= n"),
+        (["enumerate", "--n", "11"], "1 <= n <= 10"),
+        (["enumerate", "--n", "0", "--count-only"], "1 <= n <= 10"),
+        (["enumerate", "--n", "5", "--pattern", "X7"], "cannot parse pattern"),
+    ],
+)
+def test_usage_errors_exit_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qouter: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_campaign_config_error_exits_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("checks = cycle\nbogus = 1\n")
+    code, out, err = run(capsys, "campaign", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "qouter: error: line 2: unknown key 'bogus'\n"
+
+
 def test_campaign_subcommand(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("checks = cycle\nn_min = 5\nn_max = 5\n"

@@ -18,7 +18,9 @@ from .oracles import all_graphs_upto_iso
 
 # https://oeis.org/A001349 (connected graphs up to isomorphism)
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-CONNECTED_OUTERPLANAR_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 13, 6: 46, 7: 172, 8: 777}
+CONNECTED_OUTERPLANAR_COUNTS = {
+    1: 1, 2: 1, 3: 2, 4: 5, 5: 13, 6: 46, 7: 172, 8: 777, 9: 3783
+}
 
 
 def test_connected_counts():
@@ -65,10 +67,45 @@ def test_enumerate_class_filters_pattern():
 
 
 def test_capacity_cap():
-    with pytest.raises(CapacityError):
-        connected_outerplanar(11)
-    with pytest.raises(CapacityError):
-        list(enumerate_class(EnumerationClass(11)))
+    for n in (11, 0, -1):
+        for generator in (connected_outerplanar, outerplanar_graphs, connected_graphs):
+            with pytest.raises(CapacityError):
+                generator(n)
+        for connected in (True, False):
+            with pytest.raises(CapacityError):
+                list(enumerate_class(EnumerationClass(n, require_connected=connected)))
+
+
+def test_connected_outerplanar_has_deletable_vertex():
+    """The deletion rule behind 1-2 neighbour masks: a non-cut vertex of
+    degree <= 2 exists in every connected outerplanar graph with n >= 2."""
+    for n in range(2, 9):
+        for g in connected_outerplanar(n):
+            assert any(
+                g.degree(v) <= 2 and g.delete_vertex(v).is_connected()
+                for v in range(n)
+            ), g.adj
+
+
+def test_outerplanar_has_vertex_of_degree_at_most_two():
+    for n in range(1, 8):
+        for g in outerplanar_graphs(n):
+            assert min(row.bit_count() for row in g.adj) <= 2, g.adj
+
+
+@pytest.mark.parametrize(
+    "generator", [connected_outerplanar, outerplanar_graphs, connected_graphs]
+)
+def test_level_built_from_cached_level_below(generator):
+    generator.cache_clear()
+    generator(4)
+    before = generator.cache_info()
+    assert (before.misses, before.currsize) == (4, 4)
+    generator(5)
+    after = generator.cache_info()
+    assert after.misses == before.misses + 1  # level 5 only
+    assert after.hits == before.hits + 1  # level 4, read from the cache
+    assert after.currsize == 5
 
 
 def test_argmax_small_classes():
