@@ -22,10 +22,18 @@ from .transforms import greedy_ascent
 
 def _read_graphs(source: str):
     if source == "-":
-        lines = sys.stdin.read().splitlines()
+        source, lines = "stdin", sys.stdin.read().splitlines()
     else:
         lines = Path(source).read_text().splitlines()
-    return [graph6_decode(line) for line in lines if line.strip()]
+    graphs = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            graphs.append(graph6_decode(line))
+        except ValueError as exc:
+            raise ParameterError(f"{source} line {lineno}: {line.strip()!r}: {exc}") from exc
+    return graphs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,6 +159,10 @@ def _emit_report(report, out) -> int:
 
 def _cmd_verify(args) -> int:
     pattern = ForbiddenPattern.parse(args.pattern)
+    if args.kind == "cycle" and pattern.kind != "cycle":
+        raise ParameterError("verify cycle needs a C<ell> pattern")
+    if args.kind == "path" and pattern.kind != "paths":
+        raise ParameterError("verify path needs a <t>P<ell> pattern")
     if args.kind == "cycle":
         report = harness.verify_cycle_theorem(args.n, pattern.ell, args.sep)
     elif args.kind == "path":

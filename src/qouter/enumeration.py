@@ -41,9 +41,9 @@ from typing import Callable, Iterator
 
 from . import recognition
 from .canon import _refine, canonical_code, canonical_labeling
-from .errors import CapacityError
+from .errors import CapacityError, check_sep
 from .graphs import Graph, bits
-from .spectral import q_index
+from .spectral import SpectralResult, q_index
 
 EXHAUSTIVE_CAP = 10
 
@@ -141,12 +141,23 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return _generate(n, connected_graphs, True, False)
 
 
+def _base(n: int, connected: bool) -> tuple[Graph, ...]:
+    return connected_outerplanar(n) if connected else outerplanar_graphs(n)
+
+
 def enumerate_class(cls: EnumerationClass) -> Iterator[Graph]:
     """Stream the class members, pairwise non-isomorphic."""
-    base = connected_outerplanar(cls.n) if cls.require_connected else outerplanar_graphs(cls.n)
-    for g in base:
+    for g in _base(cls.n, cls.require_connected):
         if cls.pattern is None or recognition.is_f_free(g, cls.pattern):
             yield g
+
+
+@lru_cache(maxsize=None)
+def _q_sorted(n: int, connected: bool) -> tuple[tuple[tuple[SpectralResult, Graph], ...], float]:
+    """Every member of the unfiltered class with its solve, in descending
+    q (stable, so ties keep enumeration order), and the largest radius."""
+    solved = sorted(((q_index(g), g) for g in _base(n, connected)), key=lambda rg: -rg[0].q)
+    return tuple(solved), max(res.radius for res, _ in solved)
 
 
 @dataclass(frozen=True)
@@ -161,25 +172,37 @@ class ArgmaxResult:
 
 
 def extremal_argmax(cls: EnumerationClass, sep: float = 1e-9) -> ArgmaxResult:
-    """All Q-index maximizers of the class, from one solve per member.
+    """All Q-index maximizers of the class.
 
-    A member is excluded only when the maximum beats it by more than
-    `sep` plus both enclosure radii (the q_compare contract); the rest
-    are winners. The margin is the gap between the maximum and the best
-    excluded member (inf when nothing is excluded).
+    The unfiltered class is scanned in descending q, and the pattern is
+    tested only on the members the scan reaches. The first pattern-free
+    member is the maximum `top` (the first maximal member in enumeration
+    order). A later pattern-free member is excluded when `top` beats it
+    by more than `sep` plus both enclosure radii (the q_compare
+    contract); the rest are winners. The margin is the gap between `top`
+    and the first excluded member, the best one (inf when nothing is
+    excluded). Once that member is found, the scan stops at the first
+    member with `top.q - q > sep + r_max + top.radius`, r_max being the
+    largest radius in the class: it and every later member would be
+    excluded. With an infinite radius the scan covers the whole class.
     """
-    if sep < 0:
-        raise ValueError("sep must be nonnegative")
-    members = list(enumerate_class(cls))
-    if not members:
-        raise CapacityError(f"empty class {cls}")
-    solved = [(q_index(g), g) for g in members]
-    top = max((res for res, _ in solved), key=lambda res: res.q)
-    winners, excluded = [], []
+    check_sep(sep)
+    solved, r_max = _q_sorted(cls.n, cls.require_connected)
+    top = excluded = None
+    winners = []
     for res, g in solved:
-        if top.q - res.q > sep + res.radius + top.radius:
-            excluded.append(res.q)
-        else:
-            winners.append(g)
-    margin = top.q - max(excluded) if excluded else float("inf")
+        if excluded is not None and top.q - res.q > sep + r_max + top.radius:
+            break
+        if cls.pattern is not None and not recognition.is_f_free(g, cls.pattern):
+            continue
+        if top is None:
+            top = res
+        elif top.q - res.q > sep + res.radius + top.radius:
+            if excluded is None:
+                excluded = res.q
+            continue
+        winners.append(g)
+    if top is None:
+        raise CapacityError(f"empty class {cls}")
+    margin = top.q - excluded if excluded is not None else float("inf")
     return ArgmaxResult(tuple(sorted(winners, key=canonical_code)), top.q, margin)

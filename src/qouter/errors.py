@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the `sep` check."""
 
 
 class CapacityError(ValueError):
@@ -44,3 +44,9 @@ class ConfigError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def check_sep(sep: float) -> None:
+    """Reject a separation that is not a number >= 0, NaN included."""
+    if not sep >= 0:
+        raise ParameterError("sep must be nonnegative")

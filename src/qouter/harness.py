@@ -21,7 +21,7 @@ from .enumeration import (
     connected_outerplanar,
     extremal_argmax,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, check_sep
 from .graph6 import graph6_encode
 from .graphs import Graph, bits, star
 from .recognition import ForbiddenPattern
@@ -441,8 +441,9 @@ def check_lemma(name: str, n_range=None, sep: float = 1e-9) -> VerificationRepor
     """Run one invariant suite over its enumerated class.
 
     n_range must be nonempty and lie within the orders the suite is
-    defined for; otherwise ParameterError.
+    defined for, and sep must be >= 0; otherwise ParameterError.
     """
+    check_sep(sep)
     if name not in _LEMMA_SUITES:
         raise ParameterError(f"unknown lemma suite {name!r}; options: {LEMMA_NAMES}")
     runner, default_range, domain = _LEMMA_SUITES[name]
@@ -487,10 +488,13 @@ def parse_campaign_config(path) -> CampaignConfig:
                 setattr(cfg, key, int(value))
             elif key == "sep":
                 cfg.sep = float(value)
+                check_sep(cfg.sep)
             else:
                 cfg.out = value
         except ValueError as exc:
             raise ConfigError(str(exc), line=lineno) from exc
+    if not 1 <= cfg.n_min <= cfg.n_max:
+        raise ConfigError(f"need 1 <= n_min <= n_max, got n_min={cfg.n_min}, n_max={cfg.n_max}")
     return cfg
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EtaUndefinedError
+from .errors import EtaUndefinedError, check_sep
 from .graphs import Graph, bits
 
 
@@ -121,8 +121,7 @@ def q_compare(g1: Graph, g2: Graph, sep: float = 1e-9) -> Ordering:
     (sep = 0 asks only that the enclosures be disjoint); otherwise
     INDISTINGUISHABLE rather than a guess.
     """
-    if sep < 0:
-        raise ValueError("sep must be nonnegative")
+    check_sep(sep)
     a, b = q_index(g1), q_index(g2)
     if abs(a.q - b.q) > sep + a.radius + b.radius:
         return Ordering.GREATER if a.q > b.q else Ordering.LESS

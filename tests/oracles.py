@@ -13,8 +13,11 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from qouter.canon import canonical_code
+from qouter.enumeration import enumerate_class
+from qouter.errors import CapacityError
 from qouter.graphs import Graph, bits, from_edges
-from qouter.spectral import q_matrix
+from qouter.spectral import q_index, q_matrix
 
 
 def eig_q(g: Graph) -> float:
@@ -186,8 +189,6 @@ def path_pack_oracle(g: Graph, t: int, ell: int) -> bool:
 
 def all_graphs_upto_iso(n: int):
     """Every graph on n vertices up to isomorphism, by augment-and-dedup."""
-    from qouter.canon import canonical_code
-
     level = [Graph(1, (0,))]
     for _ in range(n - 1):
         seen = {}
@@ -197,3 +198,24 @@ def all_graphs_upto_iso(n: int):
                 seen.setdefault(canonical_code(child), child)
         level = list(seen.values())
     return level
+
+
+# -- argmax oracle ----------------------------------------------------
+
+
+def argmax_oracle(cls, sep, solve=q_index):
+    """extremal_argmax the long way: test the pattern on every member,
+    solve each survivor with `solve`, then take the first maximum in
+    enumeration order. Returns (winner codes, q, margin)."""
+    solved = [(solve(g), g) for g in enumerate_class(cls)]
+    if not solved:
+        raise CapacityError(f"empty class {cls}")
+    top = max((res for res, _ in solved), key=lambda res: res.q)
+    winners, excluded = [], []
+    for res, g in solved:
+        if top.q - res.q > sep + res.radius + top.radius:
+            excluded.append(res.q)
+        else:
+            winners.append(g)
+    margin = top.q - max(excluded) if excluded else float("inf")
+    return sorted(canonical_code(g) for g in winners), top.q, margin

@@ -132,6 +132,12 @@ def test_lemma_needs_both_bounds(capsys):
         (["enumerate", "--n", "11"], "1 <= n <= 10"),
         (["enumerate", "--n", "0", "--count-only"], "1 <= n <= 10"),
         (["enumerate", "--n", "5", "--pattern", "X7"], "cannot parse pattern"),
+        (["verify", "cycle", "--n", "6", "--pattern", "C4", "--sep", "-1"],
+         "sep must be nonnegative"),
+        (["verify", "cycle", "--n", "6", "--pattern", "C4", "--sep", "nan"],
+         "sep must be nonnegative"),
+        (["verify", "cycle", "--n", "5", "--pattern", "2P4"], "needs a C<ell> pattern"),
+        (["verify", "path", "--n", "6", "--pattern", "C4"], "needs a <t>P<ell> pattern"),
     ],
 )
 def test_usage_errors_exit_with_one_line(capsys, argv, message):
@@ -139,6 +145,16 @@ def test_usage_errors_exit_with_one_line(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("qouter: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["spectral", "ascend"])
+def test_bad_graph6_exits_with_one_line(tmp_path, capsys, command):
+    source = tmp_path / "bad.g6"
+    source.write_text(graph6_encode(path(4)) + "\n\nzz~\n")
+    code, out, err = run(capsys, command, "--graph6", str(source))
+    assert code == 2 and out == ""
+    assert err.startswith(f"qouter: error: {source} line 3: 'zz~'")
     assert err.count("\n") == 1
 
 

@@ -1,5 +1,9 @@
+import dataclasses
+import random
+
 import pytest
 
+from qouter import enumeration, recognition
 from qouter.canon import canonical_code
 from qouter.enumeration import (
     ArgmaxResult,
@@ -12,9 +16,11 @@ from qouter.enumeration import (
 )
 from qouter.errors import CapacityError
 from qouter.graphs import path, star
+from qouter.harness import PATH_THEOREM_CELLS
 from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
+from qouter.spectral import q_index
 
-from .oracles import all_graphs_upto_iso
+from .oracles import all_graphs_upto_iso, argmax_oracle
 
 # https://oeis.org/A001349 (connected graphs up to isomorphism)
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -147,3 +153,97 @@ def test_unique_property():
     assert r.unique
     r = ArgmaxResult((path(3), star(3)), 3.0, 0.5)
     assert not r.unique
+
+
+def _argmax_cells():
+    """Connected n <= 8 and outerplanar n <= 7, with no pattern, every
+    cycle pattern, the path theorem's cells and P2 (empty once n >= 2)."""
+    for connected, top in ((True, 8), (False, 7)):
+        for n in range(1, top + 1):
+            patterns = [None, ForbiddenPattern.paths(1, 2)]
+            patterns += [ForbiddenPattern.cycle(ell) for ell in range(3, n + 1)]
+            patterns += [ForbiddenPattern.paths(t, ell) for t, ell in PATH_THEOREM_CELLS]
+            for pattern in patterns:
+                yield EnumerationClass(n, pattern, connected)
+
+
+def _as_oracle(result):
+    return sorted(canonical_code(g) for g in result.graphs), result.q, result.margin
+
+
+@pytest.mark.parametrize("sep", [0.0, 1e-9, 0.5])
+def test_argmax_matches_filter_then_max(sep):
+    """The descending-q scan gives exactly what testing every member does."""
+    empty = 0
+    for cls in _argmax_cells():
+        try:
+            expected = argmax_oracle(cls, sep)
+        except CapacityError:
+            empty += 1
+            with pytest.raises(CapacityError):
+                extremal_argmax(cls, sep)
+            continue
+        assert _as_oracle(extremal_argmax(cls, sep)) == expected, cls
+    assert empty == 7  # P2 on connected n = 2..8
+
+
+def _count_f_free(monkeypatch):
+    calls = []
+    test = recognition.is_f_free
+    monkeypatch.setattr(recognition, "is_f_free", lambda g, p: calls.append(g) or test(g, p))
+    return calls
+
+
+def test_argmax_tests_pattern_on_few_members(monkeypatch):
+    calls = _count_f_free(monkeypatch)
+    extremal_argmax(EnumerationClass(8, ForbiddenPattern.cycle(4)))
+    assert 0 < len(calls) < len(connected_outerplanar(8))
+
+
+def test_argmax_with_an_infinite_radius(monkeypatch):
+    """One low-q member without an enclosure: it cannot be excluded, so
+    the scan has to reach it, and every member gets tested."""
+    cls = EnumerationClass(8, ForbiddenPattern.cycle(4))
+    last = min(enumerate_class(cls), key=lambda g: q_index(g).q)
+
+    def solve(g):
+        res = q_index(g)
+        return dataclasses.replace(res, radius=float("inf")) if g is last else res
+
+    monkeypatch.setattr(enumeration, "q_index", solve)
+    calls = _count_f_free(monkeypatch)
+    enumeration._q_sorted.cache_clear()
+    try:
+        result = extremal_argmax(cls)
+    finally:
+        enumeration._q_sorted.cache_clear()
+    assert len(calls) == len(connected_outerplanar(8))
+    assert canonical_code(last) in {canonical_code(g) for g in result.graphs}
+    assert not result.unique
+    assert _as_oracle(result) == argmax_oracle(cls, 1e-9, solve)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_argmax_matches_oracle_under_any_radii(monkeypatch, seed):
+    """q rounded to a multiple of 0.5, so that members tie, and random
+    radii wide enough to make the stop rule and the exclusion rule
+    disagree: the scan still gives the oracle's winners, q and margin."""
+    rng = random.Random(seed)
+    radius = {}
+
+    def solve(g):
+        if g not in radius:
+            radius[g] = rng.choice((0.0, 0.1, 0.2, 0.3, 0.45))
+        return dataclasses.replace(q_index(g), q=round(2 * q_index(g).q) / 2, radius=radius[g])
+
+    monkeypatch.setattr(enumeration, "q_index", solve)
+    for cls in (EnumerationClass(7, ForbiddenPattern.cycle(4)),
+                EnumerationClass(8, ForbiddenPattern.cycle(5)),
+                EnumerationClass(8, ForbiddenPattern.paths(2, 3)),
+                EnumerationClass(7, ForbiddenPattern.paths(1, 4), False)):
+        enumeration._q_sorted.cache_clear()
+        try:
+            result = extremal_argmax(cls, 1e-9)
+        finally:
+            enumeration._q_sorted.cache_clear()
+        assert _as_oracle(result) == argmax_oracle(cls, 1e-9, solve), cls

@@ -50,6 +50,16 @@ def test_verify_cycle_theorem_confirms():
     assert report.runtime_ms >= 0
 
 
+@pytest.mark.parametrize("sep", [-1.0, float("nan")])
+def test_bad_sep_is_rejected(sep):
+    # a NaN sep once excluded nothing and certified a 19-way Tie
+    for check in (lambda: verify_cycle_theorem(6, 4, sep),
+                  lambda: check_lemma("obv", [4], sep),
+                  lambda: check_lemma("claim41", [6], sep)):
+        with pytest.raises(ParameterError, match="sep must be nonnegative"):
+            check()
+
+
 def test_verify_cycle_theorem_sep_zero():
     # sep = 0 asks only for disjoint enclosures; it is not an invalid tolerance
     report = verify_cycle_theorem(5, 4, sep=0)
@@ -169,6 +179,16 @@ def test_campaign_config_parsing(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_campaign_config(cfg_file)
     assert "line 2" in str(err.value) and "jobs" in str(err.value)
+    for text, message in [
+        ("sep = -1\n", "line 1: sep must be nonnegative"),
+        ("checks = cycle\nsep = nan\n", "line 2: sep must be nonnegative"),
+        # an empty order range would write an empty summary and pass
+        ("n_min = 6\nn_max = 5\n", "need 1 <= n_min <= n_max"),
+        ("n_min = 0\nn_max = 5\n", "need 1 <= n_min <= n_max"),
+    ]:
+        cfg_file.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            parse_campaign_config(cfg_file)
 
 
 def test_campaign_config_errors(tmp_path):

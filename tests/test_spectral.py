@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qouter.enumeration import EnumerationClass, extremal_argmax
-from qouter.errors import EtaUndefinedError
+from qouter.errors import EtaUndefinedError, ParameterError
 from qouter.graphs import complete, cycle, disjoint_union, from_edges, path, star
 from qouter.recognition import ForbiddenPattern
 from qouter.spectral import (
@@ -117,10 +117,11 @@ def test_sep_edge_values():
     assert q_compare(g, h, sep=0) is Ordering.INDISTINGUISHABLE
     result = extremal_argmax(EnumerationClass(5, ForbiddenPattern.cycle(4)), sep=0)
     assert result.unique and result.margin > 0
-    for compare in (lambda: q_compare(g, h, sep=-1e-12),
-                    lambda: extremal_argmax(EnumerationClass(5), sep=-1e-12)):
-        with pytest.raises(ValueError, match="sep must be nonnegative"):
-            compare()
+    for bad in (-1e-12, float("nan")):
+        for compare in (lambda: q_compare(g, h, sep=bad),
+                        lambda: extremal_argmax(EnumerationClass(5), sep=bad)):
+            with pytest.raises(ParameterError, match="sep must be nonnegative"):
+                compare()
 
 
 def test_eta():
