@@ -27,11 +27,10 @@ from .recognition import (
 from .spectral import (
     Ordering,
     SpectralResult,
-    eta,
     eta_max,
     q_compare,
     q_index,
-    rayleigh_delta,
+    q_indices,
 )
 from .constructions import (
     PathJoinSpec,

@@ -16,7 +16,7 @@ from .enumeration import EnumerationClass, enumerate_class
 from .errors import CapacityError, ConfigError, ParameterError, PatternError
 from .graph6 import graph6_decode, graph6_encode
 from .recognition import ForbiddenPattern
-from .spectral import q_index
+from .spectral import q_index, q_indices
 from .transforms import greedy_ascent
 
 
@@ -86,22 +86,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_construct(args) -> int:
     if args.kind == "join":
         if not args.parts:
-            raise SystemExit("construct join requires --parts")
-        parts = [int(tok) for tok in args.parts.split(",")]
+            raise ParameterError("construct join requires --parts")
+        try:
+            parts = [int(tok) for tok in args.parts.split(",")]
+        except ValueError as exc:
+            raise ParameterError(f"--parts {args.parts!r}: {exc}") from exc
         print(graph6_encode(path_join(parts)))
         return 0
     if args.n is None or args.pattern is None:
-        raise SystemExit("construct cycle/path requires --n and --pattern")
+        raise ParameterError("construct cycle/path requires --n and --pattern")
     pattern = ForbiddenPattern.parse(args.pattern)
     if args.kind == "cycle":
         if pattern.kind != "cycle":
-            raise SystemExit("construct cycle needs a C<ell> pattern")
+            raise ParameterError("construct cycle needs a C<ell> pattern")
         g, alpha, r = cycle_extremal(args.n, pattern.ell)
         print(graph6_encode(g))
         print(f"alpha={alpha} r={r}", file=sys.stderr)
     else:
         if pattern.kind != "paths":
-            raise SystemExit("construct path needs a <t>P<ell> pattern")
+            raise ParameterError("construct path needs a <t>P<ell> pattern")
         g, alpha, r, flag = path_extremal(args.n, pattern.t, pattern.ell)
         print(graph6_encode(g))
         print(f"alpha={alpha} r={r} discrepancy={flag}", file=sys.stderr)
@@ -109,8 +112,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    for g in _read_graphs(args.graph6):
-        res = q_index(g)
+    graphs = _read_graphs(args.graph6)
+    for g, res in zip(graphs, q_indices(graphs)):
         print(f"{graph6_encode(g)},{res.q:.12f},{res.radius:.3e}")
     return 0
 
@@ -174,7 +177,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_lemma(args) -> int:
     if (args.n_min is None) != (args.n_max is None):
-        raise SystemExit("lemma requires both --n-min and --n-max, or neither")
+        raise ParameterError("lemma requires both --n-min and --n-max, or neither")
     n_range = None if args.n_min is None else range(args.n_min, args.n_max + 1)
     report = harness.check_lemma(args.name, n_range, args.sep)
     return _emit_report(report, args.out)

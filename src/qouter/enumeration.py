@@ -29,8 +29,12 @@ largest unmarked refinement colour among the eligible vertices: the
 colours are isomorphism-invariant and the search places them in
 ascending order, so v* and its whole orbit carry that colour.
 Outerplanarity, being closed under subgraphs, is tested on the
-survivors of that filter. Forbidden-subgraph freeness is not
-hereditary upward and is therefore applied as a final filter only.
+survivors of that filter. Freeness of a forbidden pattern is closed
+under subgraphs too (containing `C_l` or `tP_l` is a subgraph
+property), so it could prune the levels; it does not, because each
+level is generated once and shared by every pattern. `enumerate_class`
+tests the pattern on every member, and `extremal_argmax` only on the
+members its descending-q scan reaches.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from . import recognition
 from .canon import _refine, canonical_code, canonical_labeling
 from .errors import CapacityError, check_sep
 from .graphs import Graph, bits
-from .spectral import SpectralResult, q_index
+from .spectral import SpectralResult, q_index, q_indices
 
 EXHAUSTIVE_CAP = 10
 
@@ -156,7 +160,9 @@ def enumerate_class(cls: EnumerationClass) -> Iterator[Graph]:
 def _q_sorted(n: int, connected: bool) -> tuple[tuple[tuple[SpectralResult, Graph], ...], float]:
     """Every member of the unfiltered class with its solve, in descending
     q (stable, so ties keep enumeration order), and the largest radius."""
-    solved = sorted(((q_index(g), g) for g in _base(n, connected)), key=lambda rg: -rg[0].q)
+    base = _base(n, connected)
+    q_indices(base)  # one batch; the members below are then cache hits
+    solved = sorted(((q_index(g), g) for g in base), key=lambda rg: -rg[0].q)
     return tuple(solved), max(res.radius for res, _ in solved)
 
 

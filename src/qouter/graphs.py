@@ -1,7 +1,10 @@
 """Immutable simple graphs on at most 64 vertices, stored as bitset rows.
 
 Every mutator returns a fresh Graph; adjacency rows fit in one machine
-word so neighborhood intersections are single AND operations.
+word so neighborhood intersections are single AND operations. `Graph(n,
+adj)` and `from_edges` validate their rows; the mutators and the
+constructions built from valid graphs skip that check, since their
+outputs are valid by construction once their own arguments are checked.
 """
 
 from __future__ import annotations
@@ -45,6 +48,14 @@ class Graph:
                 if not (self.adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric edge {v}-{u}")
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph from rows known to be valid, without re-validating them."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     # -- queries ------------------------------------------------------
 
     def degree(self, v: int) -> int:
@@ -81,7 +92,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -89,18 +100,22 @@ class Graph:
         rows = list(self.adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph induced by the given vertices, relabeled in sorted order."""
         keep = sorted(set(vertices))
+        if not keep:
+            raise CapacityError("induced subgraph on no vertices")
+        if keep[0] < 0 or keep[-1] >= self.n:
+            raise ValueError(f"induced vertices {keep} outside 0..{self.n - 1}")
         index = {v: i for i, v in enumerate(keep)}
         rows = [0] * len(keep)
         for v in keep:
             for u in bits(self.adj[v]):
                 if u in index:
                     rows[index[v]] |= 1 << index[u]
-        return Graph(len(keep), tuple(rows))
+        return Graph._trusted(len(keep), tuple(rows))
 
     def delete_vertex(self, v: int) -> "Graph":
         return self.induced(u for u in range(self.n) if u != v)
@@ -109,21 +124,25 @@ class Graph:
         """Append one vertex adjacent to the vertices in neighbor_mask."""
         if self.n + 1 > MAX_VERTICES:
             raise CapacityError("order would exceed 64")
+        if not 0 <= neighbor_mask < 1 << self.n:
+            raise ValueError(f"neighbor mask {neighbor_mask:#x} outside vertices 0..{self.n - 1}")
         rows = list(self.adj)
         z = self.n
         for u in bits(neighbor_mask):
             rows[u] |= 1 << z
         rows.append(neighbor_mask)
-        return Graph(self.n + 1, tuple(rows))
+        return Graph._trusted(self.n + 1, tuple(rows))
 
     def permuted(self, perm: Iterable[int]) -> "Graph":
         """Relabel: vertex v becomes perm[v]."""
         perm = list(perm)
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"{perm} is not a permutation of 0..{self.n - 1}")
         rows = [0] * self.n
         for v in range(self.n):
             for u in bits(self.adj[v]):
                 rows[perm[v]] |= 1 << perm[u]
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
     # -- connectivity -------------------------------------------------
 
@@ -208,7 +227,7 @@ def disjoint_union(graphs: Iterable[Graph]) -> Graph:
     for g in graphs:
         rows.extend(row << offset for row in g.adj)
         offset += g.n
-    return Graph(total, tuple(rows))
+    return Graph._trusted(total, tuple(rows))
 
 
 def join_one(g: Graph) -> Graph:

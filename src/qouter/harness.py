@@ -8,7 +8,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import combinations, groupby
 from pathlib import Path
 
 from . import recognition, transforms
@@ -25,7 +25,7 @@ from .errors import ConfigError, ParameterError, check_sep
 from .graph6 import graph6_encode
 from .graphs import Graph, bits, star
 from .recognition import ForbiddenPattern
-from .spectral import Ordering, eta_max, q_compare, q_index
+from .spectral import Ordering, eta_max, q_compare, q_index, q_indices
 
 CONFIRMED = "Confirmed"
 REFUTED = "Refuted"
@@ -282,8 +282,9 @@ def _check_delta(n_range, sep):
     slack = float("inf")
     for n in n_range:
         star_code = canonical_code(star(n))
-        for g in connected_graphs(n):
-            q = q_index(g).q
+        graphs = connected_graphs(n)
+        for g, res in zip(graphs, q_indices(graphs)):
+            q = res.q
             bound = g.max_degree() + 1
             if q < bound - 1e-9:
                 violations.append((g, f"q={q} below max-degree bound {bound}"))
@@ -301,8 +302,9 @@ def _check_qmu(n_range, sep):
     violations = []
     slack = float("inf")
     for n in n_range:
-        for g in connected_graphs(n):
-            q = q_index(g).q
+        graphs = connected_graphs(n)
+        for g, res in zip(graphs, q_indices(graphs)):
+            q = res.q
             bound = eta_max(g)
             if q > bound + 1e-9:
                 violations.append((g, f"q={q} above eta bound {bound}"))
@@ -317,8 +319,12 @@ def _move_suite(name, kind, n_range, sep):
     margin = float("inf")
     count = 0
     for n in n_range:
-        for g in connected_graphs(n):
-            for vertices, result in transforms.move_results(g, kind):
+        graphs = connected_graphs(n)
+        q_indices(graphs)
+        for g in graphs:
+            moves = list(transforms.move_results(g, kind))
+            q_indices(result for _, result in moves)
+            for vertices, result in moves:
                 count += 1
                 if q_compare(result, g, sep) is not Ordering.GREATER:
                     violations.append((g, f"{kind} {vertices} did not raise q"))
@@ -339,17 +345,20 @@ def _check_edgeshift(n_range, sep):
     margin = float("inf")
     count = 0
     seeds = [g for k in (1, 2, 3) for g in connected_graphs(k)]
-    for h in seeds:
-        for u in range(h.n):
-            for s in range(1, total_cap // 2 + 1):
-                for t in range(s, total_cap - s + 1):
-                    before = h_gadget(h, u, t, s)
-                    after = transforms.path_shift(h, u, t, s)
-                    count += 1
-                    if q_compare(after, before, sep) is not Ordering.GREATER:
-                        violations.append((before, f"shift t={t},s={s} did not raise q"))
-                    else:
-                        margin = min(margin, q_index(after).q - q_index(before).q)
+    shifts = [
+        (t, s, h_gadget(h, u, t, s), transforms.path_shift(h, u, t, s))
+        for h in seeds
+        for u in range(h.n)
+        for s in range(1, total_cap // 2 + 1)
+        for t in range(s, total_cap - s + 1)
+    ]
+    q_indices(g for *_, before, after in shifts for g in (before, after))
+    for t, s, before, after in shifts:
+        count += 1
+        if q_compare(after, before, sep) is not Ordering.GREATER:
+            violations.append((before, f"shift t={t},s={s} did not raise q"))
+        else:
+            margin = min(margin, q_index(after).q - q_index(before).q)
     return _report(
         "edgeshift",
         {"t_plus_s_max": total_cap, "sep": sep},
@@ -395,19 +404,19 @@ def _check_claim41(n_range, sep):
     violations = []
     slack = float("inf")
     count = 0
-    for spec in claim41_specs(n_min, n_max):
-        g = path_join(spec)
-        hub = g.n - 1
-        res = q_index(g)
-        x = res.vector / res.vector[hub]
-        q = res.q
-        lo, hi = 1 / q, 1 / q + 30 / (q * q)
-        count += 1
-        for v in range(g.n - 1):
-            if not lo < x[v] < hi:
-                violations.append((g, f"entry x_{v}={x[v]} outside ({lo}, {hi})"))
-                break
-            slack = min(slack, x[v] - lo, hi - x[v])
+    for _, specs in groupby(claim41_specs(n_min, n_max), key=lambda spec: spec.order):
+        joins = [path_join(spec) for spec in specs]
+        for g, res in zip(joins, q_indices(joins)):
+            hub = g.n - 1
+            x = res.vector / res.vector[hub]
+            q = res.q
+            lo, hi = 1 / q, 1 / q + 30 / (q * q)
+            count += 1
+            for v in range(g.n - 1):
+                if not lo < x[v] < hi:
+                    violations.append((g, f"entry x_{v}={x[v]} outside ({lo}, {hi})"))
+                    break
+                slack = min(slack, x[v] - lo, hi - x[v])
     return _report(
         "claim41",
         {"n_min": n_min, "n_max": n_max},

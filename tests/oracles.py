@@ -17,7 +17,43 @@ from qouter.canon import canonical_code
 from qouter.enumeration import enumerate_class
 from qouter.errors import CapacityError
 from qouter.graphs import Graph, bits, from_edges
-from qouter.spectral import q_index, q_matrix
+from qouter.spectral import SpectralResult, q_index
+
+
+def q_matrix(g: Graph) -> np.ndarray:
+    """Q(g) = D(g) + A(g), filled entry by entry."""
+    a = np.zeros((g.n, g.n))
+    for u in range(g.n):
+        for v in bits(g.adj[u]):
+            a[u, v] = 1.0
+    return a + np.diag(a.sum(axis=1))
+
+
+def perron_oracle(g: Graph) -> SpectralResult:
+    """The Q-index one component at a time: eigh of each component's own
+    Q matrix, the sign-fixed top eigenvector, and its Collatz-Wielandt
+    radius; the first component, by least vertex, with the largest q."""
+    comps = g.components()
+    best = None
+    for mask in comps:
+        members = list(bits(mask))
+        mat = q_matrix(g if len(comps) == 1 else g.induced(members))
+        values, vectors = np.linalg.eigh(mat)
+        q = float(values[-1])
+        x = vectors[:, -1]
+        if x.sum() < 0:
+            x = -x
+        if x.min() <= 0:
+            radius = float("inf")
+        else:
+            ratios = (mat @ x) / x
+            radius = max(q - float(ratios.min()), float(ratios.max()) - q)
+        if best is None or q > best[0]:
+            best = (q, x, radius, members)
+    q, x, radius, members = best
+    vector = np.zeros(g.n)
+    vector[members] = x
+    return SpectralResult(q, vector, radius, connected=len(comps) == 1)
 
 
 def eig_q(g: Graph) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,12 +43,17 @@ def test_construct_join(capsys):
 
 
 def test_construct_argument_errors(capsys):
-    with pytest.raises(SystemExit):
-        main(["construct", "join"])
-    with pytest.raises(SystemExit):
-        main(["construct", "cycle", "--n", "7", "--pattern", "P4"])
-    with pytest.raises(SystemExit):
-        main(["construct", "path", "--n", "7", "--pattern", "C4"])
+    for argv, message in [
+        (["construct", "join"], "construct join requires --parts"),
+        (["construct", "join", "--parts", "2,x"], "--parts '2,x'"),
+        (["construct", "cycle", "--pattern", "C4"], "requires --n and --pattern"),
+        (["construct", "cycle", "--n", "7", "--pattern", "P4"], "needs a C<ell> pattern"),
+        (["construct", "path", "--n", "7", "--pattern", "C4"], "needs a <t>P<ell> pattern"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("qouter: error: ") and message in err, argv
+        assert err.count("\n") == 1, argv
 
 
 def test_spectral_from_file(tmp_path, capsys):
@@ -119,9 +128,9 @@ def test_lemma_subcommand(capsys):
 
 def test_lemma_needs_both_bounds(capsys):
     for bound in ("--n-min", "--n-max"):
-        with pytest.raises(SystemExit) as err:
-            main(["lemma", "delta", bound, "4"])
-        assert "--n-min and --n-max" in str(err.value)
+        code, out, err = run(capsys, "lemma", "perron", bound, "3")
+        assert code == 2 and out == ""
+        assert err == "qouter: error: lemma requires both --n-min and --n-max, or neither\n"
 
 
 @pytest.mark.parametrize(
@@ -178,3 +187,12 @@ def test_campaign_subcommand(tmp_path, capsys):
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "qouter", "campaign", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: qouter campaign")

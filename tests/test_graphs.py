@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qouter.enumeration import connected_graphs
 from qouter.errors import CapacityError, EdgeStateError
 from qouter.graphs import (
     Graph,
@@ -123,3 +126,42 @@ def test_permuted_preserves_invariants(g, rnd):
     for v, p in enumerate(perm):
         inv[p] = v
     assert h.permuted(inv) == g
+
+
+def _mutations(g):
+    for u, v in combinations(range(g.n), 2):
+        yield g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+    for mask in range(1 << g.n):
+        yield g.with_new_vertex(mask)
+        if mask:
+            yield g.induced(bits(mask))
+    yield g.permuted(range(g.n - 1, -1, -1))
+    yield g.permuted([*range(1, g.n), 0])
+    yield disjoint_union([g, g, path(2)])
+    yield join_one(g)
+
+
+def test_mutators_build_valid_graphs():
+    """The mutators skip re-validation; what they build must pass it."""
+    checked = 0
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            for out in _mutations(g):
+                assert Graph(out.n, out.adj) == out
+                checked += 1
+    assert checked > 10_000
+
+
+def test_mutators_reject_arguments_that_break_the_invariants():
+    g = path(4)
+    for mask in (1 << 4, 0b11 << 3, -1):
+        with pytest.raises(ValueError):
+            g.with_new_vertex(mask)
+    for perm in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4], [1, 2, 3, 4], [0, 1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            g.permuted(perm)
+    for vertices in ([], [-1, 1], [2, 4]):
+        with pytest.raises(ValueError):
+            g.induced(vertices)
+    with pytest.raises(CapacityError):
+        path(1).delete_vertex(0)

@@ -1,25 +1,23 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qouter.enumeration import EnumerationClass, extremal_argmax
+from qouter import spectral
+from qouter.enumeration import (
+    EnumerationClass,
+    connected_graphs,
+    extremal_argmax,
+    outerplanar_graphs,
+)
 from qouter.errors import EtaUndefinedError, ParameterError
 from qouter.graphs import complete, cycle, disjoint_union, from_edges, path, star
 from qouter.recognition import ForbiddenPattern
-from qouter.spectral import (
-    Ordering,
-    eta,
-    eta_exact,
-    eta_max,
-    q_compare,
-    q_index,
-    q_matrix,
-    rayleigh_delta,
-)
+from qouter.spectral import Ordering, eta_exact, eta_max, q_compare, q_index, q_indices
 
-from .oracles import all_graphs_upto_iso, eig_q, q_root_bisection
+from .oracles import all_graphs_upto_iso, eig_q, perron_oracle, q_matrix, q_root_bisection
 
 
 def test_frozen_small_values():
@@ -126,12 +124,13 @@ def test_sep_edge_values():
 
 def test_eta():
     s = star(6)
-    assert eta(s, 0) == pytest.approx(6.0)
-    assert eta(s, 1) == pytest.approx(6.0)
+    assert eta_exact(s, 0) == 6
+    assert eta_exact(s, 1) == 6
     assert eta_exact(path(3), 1) == 3
+    assert eta_exact(path(4), 1) == Fraction(7, 2)
     assert eta_max(path(2)) == pytest.approx(2.0)
     with pytest.raises(EtaUndefinedError):
-        eta(disjoint_union([path(1), path(2)]), 0)
+        eta_exact(disjoint_union([path(1), path(2)]), 0)
 
 
 def test_eta_upper_bounds_q():
@@ -139,16 +138,6 @@ def test_eta_upper_bounds_q():
         for g in all_graphs_upto_iso(n):
             if g.is_connected():
                 assert q_index(g).q <= eta_max(g) + 1e-9
-
-
-def test_rayleigh_delta_matches_matrices():
-    g = cycle(6)
-    x = q_index(g).vector
-    after = g.remove_edge(0, 1).add_edge(0, 3)
-    expected = float(x @ (q_matrix(after) - q_matrix(g)) @ x)
-    assert rayleigh_delta(x, removed=[(0, 1)], added=[(0, 3)]) == pytest.approx(
-        expected, abs=1e-12
-    )
 
 
 def test_q_compare():
@@ -164,3 +153,109 @@ def test_q_compare():
 def test_q_monotone_under_edge_addition():
     g = path(5)
     assert q_compare(g.add_edge(0, 4), g) is Ordering.GREATER
+
+
+# -- the batch solver -------------------------------------------------
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty result cache, so that every graph is solved in the batch."""
+    monkeypatch.setattr(spectral, "_cache", {})
+
+
+def _pendant_path_star():
+    """K_{1,20} with a 20-vertex pendant path: no positive computed vector."""
+    edges = [(0, i) for i in range(1, 21)] + [(i, i + 1) for i in range(20, 40)]
+    return from_edges(41, edges)
+
+
+def _assert_bitwise(results, graphs):
+    assert len(results) == len(graphs)
+    for res, g in zip(results, graphs):
+        ref = perron_oracle(g)
+        assert res.q.hex() == ref.q.hex(), g
+        assert res.vector.tobytes() == ref.vector.tobytes(), g
+        assert res.radius.hex() == ref.radius.hex(), g
+        assert res.connected == ref.connected, g
+
+
+def test_q_indices_matches_oracle_in_one_mixed_call(cold_cache):
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    graphs += [g for n in range(1, 7) for g in outerplanar_graphs(n)]
+    graphs += graphs[::50]  # duplicates, within the call and of connected ones
+    # order 7 alone fills more than one stack
+    assert len(connected_graphs(7)) > spectral._STACK_ENTRIES // 7**2
+    results = q_indices(graphs)
+    _assert_bitwise(results, graphs)
+    first = {}
+    for g, res in zip(graphs, results):
+        assert first.setdefault(g, res) is res
+
+
+def test_q_indices_stacks_of_64_vertices(cold_cache):
+    """star(64) needs bit 63 of its centre's row; eight 64-vertex matrices
+    fill a stack, so twenty relabellings span three stacks."""
+    rnd = random.Random(5)
+    graphs = [star(64), path(64), cycle(64)]
+    for _ in range(17):
+        perm = list(range(64))
+        rnd.shuffle(perm)
+        graphs.append(star(64).permuted(perm))
+    assert len(graphs) > spectral._STACK_ENTRIES // 64**2
+    _assert_bitwise(q_indices(graphs), graphs)
+    assert q_index(star(64)).q == pytest.approx(64.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        disjoint_union([cycle(5), star(4)]),
+        # q(C6) and q(K_{1,3}) both compute to exactly 4.0: a tie between
+        # components of different orders
+        disjoint_union([cycle(6), star(4)]),
+        disjoint_union([star(4), cycle(6)]),
+        path(1),
+        disjoint_union([path(1), path(1)]),
+        star(64),
+        _pendant_path_star(),
+    ],
+    ids=["C5+K13", "C6+K13", "K13+C6", "n1", "2K1", "star64", "pendant-path"],
+)
+def test_q_indices_matches_oracle_alone_and_in_any_group_order(monkeypatch, graph):
+    """Alone, and after graphs whose components come in other orders, so
+    that the groups are solved in another order."""
+    others = [path(k) for k in sorted({mask.bit_count() for mask in graph.components()})]
+    for batch in ([graph], others + [graph], others[::-1] + [graph]):
+        monkeypatch.setattr(spectral, "_cache", {})
+        _assert_bitwise(q_indices(batch), batch)
+
+
+def test_q_indices_tie_keeps_the_first_component(cold_cache):
+    assert q_index(cycle(6)).q == q_index(star(4)).q
+    res = q_indices([path(4), disjoint_union([star(4), cycle(6)]),
+                     disjoint_union([cycle(6), star(4)])])
+    assert np.all(res[1].vector[:4] > 0) and not res[1].vector[4:].any()
+    assert np.all(res[2].vector[:6] > 0) and not res[2].vector[6:].any()
+
+
+def test_q_indices_empty_cached_and_read_only(cold_cache):
+    assert q_indices([]) == []
+    graphs = [path(3), cycle(5), disjoint_union([path(2), star(4)])]
+    first = q_indices(graphs)
+    second = q_indices(iter(graphs))
+    assert all(a is b for a, b in zip(first, second))
+    assert all(q_index(g) is res for g, res in zip(graphs, first))
+    for res in first:
+        assert not res.vector.flags.writeable
+        with pytest.raises(ValueError):
+            res.vector[0] = 1.0
+
+
+def test_q_indices_cache_stays_bounded(cold_cache, monkeypatch):
+    monkeypatch.setattr(spectral, "_CACHE_SIZE", 4)
+    graphs = [path(k) for k in range(1, 11)]
+    _assert_bitwise(q_indices(graphs), graphs)
+    assert len(spectral._cache) <= 4
+    _assert_bitwise([q_index(g) for g in graphs], graphs)
+    assert len(spectral._cache) <= 4
