@@ -10,7 +10,7 @@ from .graphs import (
     path,
     star,
 )
-from .canon import canonical_code, canonical_form, canonical_labeling
+from .canon import canonical_code, canonical_labeling
 from .graph6 import graph6_decode, graph6_encode
 from .recognition import (
     K4,

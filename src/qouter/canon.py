@@ -12,17 +12,23 @@ from __future__ import annotations
 from .graphs import Graph, bits
 
 
-def _refine(g: Graph, mark: int | None) -> list[int]:
+def _refine(g: Graph, mark: int | None, z: int = 0, rivals: int = 0) -> list[int] | None:
     """Stable color per vertex; marks isolate one vertex in its own class.
 
     Colors are indices into the sorted distinct keys, so they are
     isomorphism-invariant; `_search` places them in ascending order.
+    Each round only splits classes and never reorders them, so once a
+    vertex outranks z it does so in the final colors: refinement stops
+    and returns None at the first round in which a vertex of the bitmask
+    `rivals` has a larger color than z.
     """
     nbrs = [list(bits(row)) for row in g.adj]
     keys = [(v == mark, len(nv)) for v, nv in enumerate(nbrs)]
     while True:
         order = {k: i for i, k in enumerate(sorted(set(keys)))}
         color = [order[k] for k in keys]
+        if rivals and any(color[v] > color[z] for v in bits(rivals)):
+            return None
         keys = [
             (color[v], tuple(sorted([color[u] for u in nv])))
             for v, nv in enumerate(nbrs)
@@ -114,15 +120,6 @@ def canonical_code(g: Graph, mark: int | None = None) -> bytes:
     """
     rows, _ = canonical_labeling(g, mark)
     return bytes([g.n]) + b"".join(r.to_bytes(8, "big") for r in rows)
-
-
-def canonical_form(g: Graph) -> Graph:
-    """The canonically labeled copy of g."""
-    _, labeling = canonical_labeling(g)
-    perm = [0] * g.n
-    for i, v in enumerate(labeling):
-        perm[v] = i
-    return g.permuted(perm)
 
 
 def is_transposition_automorphism(g: Graph, u: int, v: int) -> bool:

@@ -4,7 +4,7 @@ Each class is built one order at a time by McKay's canonical
 augmentation (J. Algorithms 26, 1998): level n extends every member of
 the cached level n - 1 by one new vertex z, and a child is kept only if
 z lies in the automorphism orbit of the canonical deletion vertex v*,
-the eligible vertex placed last by `canonical_labeling`. Children from
+the eligible vertex placed last by the canonical labeling. Children from
 distinct extensions of one parent are deduplicated per parent, so the
 dedup set never outgrows one parent's children.
 
@@ -23,18 +23,22 @@ order down, and adds z only with the neighbourhoods such a vertex has:
   tree), and z gets any nonempty neighbourhood.
 
 In each class z itself is eligible: deleting it gives back the parent.
-Cut vertices come from bitmask reachability on the child's rows.
-Before the canonical search, a child is rejected unless z has the
-largest unmarked refinement colour among the eligible vertices: the
-colours are isomorphism-invariant and the search places them in
-ascending order, so v* and its whole orbit carry that colour.
-Outerplanarity, being closed under subgraphs, is tested on the
-survivors of that filter. Freeness of a forbidden pattern is closed
-under subgraphs too (containing `C_l` or `tP_l` is a subgraph
-property), so it could prune the levels; it does not, because each
-level is generated once and shared by every pattern. `enumerate_class`
-tests the pattern on every member, and `extremal_argmax` only on the
-members its descending-q scan reaches.
+Cut vertices come from bitmask reachability on the child's rows. The
+canonical search places the isomorphism-invariant refinement colours in
+ascending order, so v* carries the largest colour of an eligible vertex,
+and a child is kept only if z has it too. Each child is decided by the
+cheapest test that settles it. (1) Colours start from degree and never
+reorder, so an eligible vertex of larger degree than z rejects it at
+once. (2) Refinement stops at the first round in which an eligible
+vertex of z's degree outranks z. (3) Outerplanarity is decided from the
+outerplanar parent (`recognition.is_outerplanar_extension`). (4) The
+canonical search of a survivor reuses the colours of (2).
+
+Freeness of a forbidden pattern is closed under subgraphs (containing
+`C_l` or `tP_l` is a subgraph property), so it could prune the levels;
+it does not, because each level is generated once and shared by every
+pattern. `enumerate_class` tests the pattern on every member, and
+`extremal_argmax` only on the members its descending-q scan reaches.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import recognition
-from .canon import _refine, canonical_code, canonical_labeling
+from .canon import _refine, _search, canonical_code
 from .errors import CapacityError, check_sep
 from .graphs import Graph, bits
 from .spectral import SpectralResult, q_index, q_indices
@@ -84,26 +88,34 @@ def _non_cut(adj: tuple[int, ...], v: int) -> bool:
     return seen == rest
 
 
+def _rivals(adj: tuple[int, ...], connected: bool, outerplanar: bool) -> int | None:
+    """The eligible vertices of z's degree other than z, the last vertex,
+    as a bitmask; None if an eligible vertex has a larger degree."""
+    degree = adj[-1].bit_count()
+    rivals = 0
+    for v in range(len(adj) - 1):
+        d = adj[v].bit_count()
+        if d < degree or (outerplanar and d > 2) or (connected and not _non_cut(adj, v)):
+            continue
+        if d > degree:
+            return None
+        rivals |= 1 << v
+    return rivals
+
+
 def _children(parent: Graph, connected: bool, outerplanar: bool) -> Iterator[Graph]:
     seen: set[tuple[int, ...]] = set()
     z = parent.n
     for mask in _masks(parent.n, connected, outerplanar):
         child = parent.with_new_vertex(mask)
-        adj = child.adj
-        color = _refine(child, None)
-        # z is eligible, so only eligible vertices of colour >= color[z]
-        # can reject the child or be v*.
-        top = [
-            v for v in range(child.n)
-            if color[v] >= color[z]
-            and (not outerplanar or adj[v].bit_count() <= 2)
-            and (not connected or _non_cut(adj, v))
-        ]
-        if any(color[v] > color[z] for v in top):
+        rivals = _rivals(child.adj, connected, outerplanar)
+        color = None if rivals is None else _refine(child, None, z, rivals)
+        if color is None:
             continue
-        if outerplanar and not recognition.is_outerplanar(child):
+        if outerplanar and not recognition.is_outerplanar_extension(child):
             continue
-        code, labeling = canonical_labeling(child)
+        code, labeling = _search(child, color)
+        top = [v for v in bits(rivals | 1 << z) if color[v] == color[z]]
         vstar = max(top, key=labeling.index)
         if z != vstar and canonical_code(child, mark=z) != canonical_code(child, mark=vstar):
             continue

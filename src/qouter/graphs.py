@@ -10,7 +10,7 @@ outputs are valid by construction once their own arguments are checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from .errors import CapacityError, EdgeStateError
 
@@ -31,6 +31,8 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
+    # not a field, so eq and hash ignore it; is_connected stores it once
+    _connected: ClassVar[bool | None] = None
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_VERTICES:
@@ -158,7 +160,9 @@ class Graph:
         return seen
 
     def is_connected(self) -> bool:
-        return self.reachable_mask(0) == (1 << self.n) - 1
+        if self._connected is None:
+            object.__setattr__(self, "_connected", self.reachable_mask(0) == (1 << self.n) - 1)
+        return self._connected
 
     def components(self) -> list[int]:
         """Vertex bitmasks of the connected components, by least vertex."""

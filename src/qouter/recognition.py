@@ -175,6 +175,21 @@ def is_outerplanar(g: Graph) -> bool:
     return True
 
 
+def is_outerplanar_extension(g: Graph) -> bool:
+    """`is_outerplanar(g)` for a g that is outerplanar without its last
+    vertex z. A z of degree <= 1 adds no cycle. A z joined to both ends
+    of an edge uv makes g non-outerplanar iff three internally disjoint
+    u-v paths avoid uv (a K_{2,3} subdivision); otherwise uv is a bridge
+    or on the outer cycle of its block, and z fits beside it in the outer
+    face. Any other z is tested in full."""
+    nbrs = list(bits(g.adj[-1]))
+    if len(nbrs) <= 1:
+        return True
+    if len(nbrs) == 2 and g.has_edge(*nbrs):
+        return not _three_disjoint_paths(g, *nbrs)
+    return is_outerplanar(g)
+
+
 # -- subgraph containment ---------------------------------------------
 
 

@@ -4,7 +4,9 @@ These deliberately take different algorithmic routes than the package:
 eigenvalues via dense symmetric solves, minors via edge contraction
 recursion, cycles via subset Hamiltonicity, path packings via a
 subset DP. Memo keys are raw labeled adjacency, so nothing here depends
-on the package's canonical labeling.
+on the package's canonical labeling. The exceptions are the package's
+earlier algorithms, kept as references for the paths that replaced
+them: `perron_oracle`, `argmax_oracle` and `children_oracle`.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from qouter.canon import canonical_code
-from qouter.enumeration import enumerate_class
+from qouter.canon import _refine, canonical_code, canonical_labeling
+from qouter.enumeration import _masks, _non_cut, enumerate_class
 from qouter.errors import CapacityError
 from qouter.graphs import Graph, bits, from_edges
+from qouter.recognition import is_outerplanar
 from qouter.spectral import SpectralResult, q_index
 
 
@@ -255,3 +258,35 @@ def argmax_oracle(cls, sep, solve=q_index):
             winners.append(g)
     margin = top.q - max(excluded) if excluded else float("inf")
     return sorted(canonical_code(g) for g in winners), top.q, margin
+
+
+def children_oracle(parent: Graph, connected: bool, outerplanar: bool):
+    """One canonical-augmentation step as first written: every child is
+    refined in full, tested from scratch for outerplanarity, and refined
+    again inside `canonical_labeling`."""
+    seen = set()
+    z = parent.n
+    for mask in _masks(parent.n, connected, outerplanar):
+        child = parent.with_new_vertex(mask)
+        adj = child.adj
+        color = _refine(child, None)
+        # z is eligible, so only eligible vertices of colour >= color[z]
+        # can reject the child or be v*.
+        top = [
+            v for v in range(child.n)
+            if color[v] >= color[z]
+            and (not outerplanar or adj[v].bit_count() <= 2)
+            and (not connected or _non_cut(adj, v))
+        ]
+        if any(color[v] > color[z] for v in top):
+            continue
+        if outerplanar and not is_outerplanar(child):
+            continue
+        code, labeling = canonical_labeling(child)
+        vstar = max(top, key=labeling.index)
+        if z != vstar and canonical_code(child, mark=z) != canonical_code(child, mark=vstar):
+            continue
+        if code in seen:
+            continue
+        seen.add(code)
+        yield child

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qouter import enumeration, recognition
-from qouter.canon import canonical_code
+from qouter.canon import _refine, canonical_code
 from qouter.enumeration import (
     ArgmaxResult,
     EnumerationClass,
@@ -20,7 +20,7 @@ from qouter.harness import PATH_THEOREM_CELLS
 from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
 from qouter.spectral import q_index
 
-from .oracles import all_graphs_upto_iso, argmax_oracle
+from .oracles import all_graphs_upto_iso, argmax_oracle, children_oracle
 
 # https://oeis.org/A001349 (connected graphs up to isomorphism)
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -55,6 +55,53 @@ def test_generation_matches_filter_all():
         assert {canonical_code(g) for g in connected_outerplanar(n)} == expected_cop
         expected_op = {canonical_code(g) for g in universe if is_outerplanar(g)}
         assert {canonical_code(g) for g in outerplanar_graphs(n)} == expected_op
+
+
+@pytest.mark.parametrize("generator, connected, outerplanar, top", [
+    (connected_outerplanar, True, True, 9),
+    (outerplanar_graphs, False, True, 7),
+    (connected_graphs, True, False, 7),
+])
+def test_levels_match_children_oracle(generator, connected, outerplanar, top):
+    """Each level holds the very graphs, in the very order, that refining
+    every child in full and testing it from scratch gives."""
+    for n in range(2, top + 1):
+        expected = tuple(
+            child
+            for parent in generator(n - 1)
+            for child in children_oracle(parent, connected, outerplanar)
+        )
+        assert generator(n) == expected, n
+
+
+@pytest.mark.parametrize("generator, connected, outerplanar, top", [
+    (connected_outerplanar, True, True, 7),
+    (outerplanar_graphs, False, True, 7),
+    (connected_graphs, True, False, 6),  # order 7: 853 parents, 108k children
+])
+def test_early_exit_refinement(generator, connected, outerplanar, top):
+    """Refinement that stops once an eligible vertex outranks z: when it
+    returns, its colours are the full ones and no eligible vertex
+    outranks z; when it stops, the full colours outrank z too."""
+    stopped = 0
+    for n in range(1, top + 1):
+        for parent in generator(n):
+            for mask in enumeration._masks(n, connected, outerplanar):
+                child = parent.with_new_vertex(mask)
+                eligible = [
+                    v for v in range(n)
+                    if (not outerplanar or child.degree(v) <= 2)
+                    and (not connected or child.delete_vertex(v).is_connected())
+                ]
+                full = _refine(child, None)
+                early = _refine(child, None, n, sum(1 << v for v in eligible))
+                outranked = any(full[v] > full[n] for v in eligible)
+                if early is None:
+                    stopped += 1
+                    assert outranked, child.adj
+                else:
+                    assert early == full and not outranked, child.adj
+    assert stopped > 0
 
 
 def test_members_pairwise_nonisomorphic():

@@ -107,6 +107,19 @@ def test_connectivity_and_components():
     assert g.has_edge(2, 3) and not g.has_edge(1, 2)
 
 
+def test_connectivity_is_computed_once_per_graph(monkeypatch):
+    calls = []
+    reach = Graph.reachable_mask
+    monkeypatch.setattr(Graph, "reachable_mask", lambda g, v: calls.append(v) or reach(g, v))
+    g = disjoint_union([path(2), cycle(3)])
+    assert not g.is_connected() and not g.is_connected()
+    assert len(calls) == 1
+    # the stored answer is no field: equality and hashing are unchanged
+    fresh = Graph(g.n, g.adj)
+    assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)
+    assert g.add_edge(1, 2).is_connected() and len(calls) == 2
+
+
 def test_disjoint_union_empty_raises():
     with pytest.raises(CapacityError):
         disjoint_union([])

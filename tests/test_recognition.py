@@ -1,7 +1,8 @@
 import pytest
 
+from qouter.enumeration import connected_outerplanar, outerplanar_graphs
 from qouter.errors import PatternError
-from qouter.graphs import complete, cycle, disjoint_union, from_edges, path, star
+from qouter.graphs import bits, complete, cycle, disjoint_union, from_edges, path, star
 from qouter.recognition import (
     K4,
     K23,
@@ -12,6 +13,7 @@ from qouter.recognition import (
     has_minor,
     is_f_free,
     is_outerplanar,
+    is_outerplanar_extension,
     neighborhood_is_paths,
 )
 
@@ -83,6 +85,27 @@ def test_has_minor_matches_contraction_oracle():
             assert has_minor(g, K4) == minor_by_contraction(g, K4_GRAPH)
             assert has_minor(g, K23) == minor_by_contraction(g, K23_GRAPH)
             assert is_outerplanar(g) == outerplanar_oracle(g)
+
+
+def test_outerplanar_extension_matches_full_test():
+    """Every child, by a vertex with at most two neighbours, of a
+    connected outerplanar graph with n <= 8 and of an outerplanar graph
+    with n <= 7; the children with n <= 6 also against the oracle."""
+    rejected_by_flow = 0
+    for parents, low, top in ((connected_outerplanar, 1, 8), (outerplanar_graphs, 0, 7)):
+        for n in range(1, top + 1):
+            for parent in parents(n):
+                for mask in range(1 << n):
+                    if not low <= mask.bit_count() <= 2:
+                        continue
+                    child = parent.with_new_vertex(mask)
+                    expected = is_outerplanar(child)
+                    assert is_outerplanar_extension(child) == expected, child.adj
+                    if child.n <= 6:
+                        assert expected == outerplanar_oracle(child), child.adj
+                    adjacent = mask.bit_count() == 2 and parent.has_edge(*bits(mask))
+                    rejected_by_flow += adjacent and not expected
+    assert rejected_by_flow > 0
 
 
 def test_has_minor_rejects_unknown_pattern():
