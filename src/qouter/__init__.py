@@ -13,13 +13,10 @@ from .graphs import (
 from .canon import canonical_code, canonical_labeling
 from .graph6 import graph6_decode, graph6_encode
 from .recognition import (
-    K4,
-    K23,
     ForbiddenPattern,
     common_neighbors,
     contains_cycle,
     contains_disjoint_paths,
-    has_minor,
     is_f_free,
     is_outerplanar,
     neighborhood_is_paths,

@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=1000)
 
     p = sub.add_parser("verify", help="theorem-level verification report")
-    p.add_argument("kind", choices=["cycle", "path", "structural"])
+    p.add_argument("kind", choices=list(harness.THEOREMS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--sep", type=float, default=1e-9)
@@ -161,18 +161,9 @@ def _emit_report(report, out) -> int:
 
 
 def _cmd_verify(args) -> int:
-    pattern = ForbiddenPattern.parse(args.pattern)
-    if args.kind == "cycle" and pattern.kind != "cycle":
-        raise ParameterError("verify cycle needs a C<ell> pattern")
-    if args.kind == "path" and pattern.kind != "paths":
-        raise ParameterError("verify path needs a <t>P<ell> pattern")
-    if args.kind == "cycle":
-        report = harness.verify_cycle_theorem(args.n, pattern.ell, args.sep)
-    elif args.kind == "path":
-        report = harness.verify_path_theorem(args.n, pattern.t, pattern.ell, args.sep)
-    else:
-        report = harness.structural_check(args.n, pattern, args.sep)
-    return _emit_report(report, args.out)
+    theorem, pattern = harness.THEOREMS[args.kind], ForbiddenPattern.parse(args.pattern)
+    theorem.require_cell(args.n, pattern)  # the entry reads only its kind's fields
+    return _emit_report(theorem.entry(args.n, pattern, args.sep), args.out)
 
 
 def _cmd_lemma(args) -> int:

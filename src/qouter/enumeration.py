@@ -16,9 +16,6 @@ order down, and adds z only with the neighbourhoods such a vertex has:
   2-connected outerplanar block has two vertices of degree 2, at most
   one of them the cut vertex joining it to the rest. So z gets one or
   two neighbours.
-- outerplanar graphs delete a vertex of degree <= 2, connected or not:
-  each is a spanning subgraph of a maximal outerplanar graph, which has
-  two such vertices once n >= 3. So z gets 0 to 2 neighbours.
 - connected graphs delete a non-cut vertex (any leaf of a spanning
   tree), and z gets any nonempty neighbourhood.
 
@@ -58,18 +55,18 @@ EXHAUSTIVE_CAP = 10
 
 @dataclass(frozen=True)
 class EnumerationClass:
+    """The connected outerplanar graphs of order n, `pattern`-free if given."""
+
     n: int
     pattern: recognition.ForbiddenPattern | None = None
-    require_connected: bool = True
 
 
 @lru_cache(maxsize=None)
-def _masks(order: int, connected: bool, outerplanar: bool) -> tuple[int, ...]:
-    """Neighbourhoods of the new vertex, ascending: nonempty if connected,
-    at most two vertices if outerplanar."""
-    low = 1 if connected else 0
+def _masks(order: int, outerplanar: bool) -> tuple[int, ...]:
+    """Neighbourhoods of the new vertex, ascending: nonempty, and at most
+    two vertices if outerplanar."""
     high = 2 if outerplanar else order
-    return tuple(m for m in range(low, 1 << order) if m.bit_count() <= high)
+    return tuple(m for m in range(1, 1 << order) if m.bit_count() <= high)
 
 
 def _non_cut(adj: tuple[int, ...], v: int) -> bool:
@@ -88,14 +85,14 @@ def _non_cut(adj: tuple[int, ...], v: int) -> bool:
     return seen == rest
 
 
-def _rivals(adj: tuple[int, ...], connected: bool, outerplanar: bool) -> int | None:
+def _rivals(adj: tuple[int, ...], outerplanar: bool) -> int | None:
     """The eligible vertices of z's degree other than z, the last vertex,
     as a bitmask; None if an eligible vertex has a larger degree."""
     degree = adj[-1].bit_count()
     rivals = 0
     for v in range(len(adj) - 1):
         d = adj[v].bit_count()
-        if d < degree or (outerplanar and d > 2) or (connected and not _non_cut(adj, v)):
+        if d < degree or (outerplanar and d > 2) or not _non_cut(adj, v):
             continue
         if d > degree:
             return None
@@ -103,12 +100,12 @@ def _rivals(adj: tuple[int, ...], connected: bool, outerplanar: bool) -> int | N
     return rivals
 
 
-def _children(parent: Graph, connected: bool, outerplanar: bool) -> Iterator[Graph]:
+def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
     seen: set[tuple[int, ...]] = set()
     z = parent.n
-    for mask in _masks(parent.n, connected, outerplanar):
+    for mask in _masks(parent.n, outerplanar):
         child = parent.with_new_vertex(mask)
-        rivals = _rivals(child.adj, connected, outerplanar)
+        rivals = _rivals(child.adj, outerplanar)
         color = None if rivals is None else _refine(child, None, z, rivals)
         if color is None:
             continue
@@ -126,7 +123,7 @@ def _children(parent: Graph, connected: bool, outerplanar: bool) -> Iterator[Gra
 
 
 def _generate(n: int, generator: Callable[[int], tuple[Graph, ...]],
-              connected: bool, outerplanar: bool) -> tuple[Graph, ...]:
+              outerplanar: bool) -> tuple[Graph, ...]:
     """Level n of a class from `generator(n - 1)`, its cached level below."""
     if not 1 <= n <= EXHAUSTIVE_CAP:
         raise CapacityError(f"exhaustive enumeration needs 1 <= n <= {EXHAUSTIVE_CAP}, got {n}")
@@ -135,44 +132,34 @@ def _generate(n: int, generator: Callable[[int], tuple[Graph, ...]],
     return tuple(
         child
         for parent in generator(n - 1)
-        for child in _children(parent, connected, outerplanar)
+        for child in _children(parent, outerplanar)
     )
 
 
 @lru_cache(maxsize=None)
 def connected_outerplanar(n: int) -> tuple[Graph, ...]:
     """All connected outerplanar graphs of order n, one per isomorphism class."""
-    return _generate(n, connected_outerplanar, True, True)
-
-
-@lru_cache(maxsize=None)
-def outerplanar_graphs(n: int) -> tuple[Graph, ...]:
-    """All (possibly disconnected) outerplanar graphs of order n, up to iso."""
-    return _generate(n, outerplanar_graphs, False, True)
+    return _generate(n, connected_outerplanar, True)
 
 
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> tuple[Graph, ...]:
     """All connected graphs of order n, up to isomorphism."""
-    return _generate(n, connected_graphs, True, False)
-
-
-def _base(n: int, connected: bool) -> tuple[Graph, ...]:
-    return connected_outerplanar(n) if connected else outerplanar_graphs(n)
+    return _generate(n, connected_graphs, False)
 
 
 def enumerate_class(cls: EnumerationClass) -> Iterator[Graph]:
     """Stream the class members, pairwise non-isomorphic."""
-    for g in _base(cls.n, cls.require_connected):
+    for g in connected_outerplanar(cls.n):
         if cls.pattern is None or recognition.is_f_free(g, cls.pattern):
             yield g
 
 
 @lru_cache(maxsize=None)
-def _q_sorted(n: int, connected: bool) -> tuple[tuple[tuple[SpectralResult, Graph], ...], float]:
+def _q_sorted(n: int) -> tuple[tuple[tuple[SpectralResult, Graph], ...], float]:
     """Every member of the unfiltered class with its solve, in descending
     q (stable, so ties keep enumeration order), and the largest radius."""
-    base = _base(n, connected)
+    base = connected_outerplanar(n)
     q_indices(base)  # one batch; the members below are then cache hits
     solved = sorted(((q_index(g), g) for g in base), key=lambda rg: -rg[0].q)
     return tuple(solved), max(res.radius for res, _ in solved)
@@ -205,7 +192,7 @@ def extremal_argmax(cls: EnumerationClass, sep: float = 1e-9) -> ArgmaxResult:
     excluded. With an infinite radius the scan covers the whole class.
     """
     check_sep(sep)
-    solved, r_max = _q_sorted(cls.n, cls.require_connected)
+    solved, r_max = _q_sorted(cls.n)
     top = excluded = None
     winners = []
     for res, g in solved:

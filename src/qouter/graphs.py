@@ -119,9 +119,6 @@ class Graph:
                     rows[index[v]] |= 1 << index[u]
         return Graph._trusted(len(keep), tuple(rows))
 
-    def delete_vertex(self, v: int) -> "Graph":
-        return self.induced(u for u in range(self.n) if u != v)
-
     def with_new_vertex(self, neighbor_mask: int) -> "Graph":
         """Append one vertex adjacent to the vertices in neighbor_mask."""
         if self.n + 1 > MAX_VERTICES:

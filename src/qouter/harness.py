@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, groupby
 from pathlib import Path
+from typing import Callable
 
 from . import recognition, transforms
 from .canon import canonical_code
@@ -76,120 +79,134 @@ def _timed(fn):
 # -- theorem checks ---------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Theorem:
+    """A theorem checked one cell (n, pattern) at a time, n in
+    1..EXHAUSTIVE_CAP: `has_cell` says which patterns an order has, `rule`
+    says so in words, and `entry` runs a cell through the kind's public
+    check, looked up by name at call time. `candidate(n, pattern, sep)`
+    gives the paper's graph (or None), the report's parameters, notes and
+    extra q values. `miss(result, expected)` gives the status, witnesses
+    and note when that graph is not the sole winner by more than sep;
+    without a candidate it is the whole rule, and None means Confirmed."""
+
+    check_id: str
+    has_cell: Callable[[int, ForbiddenPattern], bool]
+    rule: str
+    entry: Callable[[int, ForbiddenPattern, float], VerificationReport]
+    candidate: Callable
+    miss: Callable
+
+    def cells(self, n: int) -> list[ForbiddenPattern]:
+        """The patterns of order n, cycles first, then the path cells."""
+        patterns = [ForbiddenPattern.cycle(ell) for ell in range(3, n + 1)]
+        patterns += [ForbiddenPattern.paths(t, ell) for t, ell in PATH_THEOREM_CELLS]
+        return [p for p in patterns if self.has_cell(n, p)]
+
+    def require_cell(self, n: int, pattern: ForbiddenPattern) -> None:
+        """ParameterError unless (n, pattern) is a cell."""
+        if not (1 <= n <= EXHAUSTIVE_CAP and self.has_cell(n, pattern)):
+            raise ParameterError(f"{self.rule} and 1 <= n <= {EXHAUSTIVE_CAP}, "
+                                 f"got n={n}, pattern={pattern}")
+
+
+def _cycle_candidate(n, pattern, sep):
+    expected, alpha, r = cycle_extremal(n, pattern.ell)
+    return expected, {"n": n, "ell": pattern.ell, "alpha": alpha, "r": r, "sep": sep}, [], []
+
+
+def _path_candidate(n, pattern, sep):
+    expected, alpha, r, flag = path_extremal(n, pattern.t, pattern.ell)
+    _, trace = transforms.greedy_ascent(expected, pattern)
+    parameters = {"n": n, "t": pattern.t, "ell": pattern.ell, "alpha": alpha, "r": r,
+                  "sep": sep, "local_max": not trace}
+    notes = []
+    if flag:
+        notes.append("printed closed-form parameters fail the part-sum identity; "
+                     "canonical decomposition used")
+    if trace:
+        notes.append("greedy ascent improved the candidate inside the class")
+    return expected, parameters, notes, [q_index(expected).q]
+
+
+def _cycle_miss(result, expected):
+    if canonical_code(expected) in {canonical_code(g) for g in result.graphs}:
+        return TIE, result.graphs, "candidate is co-maximal but not separated"
+    return REFUTED, result.graphs, "argmax winner differs from the candidate graph"
+
+
+def _hub_rule(result, expected):
+    """Refuted if a winner lacks a universal vertex with a path neighborhood."""
+    bad = [g for g in result.graphs if not any(
+        g.degree(u) == g.n - 1 and recognition.neighborhood_is_paths(g, u) for u in range(g.n))]
+    return (REFUTED, bad, "winner lacks a universal vertex with path neighborhood") if bad else None
+
+
+THEOREMS = {
+    "cycle": Theorem(
+        "cycle:n={n},ell={p.ell}", lambda n, p: p.kind == "cycle" and p.ell <= n,
+        "cycle check needs a C<ell> pattern with 3 <= ell <= n",
+        lambda n, p, sep: verify_cycle_theorem(n, p.ell, sep), _cycle_candidate, _cycle_miss),
+    # a path cell below the theorem's order threshold may legitimately miss
+    "path": Theorem(
+        "path:n={n},t={p.t},ell={p.ell}", lambda n, p: p.kind == "paths" and p.t * p.ell <= n - 1,
+        "path check needs a <t>P<ell> pattern with t*ell <= n - 1",
+        lambda n, p, sep: verify_path_theorem(n, p.t, p.ell, sep), _path_candidate,
+        lambda result, *_: (OUT_OF_SCOPE, result.graphs, "argmax differs from candidate at "
+                            "sub-threshold order; theorem hypotheses demand larger n")),
+    "structural": Theorem(
+        "structural:n={n},pattern={p}",
+        lambda n, p: p.ell <= n if p.kind == "cycle" else 4 <= p.t * p.ell <= n - 1,
+        "structural check needs a C<ell> pattern with 3 <= ell <= n "
+        "or a <t>P<ell> pattern with 4 <= t*ell <= n - 1",
+        lambda n, p, sep: structural_check(n, p, sep),
+        lambda n, p, sep: (None, {"n": n, "pattern": str(p), "sep": sep}, [], []), _hub_rule),
+}
+
+
+def _run_cell(kind: str, n: int, pattern: ForbiddenPattern, sep: float) -> VerificationReport:
+    """The class argmax of one cell, judged by the kind's candidate and rule."""
+    theorem = THEOREMS[kind]
+    theorem.require_cell(n, pattern)
+
+    def run():
+        expected, parameters, notes, q_values = theorem.candidate(n, pattern, sep)
+        result = extremal_argmax(EnumerationClass(n, pattern), sep)
+        # the winners are pairwise non-isomorphic
+        hit = (expected is not None and len(result.graphs) == 1 and result.margin > sep
+               and canonical_code(result.graphs[0]) == canonical_code(expected))
+        miss = None if hit else theorem.miss(result, expected)
+        status, witnesses, note = miss or (CONFIRMED, result.graphs, None)
+        return VerificationReport(
+            check_id=theorem.check_id.format(n=n, p=pattern),
+            parameters=parameters,
+            status=status,
+            witness_graphs=[graph6_encode(g) for g in witnesses],
+            q_values=[result.q] + q_values,
+            margin=result.margin,
+            notes=notes + ([note] if note else []),
+        )
+
+    return _timed(run)
+
+
 def verify_cycle_theorem(n: int, ell: int, sep: float = 1e-9) -> VerificationReport:
     """Exhaustive argmax over connected outerplanar C_ell-free graphs,
     compared with the constructed candidate."""
-    if not 3 <= ell <= n or n > 10:
-        raise ParameterError(f"need 3 <= ell <= n <= 10, got n={n}, ell={ell}")
-
-    def run():
-        expected, alpha, r = cycle_extremal(n, ell)
-        result = extremal_argmax(
-            EnumerationClass(n, ForbiddenPattern.cycle(ell)), sep
-        )
-        report = VerificationReport(
-            check_id=f"cycle:n={n},ell={ell}",
-            parameters={"n": n, "ell": ell, "alpha": alpha, "r": r, "sep": sep},
-            status=REFUTED,
-            witness_graphs=[graph6_encode(g) for g in result.graphs],
-            q_values=[result.q],
-            margin=result.margin,
-        )
-        winners = {canonical_code(g) for g in result.graphs}
-        if winners == {canonical_code(expected)} and result.margin > sep:
-            report.status = CONFIRMED
-        elif canonical_code(expected) in winners:
-            report.status = TIE
-            report.notes.append("candidate is co-maximal but not separated")
-        else:
-            report.notes.append("argmax winner differs from the candidate graph")
-        return report
-
-    return _timed(run)
+    return _run_cell("cycle", n, ForbiddenPattern.cycle(ell), sep)
 
 
 def verify_path_theorem(n: int, t: int, ell: int, sep: float = 1e-9) -> VerificationReport:
     """Brute-force argmax over connected outerplanar tP_ell-free graphs,
     compared with the constructed candidate. Sub-threshold mismatches are
     reported OutOfScope with data, never Refuted."""
-    if n > 10:
-        raise ParameterError(f"need n <= 10, got {n}")
-
-    def run():
-        expected, alpha, r, flag = path_extremal(n, t, ell)
-        pattern = ForbiddenPattern.paths(t, ell)
-        _, trace = transforms.greedy_ascent(expected, pattern)
-        result = extremal_argmax(EnumerationClass(n, pattern), sep)
-        report = VerificationReport(
-            check_id=f"path:n={n},t={t},ell={ell}",
-            parameters={
-                "n": n,
-                "t": t,
-                "ell": ell,
-                "alpha": alpha,
-                "r": r,
-                "sep": sep,
-                "local_max": not trace,
-            },
-            status=OUT_OF_SCOPE,
-            witness_graphs=[graph6_encode(g) for g in result.graphs],
-            q_values=[result.q, q_index(expected).q],
-            margin=result.margin,
-        )
-        if flag:
-            report.notes.append(
-                "printed closed-form parameters fail the part-sum identity; "
-                "canonical decomposition used"
-            )
-        if trace:
-            report.notes.append(
-                "greedy ascent improved the candidate inside the class"
-            )
-        winners = {canonical_code(g) for g in result.graphs}
-        if winners == {canonical_code(expected)} and result.margin > sep:
-            report.status = CONFIRMED
-        else:
-            report.notes.append(
-                "argmax differs from candidate at sub-threshold order; "
-                "theorem hypotheses demand larger n"
-            )
-        return report
-
-    return _timed(run)
+    return _run_cell("path", n, ForbiddenPattern.paths(t, ell), sep)
 
 
 def structural_check(n: int, pattern: ForbiddenPattern, sep: float = 1e-9) -> VerificationReport:
     """Every argmax winner must have a universal vertex whose neighborhood
     induces a union of paths."""
-    if n > 9:
-        raise ParameterError(f"need n <= 9, got {n}")
-    if pattern.kind == "cycle":
-        if not 3 <= pattern.ell <= n:
-            raise ParameterError(f"cycle pattern outside 3 <= ell <= n")
-    else:
-        if pattern.ell < 2 or not 4 <= pattern.t * pattern.ell <= n - 1:
-            raise ParameterError("path pattern outside k >= 2, 4 <= tk <= n-1")
-
-    def run():
-        result = extremal_argmax(EnumerationClass(n, pattern), sep)
-        bad = []
-        for g in result.graphs:
-            hubs = [u for u in range(g.n) if g.degree(u) == g.n - 1]
-            if not any(recognition.neighborhood_is_paths(g, u) for u in hubs):
-                bad.append(g)
-        report = VerificationReport(
-            check_id=f"structural:n={n},pattern={pattern}",
-            parameters={"n": n, "pattern": str(pattern), "sep": sep},
-            status=CONFIRMED if not bad else REFUTED,
-            witness_graphs=[graph6_encode(g) for g in (bad or result.graphs)],
-            q_values=[result.q],
-            margin=result.margin,
-        )
-        if bad:
-            report.notes.append("winner lacks a universal vertex with path neighborhood")
-        return report
-
-    return _timed(run)
+    return _run_cell("structural", n, pattern, sep)
 
 
 # -- lemma suites -----------------------------------------------------
@@ -507,74 +524,58 @@ def parse_campaign_config(path) -> CampaignConfig:
     return cfg
 
 
-def _campaign_tasks(cfg: CampaignConfig):
+def _campaign_tasks(cfg: CampaignConfig) -> list[tuple[str, Callable[[], VerificationReport]]]:
+    """Every (check id, task) of the campaign, in order, before any runs."""
     tasks = []
     for token in cfg.checks:
-        if token == "cycle":
-            for n in range(cfg.n_min, cfg.n_max + 1):
-                for ell in range(3, n + 1):
-                    tasks.append(
-                        (f"cycle:n={n},ell={ell}",
-                         lambda n=n, ell=ell: verify_cycle_theorem(n, ell, cfg.sep))
-                    )
-        elif token == "path":
-            for n in range(cfg.n_min, cfg.n_max + 1):
-                for t, ell in PATH_THEOREM_CELLS:
-                    if t * ell <= n - 1:
-                        tasks.append(
-                            (f"path:n={n},t={t},ell={ell}",
-                             lambda n=n, t=t, ell=ell: verify_path_theorem(n, t, ell, cfg.sep))
-                        )
-        elif token == "structural":
-            for n in range(cfg.n_min, min(cfg.n_max, 9) + 1):
-                patterns = [ForbiddenPattern.cycle(ell) for ell in range(3, n + 1)]
-                patterns += [
-                    ForbiddenPattern.paths(t, ell)
-                    for t, ell in PATH_THEOREM_CELLS
-                    if ell >= 2 and 4 <= t * ell <= n - 1
-                ]
-                for pattern in patterns:
-                    tasks.append(
-                        (f"structural:n={n},pattern={pattern}",
-                         lambda n=n, p=pattern: structural_check(n, p, cfg.sep))
-                    )
-        elif token == "lemma":
-            for name in LEMMA_NAMES:
-                tasks.append(
-                    (f"lemma:{name}", lambda name=name: check_lemma(name, sep=cfg.sep))
-                )
-        elif token.startswith("lemma:"):
-            name = token.split(":", 1)[1]
-            if name not in LEMMA_NAMES:
-                raise ConfigError(f"unknown lemma suite {name!r}")
-            tasks.append((f"lemma:{name}", lambda name=name: check_lemma(name, sep=cfg.sep)))
+        if token in THEOREMS:
+            theorem = THEOREMS[token]
+            cells = [] if cfg.n_max > EXHAUSTIVE_CAP else [
+                (n, p) for n in range(cfg.n_min, cfg.n_max + 1) for p in theorem.cells(n)]
+            if not cells:
+                raise ConfigError(f"check {token!r} needs orders in 1..{EXHAUSTIVE_CAP} with at "
+                                  f"least one cell, got n_min={cfg.n_min}, n_max={cfg.n_max}")
+            tasks += [(theorem.check_id.format(n=n, p=p), partial(theorem.entry, n, p, cfg.sep))
+                      for n, p in cells]
+        elif token == "lemma" or token.startswith("lemma:"):
+            for name in LEMMA_NAMES if token == "lemma" else [token[len("lemma:"):]]:
+                if name not in _LEMMA_SUITES:
+                    raise ConfigError(f"unknown lemma suite {name!r}")
+                tasks.append((f"lemma:{name}", lambda name=name: check_lemma(name, sep=cfg.sep)))
         else:
             raise ConfigError(f"unknown check token {token!r}")
     return tasks
 
 
+def _write_atomically(target: Path, text: str) -> Path:
+    """Write target through a temporary file beside it, never partially."""
+    partial_file = target.with_name(f".{target.name}.part")
+    partial_file.write_text(text, newline="")
+    os.replace(partial_file, target)
+    return target
+
+
 def run_campaign(config_path) -> tuple[int, list[Path]]:
     """Execute all configured checks; returns (exit code, written files).
 
-    Exit code is 0 iff no check is Refuted.
+    The whole task list is built and checked before the first task runs.
+    Each report is written as soon as its check finishes, and
+    summary.csv last. Exit code is 0 iff no check is Refuted.
     """
     cfg = parse_campaign_config(config_path)
+    tasks = _campaign_tasks(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = _campaign_tasks(cfg)
-    reports = [fn() for _, fn in tasks]
     files = []
-    for report in reports:
+    summary = io.StringIO()
+    writer = csv.writer(summary)
+    writer.writerow(["check_id", "status", "margin", "runtime_ms"])
+    exit_code = 0
+    for _, task in tasks:
+        report = task()
         name = report.check_id.replace(":", "_").replace(",", "_").replace("=", "")
-        target = out_dir / f"{name}.json"
-        target.write_text(report.to_json())
-        files.append(target)
-    summary = out_dir / "summary.csv"
-    with summary.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check_id", "status", "margin", "runtime_ms"])
-        for report in reports:
-            writer.writerow([report.check_id, report.status, report.margin, report.runtime_ms])
-    files.append(summary)
-    exit_code = 1 if any(r.status == REFUTED for r in reports) else 0
+        files.append(_write_atomically(out_dir / f"{name}.json", report.to_json()))
+        writer.writerow([report.check_id, report.status, report.margin, report.runtime_ms])
+        exit_code |= report.status == REFUTED
+    files.append(_write_atomically(out_dir / "summary.csv", summary.getvalue()))
     return exit_code, files

@@ -20,10 +20,6 @@ from dataclasses import dataclass
 from .errors import PatternError
 from .graphs import Graph, bits
 
-K4 = "K4"
-K23 = "K2,3"
-
-
 @dataclass(frozen=True)
 class ForbiddenPattern:
     """Either a cycle C_ell or a union of t disjoint paths P_ell."""
@@ -152,15 +148,6 @@ def _has_k23_minor(g: Graph) -> bool:
             if _three_disjoint_paths(g, u, v):
                 return True
     return False
-
-
-def has_minor(g: Graph, pattern: str) -> bool:
-    """Exact minor test for the two outerplanarity obstructions."""
-    if pattern == K4:
-        return _has_k4_minor(g)
-    if pattern in (K23, "K23"):
-        return _has_k23_minor(g)
-    raise PatternError(f"unsupported minor pattern {pattern!r}")
 
 
 def is_outerplanar(g: Graph) -> bool:

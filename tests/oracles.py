@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from qouter.canon import _refine, canonical_code, canonical_labeling
-from qouter.enumeration import _masks, _non_cut, enumerate_class
+from qouter.enumeration import _non_cut, enumerate_class
 from qouter.errors import CapacityError
 from qouter.graphs import Graph, bits, from_edges
 from qouter.recognition import is_outerplanar
@@ -266,7 +266,9 @@ def children_oracle(parent: Graph, connected: bool, outerplanar: bool):
     again inside `canonical_labeling`."""
     seen = set()
     z = parent.n
-    for mask in _masks(parent.n, connected, outerplanar):
+    for mask in range(1 if connected else 0, 1 << parent.n):
+        if outerplanar and mask.bit_count() > 2:
+            continue
         child = parent.with_new_vertex(mask)
         adj = child.adj
         color = _refine(child, None)

@@ -196,3 +196,13 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: qouter campaign")
+
+
+def test_campaign_without_cells_exits_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"checks = path\nn_min = 9\nn_max = 11\nout = {tmp_path / 'reports'}\n")
+    code, out, err = run(capsys, "campaign", str(cfg))
+    assert code == 2 and out == ""
+    assert err == ("qouter: error: check 'path' needs orders in 1..10 with at least one cell, "
+                   "got n_min=9, n_max=11\n")
+    assert not (tmp_path / "reports").exists()

@@ -82,7 +82,7 @@ def hub_part_sizes(g):
     """Component orders after removing the hub; asserts the join shape."""
     hub = max(range(g.n), key=g.degree)
     assert g.degree(hub) == g.n - 1
-    rest = g.delete_vertex(hub)
+    rest = g.induced(set(range(g.n)) - {hub})
     sizes = []
     for comp in rest.components():
         part = rest.induced(i for i in range(rest.n) if (comp >> i) & 1)

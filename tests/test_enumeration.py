@@ -12,7 +12,6 @@ from qouter.enumeration import (
     connected_outerplanar,
     enumerate_class,
     extremal_argmax,
-    outerplanar_graphs,
 )
 from qouter.errors import CapacityError
 from qouter.graphs import path, star
@@ -53,13 +52,10 @@ def test_generation_matches_filter_all():
             if g.is_connected() and is_outerplanar(g)
         }
         assert {canonical_code(g) for g in connected_outerplanar(n)} == expected_cop
-        expected_op = {canonical_code(g) for g in universe if is_outerplanar(g)}
-        assert {canonical_code(g) for g in outerplanar_graphs(n)} == expected_op
 
 
 @pytest.mark.parametrize("generator, connected, outerplanar, top", [
     (connected_outerplanar, True, True, 9),
-    (outerplanar_graphs, False, True, 7),
     (connected_graphs, True, False, 7),
 ])
 def test_levels_match_children_oracle(generator, connected, outerplanar, top):
@@ -76,7 +72,6 @@ def test_levels_match_children_oracle(generator, connected, outerplanar, top):
 
 @pytest.mark.parametrize("generator, connected, outerplanar, top", [
     (connected_outerplanar, True, True, 7),
-    (outerplanar_graphs, False, True, 7),
     (connected_graphs, True, False, 6),  # order 7: 853 parents, 108k children
 ])
 def test_early_exit_refinement(generator, connected, outerplanar, top):
@@ -86,12 +81,12 @@ def test_early_exit_refinement(generator, connected, outerplanar, top):
     stopped = 0
     for n in range(1, top + 1):
         for parent in generator(n):
-            for mask in enumeration._masks(n, connected, outerplanar):
+            for mask in enumeration._masks(n, outerplanar):
                 child = parent.with_new_vertex(mask)
                 eligible = [
                     v for v in range(n)
                     if (not outerplanar or child.degree(v) <= 2)
-                    and (not connected or child.delete_vertex(v).is_connected())
+                    and (not connected or child.induced(set(range(n + 1)) - {v}).is_connected())
                 ]
                 full = _refine(child, None)
                 early = _refine(child, None, n, sum(1 << v for v in eligible))
@@ -121,12 +116,11 @@ def test_enumerate_class_filters_pattern():
 
 def test_capacity_cap():
     for n in (11, 0, -1):
-        for generator in (connected_outerplanar, outerplanar_graphs, connected_graphs):
+        for generator in (connected_outerplanar, connected_graphs):
             with pytest.raises(CapacityError):
                 generator(n)
-        for connected in (True, False):
-            with pytest.raises(CapacityError):
-                list(enumerate_class(EnumerationClass(n, require_connected=connected)))
+        with pytest.raises(CapacityError):
+            list(enumerate_class(EnumerationClass(n)))
 
 
 def test_connected_outerplanar_has_deletable_vertex():
@@ -135,19 +129,13 @@ def test_connected_outerplanar_has_deletable_vertex():
     for n in range(2, 9):
         for g in connected_outerplanar(n):
             assert any(
-                g.degree(v) <= 2 and g.delete_vertex(v).is_connected()
+                g.degree(v) <= 2 and g.induced(set(range(n)) - {v}).is_connected()
                 for v in range(n)
             ), g.adj
 
 
-def test_outerplanar_has_vertex_of_degree_at_most_two():
-    for n in range(1, 8):
-        for g in outerplanar_graphs(n):
-            assert min(row.bit_count() for row in g.adj) <= 2, g.adj
-
-
 @pytest.mark.parametrize(
-    "generator", [connected_outerplanar, outerplanar_graphs, connected_graphs]
+    "generator", [connected_outerplanar, connected_graphs]
 )
 def test_level_built_from_cached_level_below(generator):
     generator.cache_clear()
@@ -203,15 +191,14 @@ def test_unique_property():
 
 
 def _argmax_cells():
-    """Connected n <= 8 and outerplanar n <= 7, with no pattern, every
-    cycle pattern, the path theorem's cells and P2 (empty once n >= 2)."""
-    for connected, top in ((True, 8), (False, 7)):
-        for n in range(1, top + 1):
-            patterns = [None, ForbiddenPattern.paths(1, 2)]
-            patterns += [ForbiddenPattern.cycle(ell) for ell in range(3, n + 1)]
-            patterns += [ForbiddenPattern.paths(t, ell) for t, ell in PATH_THEOREM_CELLS]
-            for pattern in patterns:
-                yield EnumerationClass(n, pattern, connected)
+    """n <= 8, with no pattern, every cycle pattern, the path theorem's
+    cells and P2 (empty once n >= 2)."""
+    for n in range(1, 9):
+        patterns = [None, ForbiddenPattern.paths(1, 2)]
+        patterns += [ForbiddenPattern.cycle(ell) for ell in range(3, n + 1)]
+        patterns += [ForbiddenPattern.paths(t, ell) for t, ell in PATH_THEOREM_CELLS]
+        for pattern in patterns:
+            yield EnumerationClass(n, pattern)
 
 
 def _as_oracle(result):
@@ -286,8 +273,7 @@ def test_argmax_matches_oracle_under_any_radii(monkeypatch, seed):
     monkeypatch.setattr(enumeration, "q_index", solve)
     for cls in (EnumerationClass(7, ForbiddenPattern.cycle(4)),
                 EnumerationClass(8, ForbiddenPattern.cycle(5)),
-                EnumerationClass(8, ForbiddenPattern.paths(2, 3)),
-                EnumerationClass(7, ForbiddenPattern.paths(1, 4), False)):
+                EnumerationClass(8, ForbiddenPattern.paths(2, 3))):
         enumeration._q_sorted.cache_clear()
         try:
             result = extremal_argmax(cls, 1e-9)

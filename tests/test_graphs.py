@@ -87,8 +87,8 @@ def test_induced_and_delete():
     g = cycle(5)
     sub = g.induced([0, 1, 2])
     assert sub.n == 3 and sub.m == 2  # path 0-1-2
-    assert g.delete_vertex(4).m == 3
-    assert star(5).delete_vertex(0).m == 0
+    assert g.induced(range(4)).m == 3  # vertex 4 deleted
+    assert star(5).induced(range(1, 5)).m == 0  # the centre deleted
 
 
 def test_with_new_vertex_and_join():
@@ -177,4 +177,4 @@ def test_mutators_reject_arguments_that_break_the_invariants():
         with pytest.raises(ValueError):
             g.induced(vertices)
     with pytest.raises(CapacityError):
-        path(1).delete_vertex(0)
+        path(1).induced([])  # its only vertex deleted

@@ -248,3 +248,161 @@ def test_refuted_construction_fails_campaign(tmp_path, monkeypatch):
     )
     code, _ = run_campaign(cfg_file)
     assert code == 1
+
+
+def _campaign(tmp_path, text):
+    cfg_file = tmp_path / "campaign.cfg"
+    cfg_file.write_text(text + f"out = {tmp_path / 'reports'}\n")
+    return cfg_file
+
+
+@pytest.mark.parametrize("text, token", [
+    # path cells exist up to n = 10 only; n = 9..10 used to run, then fail
+    ("checks = cycle, path\nn_min = 9\nn_max = 11\n", "cycle"),
+    ("checks = lemma:delta, path\nn_min = 9\nn_max = 11\n", "path"),
+    # no cell at all: no path cell has t*ell <= 3, no cycle cell has n < 3
+    ("checks = path\nn_min = 4\nn_max = 4\n", "path"),
+    ("checks = cycle\nn_min = 1\nn_max = 2\n", "cycle"),
+    ("checks = structural\nn_min = 1\nn_max = 2\n", "structural"),
+])
+def test_campaign_rejects_cells_it_cannot_run_before_running_any(tmp_path, monkeypatch, text, token):
+    ran = []
+    for name in ("verify_cycle_theorem", "verify_path_theorem", "structural_check", "check_lemma"):
+        monkeypatch.setattr(harness, name, lambda *args, **kw: ran.append(args))
+    with pytest.raises(ConfigError, match=f"check '{token}' needs orders in 1..10 with at least "
+                                          "one cell"):
+        run_campaign(_campaign(tmp_path, text))
+    assert not ran
+    assert not (tmp_path / "reports").exists()
+
+
+def test_campaign_writes_each_report_as_its_check_finishes(tmp_path, monkeypatch):
+    real = harness.verify_cycle_theorem
+    calls = []
+
+    def second_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("second check fails")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "verify_cycle_theorem", second_fails)
+    with pytest.raises(RuntimeError, match="second check fails"):
+        run_campaign(_campaign(tmp_path, "checks = cycle\nn_min = 5\nn_max = 5\n"))
+    written = sorted(f.name for f in (tmp_path / "reports").iterdir())
+    assert written == ["cycle_n5_ell3.json"]
+    report = VerificationReport.from_json((tmp_path / "reports" / written[0]).read_text())
+    assert report.check_id == "cycle:n=5,ell=3" and report.status == CONFIRMED
+
+
+# The campaign's cells for checks = cycle, path, structural at n = 4..10,
+# as the campaign listed them before structural cells reached n = 10.
+CELLS_4_TO_10 = """
+cycle:n=4,ell=3 cycle:n=4,ell=4 cycle:n=5,ell=3 cycle:n=5,ell=4 cycle:n=5,ell=5
+cycle:n=6,ell=3 cycle:n=6,ell=4 cycle:n=6,ell=5 cycle:n=6,ell=6 cycle:n=7,ell=3
+cycle:n=7,ell=4 cycle:n=7,ell=5 cycle:n=7,ell=6 cycle:n=7,ell=7 cycle:n=8,ell=3
+cycle:n=8,ell=4 cycle:n=8,ell=5 cycle:n=8,ell=6 cycle:n=8,ell=7 cycle:n=8,ell=8
+cycle:n=9,ell=3 cycle:n=9,ell=4 cycle:n=9,ell=5 cycle:n=9,ell=6 cycle:n=9,ell=7
+cycle:n=9,ell=8 cycle:n=9,ell=9 cycle:n=10,ell=3 cycle:n=10,ell=4 cycle:n=10,ell=5
+cycle:n=10,ell=6 cycle:n=10,ell=7 cycle:n=10,ell=8 cycle:n=10,ell=9 cycle:n=10,ell=10
+path:n=5,t=1,ell=4 path:n=5,t=2,ell=2 path:n=6,t=1,ell=4 path:n=6,t=1,ell=5
+path:n=6,t=2,ell=2 path:n=7,t=1,ell=4 path:n=7,t=1,ell=5 path:n=7,t=1,ell=6
+path:n=7,t=2,ell=2 path:n=7,t=2,ell=3 path:n=8,t=1,ell=4 path:n=8,t=1,ell=5
+path:n=8,t=1,ell=6 path:n=8,t=2,ell=2 path:n=8,t=2,ell=3 path:n=9,t=1,ell=4
+path:n=9,t=1,ell=5 path:n=9,t=1,ell=6 path:n=9,t=2,ell=2 path:n=9,t=2,ell=3
+path:n=10,t=1,ell=4 path:n=10,t=1,ell=5 path:n=10,t=1,ell=6 path:n=10,t=2,ell=2
+path:n=10,t=2,ell=3 structural:n=4,pattern=C3 structural:n=4,pattern=C4
+structural:n=5,pattern=C3 structural:n=5,pattern=C4 structural:n=5,pattern=C5
+structural:n=5,pattern=P4 structural:n=5,pattern=2P2 structural:n=6,pattern=C3
+structural:n=6,pattern=C4 structural:n=6,pattern=C5 structural:n=6,pattern=C6
+structural:n=6,pattern=P4 structural:n=6,pattern=P5 structural:n=6,pattern=2P2
+structural:n=7,pattern=C3 structural:n=7,pattern=C4 structural:n=7,pattern=C5
+structural:n=7,pattern=C6 structural:n=7,pattern=C7 structural:n=7,pattern=P4
+structural:n=7,pattern=P5 structural:n=7,pattern=P6 structural:n=7,pattern=2P2
+structural:n=7,pattern=2P3 structural:n=8,pattern=C3 structural:n=8,pattern=C4
+structural:n=8,pattern=C5 structural:n=8,pattern=C6 structural:n=8,pattern=C7
+structural:n=8,pattern=C8 structural:n=8,pattern=P4 structural:n=8,pattern=P5
+structural:n=8,pattern=P6 structural:n=8,pattern=2P2 structural:n=8,pattern=2P3
+structural:n=9,pattern=C3 structural:n=9,pattern=C4 structural:n=9,pattern=C5
+structural:n=9,pattern=C6 structural:n=9,pattern=C7 structural:n=9,pattern=C8
+structural:n=9,pattern=C9 structural:n=9,pattern=P4 structural:n=9,pattern=P5
+structural:n=9,pattern=P6 structural:n=9,pattern=2P2 structural:n=9,pattern=2P3
+""".split()
+STRUCTURAL_AT_10 = [f"structural:n=10,pattern={p}" for p in (
+    "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "P4", "P5", "P6", "2P2", "2P3")]
+
+
+def test_campaign_cell_list_is_pinned(tmp_path):
+    cfg = parse_campaign_config(
+        _campaign(tmp_path, "checks = cycle, path, structural\nn_min = 4\nn_max = 10\n"))
+    assert [check_id for check_id, _ in harness._campaign_tasks(cfg)] == (
+        CELLS_4_TO_10 + STRUCTURAL_AT_10)
+
+
+# One report per kind at n = 7, and the Tie and the Refuted cell at n = 4,
+# as the three separate check functions wrote them (runtime_ms aside).
+PINNED_REPORTS = [
+    (lambda: verify_cycle_theorem(7, 4), {
+        "check_id": "cycle:n=7,ell=4",
+        "parameters": {"n": 7, "ell": 4, "alpha": 3, "r": 0, "sep": 1e-09},
+        "status": "Confirmed", "witness_graphs": ["Fsqc_"],
+        "q_values": [7.372281323269014], "margin": 0.11349565017828134, "notes": []}),
+    (lambda: verify_path_theorem(7, 2, 3), {
+        "check_id": "path:n=7,t=2,ell=3",
+        "parameters": {"n": 7, "t": 2, "ell": 3, "alpha": 2, "r": 0, "sep": 1e-09,
+                       "local_max": True},
+        "status": "Confirmed", "witness_graphs": ["Fsqc_"],
+        "q_values": [7.372281323269014, 7.3722813232690125], "margin": 0.11349565017828134,
+        "notes": ["printed closed-form parameters fail the part-sum identity; "
+                  "canonical decomposition used"]}),
+    (lambda: structural_check(7, ForbiddenPattern.cycle(4)), {
+        "check_id": "structural:n=7,pattern=C4",
+        "parameters": {"n": 7, "pattern": "C4", "sep": 1e-09},
+        "status": "Confirmed", "witness_graphs": ["Fsqc_"],
+        "q_values": [7.372281323269014], "margin": 0.11349565017828134, "notes": []}),
+    (lambda: verify_cycle_theorem(4, 3), {
+        "check_id": "cycle:n=4,ell=3",
+        "parameters": {"n": 4, "ell": 3, "alpha": 3, "r": 0, "sep": 1e-09},
+        "status": "Tie", "witness_graphs": ["Cs", "Cr"],
+        "q_values": [4.0], "margin": 0.585786437626906,
+        "notes": ["candidate is co-maximal but not separated"]}),
+    (lambda: structural_check(4, ForbiddenPattern.cycle(3)), {
+        "check_id": "structural:n=4,pattern=C3",
+        "parameters": {"n": 4, "pattern": "C3", "sep": 1e-09},
+        "status": "Refuted", "witness_graphs": ["Cr"],
+        "q_values": [4.0], "margin": 0.585786437626906,
+        "notes": ["winner lacks a universal vertex with path neighborhood"]}),
+]
+
+
+@pytest.mark.parametrize("check, expected", PINNED_REPORTS,
+                         ids=[want["check_id"] for _, want in PINNED_REPORTS])
+def test_theorem_reports_are_pinned(check, expected):
+    report = check().to_dict()
+    del report["runtime_ms"]
+    assert list(report) == list(expected)
+    for key, want in expected.items():
+        if key in ("q_values", "margin"):
+            assert report[key] == pytest.approx(want, rel=0, abs=1e-12), key
+        else:
+            assert report[key] == want, key
+    assert list(report["parameters"]) == list(expected["parameters"])
+
+
+def test_path_miss_is_out_of_scope(monkeypatch):
+    """Below its order threshold a path cell may lose to another graph:
+    that is OutOfScope with the data, never Refuted."""
+    monkeypatch.setattr(harness, "path_extremal", lambda n, t, ell: (path(n), 0, 0, False))
+    report = verify_path_theorem(7, 1, 4)
+    assert report.status == OUT_OF_SCOPE
+    assert report.witness_graphs and len(report.q_values) == 2
+    assert report.notes[-1].startswith("argmax differs from candidate at sub-threshold order")
+
+
+def test_every_kind_has_one_order_domain():
+    for kind, check in [("cycle", lambda n: verify_cycle_theorem(n, 3)),
+                        ("path", lambda n: verify_path_theorem(n, 1, 4)),
+                        ("structural", lambda n: structural_check(n, ForbiddenPattern.cycle(3)))]:
+        with pytest.raises(ParameterError, match=f"{kind} check needs .* and 1 <= n <= 10"):
+            check(11)
+        assert harness.THEOREMS[kind].cells(10)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from qouter import spectral
 from qouter.enumeration import (
     EnumerationClass,
     connected_graphs,
+    connected_outerplanar,
     extremal_argmax,
-    outerplanar_graphs,
 )
 from qouter.errors import EtaUndefinedError, ParameterError
 from qouter.graphs import complete, cycle, disjoint_union, from_edges, path, star
@@ -182,7 +183,11 @@ def _assert_bitwise(results, graphs):
 
 def test_q_indices_matches_oracle_in_one_mixed_call(cold_cache):
     graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
-    graphs += [g for n in range(1, 7) for g in outerplanar_graphs(n)]
+    # disconnected graphs, among them equal components in both orders
+    parts = [g for n in range(1, 6) for g in connected_outerplanar(n)]
+    graphs += [disjoint_union(pair) for pair in product(parts, repeat=2)
+               if sum(g.n for g in pair) <= 6]
+    graphs += [disjoint_union([g] * 3) for g in parts if g.n <= 2]
     graphs += graphs[::50]  # duplicates, within the call and of connected ones
     # order 7 alone fills more than one stack
     assert len(connected_graphs(7)) > spectral._STACK_ENTRIES // 7**2
