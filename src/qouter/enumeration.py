@@ -167,9 +167,10 @@ def _q_sorted(n: int) -> tuple[tuple[tuple[SpectralResult, Graph], ...], float]:
 
 @dataclass(frozen=True)
 class ArgmaxResult:
-    graphs: tuple[Graph, ...]
+    graphs: tuple[Graph, ...]  # in the order of their canonical codes
     q: float
     margin: float
+    codes: tuple[bytes, ...]  # canonical_code of each graph
 
     @property
     def unique(self) -> bool:
@@ -210,4 +211,6 @@ def extremal_argmax(cls: EnumerationClass, sep: float = 1e-9) -> ArgmaxResult:
     if top is None:
         raise CapacityError(f"empty class {cls}")
     margin = top.q - excluded if excluded is not None else float("inf")
-    return ArgmaxResult(tuple(sorted(winners, key=canonical_code)), top.q, margin)
+    ranked = sorted(((canonical_code(g), g) for g in winners), key=lambda cg: cg[0])
+    return ArgmaxResult(tuple(g for _, g in ranked), top.q, margin,
+                        tuple(code for code, _ in ranked))

@@ -192,7 +192,8 @@ def path(k: int) -> Graph:
     """P_k: k vertices in a line; P_1 is a single vertex."""
     if not 1 <= k <= MAX_VERTICES:
         raise CapacityError(f"path order {k} outside 1..{MAX_VERTICES}")
-    return from_edges(k, ((i, i + 1) for i in range(k - 1)))
+    full = (1 << k) - 1
+    return Graph._trusted(k, tuple((1 << i >> 1 | 1 << i + 1) & full for i in range(k)))
 
 
 def cycle(k: int) -> Graph:

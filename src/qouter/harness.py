@@ -14,7 +14,7 @@ from itertools import combinations, groupby
 from pathlib import Path
 from typing import Callable
 
-from . import recognition, transforms
+from . import recognition, spectral, transforms
 from .canon import canonical_code
 from .constructions import PathJoinSpec, cycle_extremal, h_gadget, path_extremal, path_join
 from .enumeration import (
@@ -86,8 +86,9 @@ class Theorem:
     says so in words, and `entry` runs a cell through the kind's public
     check, looked up by name at call time. `candidate(n, pattern, sep)`
     gives the paper's graph (or None), the report's parameters, notes and
-    extra q values. `miss(result, expected)` gives the status, witnesses
-    and note when that graph is not the sole winner by more than sep;
+    extra q values. `miss(result, code)` gives the status, witnesses and
+    note when that graph, of canonical code `code`, is not the sole winner
+    by more than sep;
     without a candidate it is the whole rule, and None means Confirmed."""
 
     check_id: str
@@ -129,13 +130,13 @@ def _path_candidate(n, pattern, sep):
     return expected, parameters, notes, [q_index(expected).q]
 
 
-def _cycle_miss(result, expected):
-    if canonical_code(expected) in {canonical_code(g) for g in result.graphs}:
+def _cycle_miss(result, expected_code):
+    if expected_code in result.codes:
         return TIE, result.graphs, "candidate is co-maximal but not separated"
     return REFUTED, result.graphs, "argmax winner differs from the candidate graph"
 
 
-def _hub_rule(result, expected):
+def _hub_rule(result, code):
     """Refuted if a winner lacks a universal vertex with a path neighborhood."""
     bad = [g for g in result.graphs if not any(
         g.degree(u) == g.n - 1 and recognition.neighborhood_is_paths(g, u) for u in range(g.n))]
@@ -172,10 +173,11 @@ def _run_cell(kind: str, n: int, pattern: ForbiddenPattern, sep: float) -> Verif
     def run():
         expected, parameters, notes, q_values = theorem.candidate(n, pattern, sep)
         result = extremal_argmax(EnumerationClass(n, pattern), sep)
+        code = None if expected is None else canonical_code(expected)
         # the winners are pairwise non-isomorphic
-        hit = (expected is not None and len(result.graphs) == 1 and result.margin > sep
-               and canonical_code(result.graphs[0]) == canonical_code(expected))
-        miss = None if hit else theorem.miss(result, expected)
+        hit = (code is not None and len(result.graphs) == 1 and result.margin > sep
+               and result.codes[0] == code)
+        miss = None if hit else theorem.miss(result, code)
         status, witnesses, note = miss or (CONFIRMED, result.graphs, None)
         return VerificationReport(
             check_id=theorem.check_id.format(n=n, p=pattern),
@@ -331,22 +333,41 @@ def _check_qmu(n_range, sep):
 
 def _move_suite(name, kind, n_range, sep):
     """Every application of the move `kind` of transforms.MOVES to a
-    connected graph of each order must raise q."""
+    connected graph of each order must raise q.
+
+    The move results of an order are collected across its graphs and
+    solved one stack at a time: once the pending results not yet solved
+    fill a stack (`spectral._STACK_ENTRIES // (n * n)` graphs), they go to
+    q_indices together and are then checked in order.
+    """
     violations = []
     margin = float("inf")
     count = 0
+
+    def check(pending):
+        nonlocal margin, count
+        q_indices(result for _, _, result in pending)
+        for g, vertices, result in pending:
+            count += 1
+            if q_compare(result, g, sep) is not Ordering.GREATER:
+                violations.append((g, f"{kind} {vertices} did not raise q"))
+            else:
+                margin = min(margin, q_index(result).q - q_index(g).q)
+
     for n in n_range:
         graphs = connected_graphs(n)
         q_indices(graphs)
+        stack = max(1, spectral._STACK_ENTRIES // (n * n))
+        pending, unsolved = [], set()
         for g in graphs:
-            moves = list(transforms.move_results(g, kind))
-            q_indices(result for _, result in moves)
-            for vertices, result in moves:
-                count += 1
-                if q_compare(result, g, sep) is not Ordering.GREATER:
-                    violations.append((g, f"{kind} {vertices} did not raise q"))
-                else:
-                    margin = min(margin, q_index(result).q - q_index(g).q)
+            for vertices, result in transforms.move_results(g, kind):
+                pending.append((g, vertices, result))
+                if result not in spectral._cache:
+                    unsolved.add(result)
+            if len(unsolved) >= stack:
+                check(pending)
+                pending, unsolved = [], set()
+        check(pending)
     return _report(
         name,
         {"n_range": list(n_range), "sep": sep},
@@ -425,15 +446,17 @@ def _check_claim41(n_range, sep):
         joins = [path_join(spec) for spec in specs]
         for g, res in zip(joins, q_indices(joins)):
             hub = g.n - 1
-            x = res.vector / res.vector[hub]
+            x = res.vector[:hub] / res.vector[hub]
             q = res.q
             lo, hi = 1 / q, 1 / q + 30 / (q * q)
             count += 1
-            for v in range(g.n - 1):
-                if not lo < x[v] < hi:
-                    violations.append((g, f"entry x_{v}={x[v]} outside ({lo}, {hi})"))
-                    break
-                slack = min(slack, x[v] - lo, hi - x[v])
+            outside = ~((lo < x) & (x < hi))
+            # the slack counts the entries before the first one outside
+            first = int(outside.argmax()) if outside.any() else hub
+            if first < hub:
+                violations.append((g, f"entry x_{first}={x[first]} outside ({lo}, {hi})"))
+            if first:
+                slack = min(slack, float((x[:first] - lo).min()), float((hi - x[:first]).min()))
     return _report(
         "claim41",
         {"n_min": n_min, "n_max": n_max},

@@ -184,10 +184,21 @@ def test_argmax_empty_class_raises():
 
 
 def test_unique_property():
-    r = ArgmaxResult((path(3),), 3.0, 0.5)
+    r = ArgmaxResult((path(3),), 3.0, 0.5, (canonical_code(path(3)),))
     assert r.unique
-    r = ArgmaxResult((path(3), star(3)), 3.0, 0.5)
+    r = ArgmaxResult((path(3), star(3)), 3.0, 0.5,
+                     (canonical_code(path(3)), canonical_code(star(3))))
     assert not r.unique
+
+
+def test_argmax_carries_the_winners_codes():
+    for cls in _argmax_cells():
+        try:
+            result = extremal_argmax(cls)
+        except CapacityError:
+            continue
+        assert result.codes == tuple(canonical_code(g) for g in result.graphs)
+        assert list(result.codes) == sorted(result.codes)
 
 
 def _argmax_cells():

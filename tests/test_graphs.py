@@ -65,6 +65,14 @@ def test_standard_builders():
         cycle(2)
 
 
+def test_path_builds_the_same_rows_as_from_edges():
+    for k in range(1, 65):
+        assert path(k) == from_edges(k, [(i, i + 1) for i in range(k - 1)])
+    for k in (-1, 0, 65):
+        with pytest.raises(CapacityError):
+            path(k)
+
+
 def test_add_remove_edge():
     g = path(3)
     with pytest.raises(EdgeStateError):

@@ -1,8 +1,10 @@
 import json
+import math
+from itertools import groupby
 
 import pytest
 
-from qouter import harness
+from qouter import harness, spectral
 from qouter.canon import canonical_code
 from qouter.constructions import cycle_extremal
 from qouter.errors import ConfigError, ParameterError
@@ -21,6 +23,7 @@ from qouter.harness import (
     verify_path_theorem,
 )
 from qouter.recognition import ForbiddenPattern
+from qouter.spectral import SpectralResult
 
 
 def test_report_json_roundtrip():
@@ -158,6 +161,61 @@ def test_move_suite_instance_counts(name, n_range, count):
     report = check_lemma(name, n_range)
     assert report.status == CONFIRMED
     assert report.notes == [f"instances checked: {count}"]
+
+
+def test_move_suite_report_does_not_depend_on_the_stack_size(monkeypatch):
+    """Stacks of 16 order-7 matrices make the perron suite flush hundreds
+    of times; its report equals the one at the default stack size."""
+    flushes = []
+    monkeypatch.setattr(harness, "q_indices",
+                        lambda graphs: flushes.append(1) or spectral.q_indices(graphs))
+    reports = []
+    for entries in (16 * 7 * 7, spectral._STACK_ENTRIES):
+        monkeypatch.setattr(spectral, "_STACK_ENTRIES", entries)
+        monkeypatch.setattr(spectral, "_cache", {})
+        flushes.clear()
+        report = check_lemma("perron", range(3, 8))
+        reports.append((report.status, report.notes, report.margin, len(flushes)))
+    (*small, small_flushes), (*default, default_flushes) = reports
+    assert small == default
+    assert small_flushes > 300 > 10 * default_flushes
+
+
+def test_claim41_names_the_first_entry_outside_and_slack_before_it(monkeypatch):
+    """With some Perron entries pushed out of the interval, the report
+    matches an entry-by-entry scan: the first entry outside is named, and
+    the slack covers only the entries before it."""
+
+    def perturbed(graphs):
+        results = []
+        for i, res in enumerate(spectral.q_indices(graphs)):
+            x = res.vector.copy()
+            if i % 3 == 1:  # two entries outside, the later one below
+                x[-2] = 0.0
+                x[i % (len(x) - 2)] *= 40
+            elif i % 3 == 2:
+                x[(i + 2) % (len(x) - 1)] = 0.0
+            results.append(SpectralResult(res.q, x, res.radius, res.connected))
+        return results
+
+    monkeypatch.setattr(harness, "q_indices", perturbed)
+    report = check_lemma("claim41", range(6, 10))
+    violations, slack, count = [], math.inf, 0
+    for _, specs in groupby(harness.claim41_specs(6, 9), key=lambda spec: spec.order):
+        joins = [harness.path_join(spec) for spec in specs]
+        count += len(joins)
+        for g, res in zip(joins, perturbed(joins)):
+            x = res.vector / res.vector[g.n - 1]
+            lo, hi = 1 / res.q, 1 / res.q + 30 / (res.q * res.q)
+            for v in range(g.n - 1):
+                if not lo < x[v] < hi:
+                    violations.append(f"entry x_{v}={x[v]} outside ({lo}, {hi})")
+                    break
+                slack = min(slack, x[v] - lo, hi - x[v])
+    assert len(violations) > 20
+    assert report.status == REFUTED
+    assert report.notes == [f"specs checked: {count}"] + violations[:20]
+    assert report.margin == slack
 
 
 def test_campaign_config_parsing(tmp_path):

@@ -264,3 +264,31 @@ def test_q_indices_cache_stays_bounded(cold_cache, monkeypatch):
     assert len(spectral._cache) <= 4
     _assert_bitwise([q_index(g) for g in graphs], graphs)
     assert len(spectral._cache) <= 4
+
+
+def test_unbracketed_vector_leaves_its_stack_neighbours_alone(cold_cache):
+    """The pendant-path star has no positive computed vector (radius inf);
+    solved in one stack with other 41-vertex graphs, every member still
+    matches its own solve bit for bit."""
+    rnd = random.Random(7)
+    graphs = [path(41), star(41), cycle(41), _pendant_path_star()]
+    for _ in range(6):
+        perm = list(range(41))
+        rnd.shuffle(perm)
+        graphs.insert(2, star(41).permuted(perm))
+        graphs.append(_pendant_path_star().permuted(perm))
+    assert len(graphs) <= spectral._STACK_ENTRIES // 41**2  # one stack
+    results = q_indices(graphs)
+    _assert_bitwise(results, graphs)
+    radii = [res.radius for res in results]
+    assert math.inf in radii and any(r < 1e-9 for r in radii)
+
+
+def test_components_are_solved_as_graphs_of_their_own(cold_cache):
+    g = disjoint_union([path(3), cycle(5)])
+    res = q_index(g)
+    _assert_bitwise([res], [g])
+    # both components were solved, and each is now a cache hit
+    assert path(3) in spectral._cache and cycle(5) in spectral._cache
+    assert spectral._cache[cycle(5)].q == res.q
+    _assert_bitwise([q_index(path(3)), q_index(cycle(5))], [path(3), cycle(5)])
