@@ -27,9 +27,10 @@ and a child is kept only if z has it too. Each child is decided by the
 cheapest test that settles it. (1) Colours start from degree and never
 reorder, so an eligible vertex of larger degree than z rejects it at
 once. (2) Refinement stops at the first round in which an eligible
-vertex of z's degree outranks z. (3) Outerplanarity is decided from the
-outerplanar parent (`recognition.is_outerplanar_extension`). (4) The
-canonical search of a survivor reuses the colours of (2).
+vertex of z's degree outranks z. (3) A z with two neighbours is tested
+by `recognition.is_outerplanar`; a leaf z adds no cycle to its
+outerplanar parent and needs no test. (4) The canonical search of a
+survivor reuses the colours of (2).
 
 Freeness of a forbidden pattern is closed under subgraphs (containing
 `C_l` or `tP_l` is a subgraph property), so it could prune the levels;
@@ -109,7 +110,7 @@ def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
         color = None if rivals is None else _refine(child, None, z, rivals)
         if color is None:
             continue
-        if outerplanar and not recognition.is_outerplanar_extension(child):
+        if outerplanar and mask.bit_count() == 2 and not recognition.is_outerplanar(child):
             continue
         code, labeling = _search(child, color)
         top = [v for v in bits(rivals | 1 << z) if color[v] == color[z]]

@@ -31,10 +31,10 @@ def graph6_encode(g: Graph) -> str:
 
 def graph6_decode(text: str) -> Graph:
     text = text.strip()
-    if not text:
-        raise ValueError("empty graph6 string")
     if text.startswith(">>graph6<<"):
         text = text[len(">>graph6<<") :]
+    if not text:
+        raise ValueError("empty graph6 string")
     if text[0] == "~":
         if len(text) < 4 or text[1] == "~":
             raise ValueError("unsupported graph6 size record")

@@ -1,15 +1,10 @@
 """Outerplanarity, forbidden-pattern containment, and neighborhood predicates.
 
-Outerplanarity is decided through its forbidden minors K_4 and K_{2,3}.
-Both patterns have maximum degree 3, so minor containment coincides with
-topological-minor containment; that allows two fast exact tests:
-
-* K_4: repeatedly delete degree-<=1 vertices and smooth degree-2 vertices.
-  The reduction preserves K_4-minor-presence in both directions, and a
-  nonempty remainder has minimum degree >= 3, hence a K_4 subdivision.
-* K_{2,3}: some pair u, v admits three internally vertex-disjoint u-v
-  paths of length >= 2, i.e. local connectivity >= 3 after removing a
-  possible uv edge (Menger).
+Outerplanarity is decided by one series reduction: vertices of degree
+<= 1 are deleted and vertices of degree 2 smoothed, while each edge
+counts how many sides of it are already filled. It runs on the whole
+graph, whatever its components, and serves every caller: generation,
+the ascent and the constructions' class checks.
 """
 
 from __future__ import annotations
@@ -64,117 +59,50 @@ class ForbiddenPattern:
         return f"{self.t}P{self.ell}" if self.t != 1 else f"P{self.ell}"
 
 
-# -- minors -----------------------------------------------------------
-
-
-def _has_k4_minor(g: Graph) -> bool:
-    adj = {v: set(bits(g.adj[v])) for v in range(g.n)}
-    queue = [v for v in adj if len(adj[v]) <= 2]
-    while queue:
-        v = queue.pop()
-        if v not in adj or len(adj[v]) > 2:
-            continue
-        nbrs = list(adj[v])
-        for u in nbrs:
-            adj[u].discard(v)
-        del adj[v]
-        if len(nbrs) == 2:
-            a, b = nbrs
-            if b not in adj[a]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for u in nbrs:
-            if len(adj[u]) <= 2:
-                queue.append(u)
-    return bool(adj)
-
-
-def _three_disjoint_paths(g: Graph, s: int, t: int) -> bool:
-    """>= 3 internally vertex-disjoint s-t paths avoiding a direct st edge."""
-    # unit-capacity flow on the vertex-split graph; 3 augmentations suffice
-    n = g.n
-    # nodes: 2v = v_in, 2v+1 = v_out
-    res: list[dict[int, int]] = [{} for _ in range(2 * n)]
-    for v in range(n):
-        res[2 * v][2 * v + 1] = 1 if v not in (s, t) else 3
-    for u in range(n):
-        for v in bits(g.adj[u]):
-            if {u, v} == {s, t}:
-                continue
-            res[2 * u + 1][2 * v] = 1
-    source, sink = 2 * s + 1, 2 * t
-    for _ in range(3):
-        # BFS for an augmenting path in the residual graph
-        prev = {source: source}
-        frontier = [source]
-        found = False
-        while frontier and not found:
-            nxt = []
-            for a in frontier:
-                for y, c in res[a].items():
-                    if c > 0 and y not in prev:
-                        prev[y] = a
-                        if y == sink:
-                            found = True
-                            break
-                        nxt.append(y)
-                if found:
-                    break
-            frontier = nxt
-        if not found:
-            return False
-        y = sink
-        while y != source:
-            x = prev[y]
-            res[x][y] -= 1
-            res[y][x] = res[y].get(x, 0) + 1
-            y = x
-    return True
-
-
-def _has_k23_minor(g: Graph) -> bool:
-    if g.n < 5:
-        return False
-    degs = [g.adj[v].bit_count() for v in range(g.n)]
-    hubs = [
-        v
-        for v in range(g.n)
-        if degs[v] >= 3
-    ]
-    for i, u in enumerate(hubs):
-        for v in hubs[i + 1 :]:
-            if g.has_edge(u, v) and (degs[u] < 4 or degs[v] < 4):
-                continue
-            if _three_disjoint_paths(g, u, v):
-                return True
-    return False
+# -- outerplanarity ---------------------------------------------------
 
 
 def is_outerplanar(g: Graph) -> bool:
-    for comp in g.components():
-        sub = g.induced(bits(comp)) if comp != (1 << g.n) - 1 else g
-        if sub.n <= 3:
+    """Series reduction with side counts (Mitchell, IPL 9, 1979).
+
+    Vertices of degree <= 1 are deleted and vertices of degree 2 are
+    smoothed. Each current edge uw stands for a u-w subgraph of g and
+    counts how many of the two sides of uw that subgraph fills: an edge
+    of g fills none, each smoothed u-w path merged into uw fills one
+    more, and a path through an edge that fills both sides fills both. A
+    third side makes a K_{2,3} subdivision; a remainder of minimum
+    degree >= 3 contains a K_4 subdivision. g is outerplanar iff every
+    vertex is deleted.
+    """
+    if g.n >= 2 and g.m > 2 * g.n - 3:  # a shortcut; the reduction rejects these too
+        return False
+    adj = list(g.adj)
+    sides: dict[int, int] = {}  # keyed by the edge's two-bit vertex mask
+    alive = (1 << g.n) - 1
+    stack = [v for v in range(g.n) if adj[v].bit_count() <= 2]
+    while stack:
+        v = stack.pop()
+        if not (alive >> v) & 1 or adj[v].bit_count() > 2:
             continue
-        if sub.m > 2 * sub.n - 3:
-            return False
-        if _has_k4_minor(sub) or _has_k23_minor(sub):
-            return False
-    return True
-
-
-def is_outerplanar_extension(g: Graph) -> bool:
-    """`is_outerplanar(g)` for a g that is outerplanar without its last
-    vertex z. A z of degree <= 1 adds no cycle. A z joined to both ends
-    of an edge uv makes g non-outerplanar iff three internally disjoint
-    u-v paths avoid uv (a K_{2,3} subdivision); otherwise uv is a bridge
-    or on the outer cycle of its block, and z fits beside it in the outer
-    face. Any other z is tested in full."""
-    nbrs = list(bits(g.adj[-1]))
-    if len(nbrs) <= 1:
-        return True
-    if len(nbrs) == 2 and g.has_edge(*nbrs):
-        return not _three_disjoint_paths(g, *nbrs)
-    return is_outerplanar(g)
+        alive &= ~(1 << v)
+        nbrs = list(bits(adj[v]))
+        for u in nbrs:
+            adj[u] &= ~(1 << v)
+        if len(nbrs) == 2:
+            u, w = nbrs
+            outer = max(sides.get(1 << u | 1 << v, 0), sides.get(1 << v | 1 << w, 0))
+            uw = 1 << u | 1 << w
+            if (adj[u] >> w) & 1:
+                inner = sides.get(uw, 0)
+                if outer == 2 or inner == 2:
+                    return False
+                sides[uw] = inner + 1
+            else:
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+                sides[uw] = 2 if outer == 2 else 1
+        stack.extend(u for u in nbrs if adj[u].bit_count() <= 2)
+    return alive == 0
 
 
 # -- subgraph containment ---------------------------------------------
@@ -277,18 +205,13 @@ def is_f_free(g: Graph, pattern: ForbiddenPattern) -> bool:
 
 
 def neighborhood_is_paths(g: Graph, u: int) -> bool:
-    """True iff every component of the subgraph induced by N(u) is a path."""
+    """True iff every component of the subgraph induced by N(u) is a path:
+    of maximum degree <= 2 and acyclic, i.e. m = n - #components."""
     nbrs = g.adj[u]
     if nbrs == 0:
         return True
     sub = g.induced(bits(nbrs))
-    if any(sub.degree(v) > 2 for v in range(sub.n)):
-        return False
-    for comp in sub.components():
-        part = sub.induced(bits(comp))
-        if part.m != part.n - 1:
-            return False
-    return True
+    return sub.max_degree() <= 2 and sub.m == sub.n - len(sub.components())
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import recognition
 from .canon import is_transposition_automorphism
-from .errors import EdgeStateError, PreconditionError
+from .errors import EdgeStateError, ParameterError, PreconditionError
 from .graphs import Graph, bits
 from .spectral import q_index
 from .constructions import h_gadget
@@ -231,8 +231,10 @@ def greedy_ascent(
     is taken, scanning kinds in table order and each kind's vertex tuples
     in its generator's lexicographic order; a move is applicable when its
     hypotheses hold and the result stays connected, outerplanar, and
-    pattern-free.
+    pattern-free. A negative max_steps raises ParameterError.
     """
+    if max_steps < 0:
+        raise ParameterError(f"max_steps must be >= 0, got {max_steps}")
     trace: list[TraceStep] = []
     current = g
     for _ in range(max_steps):

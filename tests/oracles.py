@@ -6,7 +6,8 @@ recursion, cycles via subset Hamiltonicity, path packings via a
 subset DP. Memo keys are raw labeled adjacency, so nothing here depends
 on the package's canonical labeling. The exceptions are the package's
 earlier algorithms, kept as references for the paths that replaced
-them: `perron_oracle`, `argmax_oracle` and `children_oracle`.
+them: `perron_oracle`, `argmax_oracle`, `children_oracle` and
+`outerplanar_minor_oracle`.
 """
 
 from __future__ import annotations
@@ -153,6 +154,104 @@ def outerplanar_oracle(g: Graph) -> bool:
     k4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     k23 = from_edges(5, [(a, b) for a in range(2) for b in range(2, 5)])
     return not minor_by_contraction(g, k4) and not minor_by_contraction(g, k23)
+
+
+def _has_k4_minor(g: Graph) -> bool:
+    """Delete degree-<=1 vertices and smooth degree-2 ones; a nonempty
+    remainder has minimum degree >= 3, hence a K_4 subdivision."""
+    adj = {v: set(bits(g.adj[v])) for v in range(g.n)}
+    queue = [v for v in adj if len(adj[v]) <= 2]
+    while queue:
+        v = queue.pop()
+        if v not in adj or len(adj[v]) > 2:
+            continue
+        nbrs = list(adj[v])
+        for u in nbrs:
+            adj[u].discard(v)
+        del adj[v]
+        if len(nbrs) == 2:
+            a, b = nbrs
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+        for u in nbrs:
+            if len(adj[u]) <= 2:
+                queue.append(u)
+    return bool(adj)
+
+
+def _three_disjoint_paths(g: Graph, s: int, t: int) -> bool:
+    """>= 3 internally vertex-disjoint s-t paths avoiding a direct st edge."""
+    # unit-capacity flow on the vertex-split graph; 3 augmentations suffice
+    n = g.n
+    # nodes: 2v = v_in, 2v+1 = v_out
+    res: list[dict[int, int]] = [{} for _ in range(2 * n)]
+    for v in range(n):
+        res[2 * v][2 * v + 1] = 1 if v not in (s, t) else 3
+    for u in range(n):
+        for v in bits(g.adj[u]):
+            if {u, v} == {s, t}:
+                continue
+            res[2 * u + 1][2 * v] = 1
+    source, sink = 2 * s + 1, 2 * t
+    for _ in range(3):
+        # BFS for an augmenting path in the residual graph
+        prev = {source: source}
+        frontier = [source]
+        found = False
+        while frontier and not found:
+            nxt = []
+            for a in frontier:
+                for y, c in res[a].items():
+                    if c > 0 and y not in prev:
+                        prev[y] = a
+                        if y == sink:
+                            found = True
+                            break
+                        nxt.append(y)
+                if found:
+                    break
+            frontier = nxt
+        if not found:
+            return False
+        y = sink
+        while y != source:
+            x = prev[y]
+            res[x][y] -= 1
+            res[y][x] = res[y].get(x, 0) + 1
+            y = x
+    return True
+
+
+def _has_k23_minor(g: Graph) -> bool:
+    """Some pair u, v of degree >= 3 has three internally disjoint u-v
+    paths of length >= 2 (Menger)."""
+    if g.n < 5:
+        return False
+    degs = [g.adj[v].bit_count() for v in range(g.n)]
+    hubs = [v for v in range(g.n) if degs[v] >= 3]
+    for i, u in enumerate(hubs):
+        for v in hubs[i + 1 :]:
+            if g.has_edge(u, v) and (degs[u] < 4 or degs[v] < 4):
+                continue
+            if _three_disjoint_paths(g, u, v):
+                return True
+    return False
+
+
+def outerplanar_minor_oracle(g: Graph) -> bool:
+    """Outerplanarity as first written: per component, an edge-count
+    bound, then a K_4 reduction and a K_{2,3} flow search (both patterns
+    have maximum degree 3, so minors and topological minors agree)."""
+    for comp in g.components():
+        sub = g.induced(bits(comp))
+        if sub.n <= 3:
+            continue
+        if sub.m > 2 * sub.n - 3:
+            return False
+        if _has_k4_minor(sub) or _has_k23_minor(sub):
+            return False
+    return True
 
 
 # -- cycle / path-packing oracles -------------------------------------

@@ -167,6 +167,22 @@ def test_bad_graph6_exits_with_one_line(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+def test_header_only_graph6_exits_with_one_line(tmp_path, capsys):
+    source = tmp_path / "header.g6"
+    source.write_text(">>graph6<<\n")
+    code, out, err = run(capsys, "spectral", "--graph6", str(source))
+    assert code == 2 and out == ""
+    assert err == f"qouter: error: {source} line 1: '>>graph6<<': empty graph6 string\n"
+
+
+def test_negative_max_steps_exits_with_one_line(tmp_path, capsys):
+    source = tmp_path / "seed.g6"
+    source.write_text(graph6_encode(path(6)) + "\n")
+    code, out, err = run(capsys, "ascend", "--graph6", str(source), "--max-steps", "-3")
+    assert code == 2 and out == ""
+    assert err == "qouter: error: max_steps must be >= 0, got -3\n"
+
+
 def test_campaign_config_error_exits_with_one_line(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("checks = cycle\nbogus = 1\n")

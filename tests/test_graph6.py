@@ -50,6 +50,8 @@ def test_optional_header_accepted():
 def test_decode_errors():
     with pytest.raises(ValueError):
         graph6_decode("")
+    with pytest.raises(ValueError, match="empty graph6 string"):
+        graph6_decode(">>graph6<<")  # a header and nothing after it
     with pytest.raises(ValueError):
         graph6_decode("D")  # truncated body
     with pytest.raises(ValueError):

@@ -1,25 +1,25 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from qouter.enumeration import connected_outerplanar
 from qouter.errors import PatternError
-from qouter.graphs import bits, complete, cycle, disjoint_union, from_edges, path, star
+from qouter.graphs import Graph, bits, complete, cycle, disjoint_union, from_edges, path, star
 from qouter.recognition import (
     ForbiddenPattern,
-    _has_k4_minor,
-    _has_k23_minor,
     common_neighbors,
     contains_cycle,
     contains_disjoint_paths,
     is_f_free,
     is_outerplanar,
-    is_outerplanar_extension,
     neighborhood_is_paths,
 )
 
 from .oracles import (
     all_graphs_upto_iso,
     cycle_oracle,
-    minor_by_contraction,
+    outerplanar_minor_oracle,
     outerplanar_oracle,
     path_pack_oracle,
 )
@@ -78,46 +78,87 @@ def test_outerplanar_known_graphs():
     assert not is_outerplanar(disjoint_union([K4_GRAPH, path(3)]))
 
 
-def test_has_minor_matches_contraction_oracle():
+def test_outerplanar_matches_contraction_oracle():
     for n in range(1, 7):
         for g in all_graphs_upto_iso(n):
-            assert _has_k4_minor(g) == minor_by_contraction(g, K4_GRAPH)
-            assert _has_k23_minor(g) == minor_by_contraction(g, K23_GRAPH)
             assert is_outerplanar(g) == outerplanar_oracle(g)
 
 
-def test_outerplanar_extension_matches_full_test():
-    """Every child, by a vertex with at most two neighbours, of a
-    connected outerplanar graph with n <= 8; the children with n <= 6
-    also against the oracle. A vertex with no neighbour
-    (`with_new_vertex(0)`) leaves the child disconnected."""
-    rejected_by_flow = 0
+def test_children_match_minor_oracle():
+    """Every child, by a vertex with 0-3 neighbours, of a connected
+    outerplanar graph with n <= 8: the children generation tests (two
+    neighbours), the ones it need not (a leaf; no neighbour leaves the
+    child disconnected), and three-neighbour ones, whose rejects it never
+    builds."""
+    rejected = [0] * 4
     for n in range(1, 9):
         for parent in connected_outerplanar(n):
             for mask in range(1 << n):
-                if mask.bit_count() > 2:
+                if mask.bit_count() > 3:
                     continue
                 child = parent.with_new_vertex(mask)
-                expected = is_outerplanar(child)
-                assert is_outerplanar_extension(child) == expected, child.adj
-                if child.n <= 6:
-                    assert expected == outerplanar_oracle(child), child.adj
-                adjacent = mask.bit_count() == 2 and parent.has_edge(*bits(mask))
-                rejected_by_flow += adjacent and not expected
-    assert rejected_by_flow > 0
+                expected = outerplanar_minor_oracle(child)
+                assert is_outerplanar(child) == expected, child.adj
+                rejected[mask.bit_count()] += not expected
+    assert rejected[:2] == [0, 0] and rejected[2] > 0 and rejected[3] > 0
+
+
+def _random_graph(rng, n):
+    """A random tree on n vertices plus up to n/2 random edges: near
+    outerplanar, so both answers are common."""
+    rows = [0] * n
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [rng.sample(range(n), 2) for _ in range(rng.randint(0, n // 2))]
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def test_outerplanar_independent_of_labels():
+    """The reduction's queue order follows the labels, so every graph with
+    n <= 7 is tested under seeded random relabellings, and random graphs
+    with n <= 40 against the minor oracle."""
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for g in all_graphs_upto_iso(n):
+            expected = outerplanar_minor_oracle(g)
+            for _ in range(2):
+                perm = rng.sample(range(n), n)
+                assert is_outerplanar(g.permuted(perm)) == expected, (g.adj, perm)
+    verdicts = set()
+    for _ in range(1500):
+        g = _random_graph(rng, rng.randint(5, 40))
+        expected = outerplanar_minor_oracle(g)
+        assert is_outerplanar(g) == expected, g.adj
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def _subdivided(h):
+    """h with every edge replaced by a path of length 2."""
+    edges = []
+    extra = h.n
+    for u, v in h.edges():
+        edges += [(u, extra), (extra, v)]
+        extra += 1
+    return from_edges(extra, edges)
 
 
 def test_subdivided_obstructions_detected():
-    # subdivide every edge of K4: still a K4 minor, no K4 subgraph
-    edges = list(K4_GRAPH.edges())
-    big_edges = []
-    extra = 4
-    for u, v in edges:
-        big_edges += [(u, extra), (extra, v)]
-        extra += 1
-    g = from_edges(extra, big_edges)
-    assert _has_k4_minor(g)
+    # subdividing every edge keeps the minor but removes the subgraph
+    for h in (K4_GRAPH, K23_GRAPH):
+        g = _subdivided(h)
+        assert not is_outerplanar(g)
+        assert not outerplanar_minor_oracle(g)
+    # hubs 0 and 1 joined by a path 0-2-1, by 0-3-1 with an ear 3-4-1 and by
+    # 0-5-1 with an ear 0-6-5: the smoothed ears leave side counts of 1 that
+    # the branches carry into the hub pair
+    g = from_edges(7, [(0, 2), (2, 1), (0, 3), (3, 1), (3, 4), (4, 1),
+                       (0, 5), (5, 1), (0, 6), (6, 5)])
+    assert not outerplanar_minor_oracle(g)
     assert not is_outerplanar(g)
+    assert is_outerplanar(g.remove_edge(0, 2))
 
 
 # -- containment -------------------------------------------------------
@@ -184,6 +225,29 @@ def test_neighborhood_is_paths():
     assert neighborhood_is_paths(path(4), 0)
     g = complete(4)
     assert not neighborhood_is_paths(g, 0)  # sees a triangle
+
+
+def _paths_by_subsets(g, u):
+    """N(u) induces a union of paths iff it has maximum degree <= 2 and
+    every nonempty subset S of it induces at most |S| - 1 edges."""
+    nbrs = list(bits(g.adj[u]))
+    mask = g.adj[u]
+    if any((g.adj[v] & mask).bit_count() > 2 for v in nbrs):
+        return False
+    for k in range(3, len(nbrs) + 1):
+        for subset in combinations(nbrs, k):
+            inside = sum(1 << v for v in subset)
+            edges = sum((g.adj[v] & inside).bit_count() for v in subset) // 2
+            if edges >= k:
+                return False
+    return True
+
+
+def test_neighborhood_is_paths_matches_subset_check():
+    for n in range(1, 8):
+        for g in all_graphs_upto_iso(n):
+            for u in range(n):
+                assert neighborhood_is_paths(g, u) == _paths_by_subsets(g, u), (g.adj, u)
 
 
 def test_common_neighbors():

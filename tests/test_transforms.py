@@ -7,7 +7,7 @@ from qouter import transforms
 from qouter.canon import canonical_code
 from qouter.constructions import cycle_extremal, h_gadget
 from qouter.enumeration import connected_graphs
-from qouter.errors import EdgeStateError, PreconditionError
+from qouter.errors import EdgeStateError, ParameterError, PreconditionError
 from qouter.graph6 import graph6_decode
 from qouter.graphs import Graph, cycle, from_edges, path, star
 from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
@@ -146,6 +146,13 @@ def test_greedy_ascent_respects_max_steps():
     seed = path(6)
     _, trace = greedy_ascent(seed, ForbiddenPattern.cycle(4), max_steps=1)
     assert len(trace) == 1
+    final, trace = greedy_ascent(seed, ForbiddenPattern.cycle(4), max_steps=0)
+    assert final == seed and trace == []
+
+
+def test_greedy_ascent_rejects_negative_max_steps():
+    with pytest.raises(ParameterError, match="max_steps must be >= 0"):
+        greedy_ascent(path(6), ForbiddenPattern.cycle(4), max_steps=-3)
 
 
 # Arity of each move, and the positions of the one unordered pair in its
