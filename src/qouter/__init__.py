@@ -28,6 +28,7 @@ from .spectral import (
     q_compare,
     q_index,
     q_indices,
+    q_stream,
 )
 from .constructions import (
     PathJoinSpec,

@@ -49,7 +49,7 @@ from . import recognition
 from .canon import _refine, _search, canonical_code
 from .errors import CapacityError, check_sep
 from .graphs import Graph, bits
-from .spectral import SpectralResult, q_index, q_indices
+from .spectral import SpectralResult, q_indices
 
 EXHAUSTIVE_CAP = 10
 
@@ -161,8 +161,7 @@ def _q_sorted(n: int) -> tuple[tuple[tuple[SpectralResult, Graph], ...], float]:
     """Every member of the unfiltered class with its solve, in descending
     q (stable, so ties keep enumeration order), and the largest radius."""
     base = connected_outerplanar(n)
-    q_indices(base)  # one batch; the members below are then cache hits
-    solved = sorted(((q_index(g), g) for g in base), key=lambda rg: -rg[0].q)
+    solved = sorted(zip(q_indices(base), base), key=lambda rg: -rg[0].q)
     return tuple(solved), max(res.radius for res, _ in solved)
 
 

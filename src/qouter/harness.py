@@ -8,13 +8,13 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import combinations, groupby
 from pathlib import Path
 from typing import Callable
 
-from . import recognition, spectral, transforms
+from . import recognition, transforms
 from .canon import canonical_code
 from .constructions import PathJoinSpec, cycle_extremal, h_gadget, path_extremal, path_join
 from .enumeration import (
@@ -28,7 +28,7 @@ from .errors import ConfigError, ParameterError, check_sep
 from .graph6 import graph6_encode
 from .graphs import Graph, bits
 from .recognition import ForbiddenPattern
-from .spectral import Ordering, eta_max, q_compare, q_index, q_indices
+from .spectral import Ordering, eta_max, q_compare, q_index, q_indices, q_stream
 
 CONFIRMED = "Confirmed"
 REFUTED = "Refuted"
@@ -50,16 +50,7 @@ class VerificationReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "parameters": self.parameters,
-            "status": self.status,
-            "witness_graphs": self.witness_graphs,
-            "q_values": self.q_values,
-            "margin": self.margin,
-            "runtime_ms": self.runtime_ms,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -330,79 +321,60 @@ def _check_qmu(n_range, sep):
     return _report("qmu", {"n_range": list(n_range), "sep": sep}, violations, slack)
 
 
-def _move_suite(name, kind, n_range, sep):
-    """Every application of the move `kind` of transforms.MOVES to a
-    connected graph of each order must raise q.
+def _raises_q(name, params, instances, sep, describe) -> VerificationReport:
+    """The report of a suite whose every instance must raise q.
 
-    The move results of an order are collected across its graphs and
-    solved one stack at a time: once the pending results not yet solved
-    fill a stack (`spectral._STACK_ENTRIES // (n * n)` graphs), they go to
-    q_indices together and are then checked in order.
+    `instances` yields ((before, after, label), after): q_compare(after,
+    before, sep) must be GREATER, and a miss is a violation at before,
+    named by describe(label). The afters go through q_stream; the
+    befores are looked up, so the suite solves them first. The margin is
+    the least rise.
     """
     violations = []
     margin = float("inf")
     count = 0
+    for (before, after, label), res in q_stream(instances):
+        count += 1
+        if q_compare(after, before, sep) is not Ordering.GREATER:
+            violations.append((before, f"{describe(label)} did not raise q"))
+        else:
+            margin = min(margin, res.q - q_index(before).q)
+    return _report(name, params, violations, margin, notes=[f"instances checked: {count}"])
 
-    def check(pending):
-        nonlocal margin, count
-        q_indices(result for _, _, result in pending)
-        for g, vertices, result in pending:
-            count += 1
-            if q_compare(result, g, sep) is not Ordering.GREATER:
-                violations.append((g, f"{kind} {vertices} did not raise q"))
-            else:
-                margin = min(margin, q_index(result).q - q_index(g).q)
 
-    for n in n_range:
-        graphs = connected_graphs(n)
-        q_indices(graphs)
-        stack = max(1, spectral._STACK_ENTRIES // (n * n))
-        pending, unsolved = [], set()
-        for g in graphs:
-            for vertices, result in transforms.move_results(g, kind):
-                pending.append((g, vertices, result))
-                if result not in spectral._cache:
-                    unsolved.add(result)
-            if len(unsolved) >= stack:
-                check(pending)
-                pending, unsolved = [], set()
-        check(pending)
-    return _report(
-        name,
-        {"n_range": list(n_range), "sep": sep},
-        violations,
-        margin,
-        notes=[f"instances checked: {count}"],
-    )
+def _move_suite(name, kind, n_range, sep):
+    """Every application of the move `kind` of transforms.MOVES to a
+    connected graph of each order must raise q. The graphs of an order
+    are solved as one batch first, as the Perron guards read them."""
+
+    def instances():
+        for n in n_range:
+            graphs = connected_graphs(n)
+            q_indices(graphs)
+            for g in graphs:
+                for vertices, result in transforms.move_results(g, kind):
+                    yield (g, result, vertices), result
+
+    return _raises_q(name, {"n_range": list(n_range), "sep": sep}, instances(), sep,
+                     lambda vertices: f"{kind} {vertices}")
 
 
 def _check_edgeshift(n_range, sep):
+    """Every path shift of an H-gadget on a seed of at most 3 vertices,
+    with t + s at most max(n_range), must raise q."""
     total_cap = max(n_range)
-    violations = []
-    margin = float("inf")
-    count = 0
     seeds = [g for k in (1, 2, 3) for g in connected_graphs(k)]
     shifts = [
-        (t, s, h_gadget(h, u, t, s), transforms.path_shift(h, u, t, s))
+        (h_gadget(h, u, t, s), transforms.path_shift(h, u, t, s), (t, s))
         for h in seeds
         for u in range(h.n)
         for s in range(1, total_cap // 2 + 1)
         for t in range(s, total_cap - s + 1)
     ]
-    q_indices(g for *_, before, after in shifts for g in (before, after))
-    for t, s, before, after in shifts:
-        count += 1
-        if q_compare(after, before, sep) is not Ordering.GREATER:
-            violations.append((before, f"shift t={t},s={s} did not raise q"))
-        else:
-            margin = min(margin, q_index(after).q - q_index(before).q)
-    return _report(
-        "edgeshift",
-        {"t_plus_s_max": total_cap, "sep": sep},
-        violations,
-        margin,
-        notes=[f"instances checked: {count}"],
-    )
+    q_indices(before for before, _, _ in shifts)
+    return _raises_q("edgeshift", {"t_plus_s_max": total_cap, "sep": sep},
+                     ((shift, shift[1]) for shift in shifts), sep,
+                     lambda ts: "shift t={},s={}".format(*ts))
 
 
 def claim41_specs(n_min=6, n_max=40, sample=100, seed=20240817):

@@ -135,20 +135,6 @@ def contains_disjoint_paths(g: Graph, t: int, ell: int) -> bool:
     if t * ell > g.n:
         return False
 
-    def extend(seq_first: int, cur: int, used: int, count: int, floor: int,
-               remaining: int) -> bool:
-        if count == ell:
-            # direction dedup: first endpoint below last
-            if seq_first > cur:
-                return False
-            return place(remaining - 1, used, floor + 1)
-        for w in bits(g.adj[cur]):
-            if w > floor and not (used >> w) & 1:
-                if extend(seq_first, w, used | (1 << w), count + 1,
-                          floor, remaining):
-                    return True
-        return False
-
     def place(remaining: int, used: int, min_start: int) -> bool:
         if remaining == 0:
             return True

@@ -255,7 +255,7 @@ def test_argmax_with_an_infinite_radius(monkeypatch):
         res = q_index(g)
         return dataclasses.replace(res, radius=float("inf")) if g is last else res
 
-    monkeypatch.setattr(enumeration, "q_index", solve)
+    monkeypatch.setattr(enumeration, "q_indices", lambda graphs: [solve(g) for g in graphs])
     calls = _count_f_free(monkeypatch)
     enumeration._q_sorted.cache_clear()
     try:
@@ -281,7 +281,7 @@ def test_argmax_matches_oracle_under_any_radii(monkeypatch, seed):
             radius[g] = rng.choice((0.0, 0.1, 0.2, 0.3, 0.45))
         return dataclasses.replace(q_index(g), q=round(2 * q_index(g).q) / 2, radius=radius[g])
 
-    monkeypatch.setattr(enumeration, "q_index", solve)
+    monkeypatch.setattr(enumeration, "q_indices", lambda graphs: [solve(g) for g in graphs])
     for cls in (EnumerationClass(7, ForbiddenPattern.cycle(4)),
                 EnumerationClass(8, ForbiddenPattern.cycle(5)),
                 EnumerationClass(8, ForbiddenPattern.paths(2, 3))):

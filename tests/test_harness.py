@@ -164,21 +164,79 @@ def test_move_suite_instance_counts(name, n_range, count):
 
 
 def test_move_suite_report_does_not_depend_on_the_stack_size(monkeypatch):
-    """Stacks of 16 order-7 matrices make the perron suite flush hundreds
-    of times; its report equals the one at the default stack size."""
-    flushes = []
-    monkeypatch.setattr(harness, "q_indices",
-                        lambda graphs: flushes.append(1) or spectral.q_indices(graphs))
+    """Stacks of 16 order-7 matrices make the perron suite's stream call
+    q_indices hundreds of times; its report equals the one at the default
+    stack size."""
+    calls = []
+    solve = spectral.q_indices
+    monkeypatch.setattr(spectral, "q_indices", lambda graphs: calls.append(1) or solve(graphs))
     reports = []
     for entries in (16 * 7 * 7, spectral._STACK_ENTRIES):
         monkeypatch.setattr(spectral, "_STACK_ENTRIES", entries)
         monkeypatch.setattr(spectral, "_cache", {})
-        flushes.clear()
+        calls.clear()
         report = check_lemma("perron", range(3, 8))
-        reports.append((report.status, report.notes, report.margin, len(flushes)))
-    (*small, small_flushes), (*default, default_flushes) = reports
+        reports.append((report.status, report.notes, report.margin, len(calls)))
+    (*small, small_calls), (*default, default_calls) = reports
     assert small == default
-    assert small_flushes > 300 > 10 * default_flushes
+    assert small_calls > 300 > 10 * default_calls
+
+
+# Every lemma suite at its default range: status Confirmed, no witnesses
+# or q values, and these parameters, notes and margins (to 1e-12).
+PINNED_LEMMAS = {
+    "obv": ({"n_range": [2, 3, 4, 5, 6, 7, 8]},
+            ["pair-disjointness holds only for adjacent vertex pairs; 288 unrestricted "
+             "exceptions, e.g. EqYO (nonadjacent 3,4 share a common neighbor with 0)"], 0.0),
+    "addedges": ({"n_range": [2, 3, 4, 5, 6, 7], "sep": 1e-09},
+                 ["instances checked: 9182"], 0.009480717813710626),
+    "delta": ({"n_range": [2, 3, 4, 5, 6, 7], "sep": 1e-09}, [], 0.05137424173103611),
+    "qmu": ({"n_range": [2, 3, 4, 5, 6, 7], "sep": 1e-09}, [], -1.7763568394002505e-15),
+    "perron": ({"n_range": [3, 4, 5, 6, 7], "sep": 1e-09},
+               ["instances checked: 10739"], 0.01875276132306869),
+    "edgemove2": ({"n_range": [3, 4, 5, 6, 7], "sep": 1e-09},
+                  ["instances checked: 57"], 0.26298228329011675),
+    "edgemove3": ({"n_range": [4, 5, 6, 7], "sep": 1e-09},
+                  ["instances checked: 127"], 0.13559050169902598),
+    "edgemove": ({"n_range": [7], "sep": 1e-09}, ["instances checked: 9"], 0.4191286564523935),
+    "edgeshift": ({"t_plus_s_max": 8, "sep": 1e-09},
+                  ["instances checked: 144"], 0.00018207010871229556),
+    "claim41": ({"n_min": 6, "n_max": 40}, ["specs checked: 2983"], 0.000637631788516408),
+}
+
+
+def test_lemma_reports_are_pinned():
+    assert list(PINNED_LEMMAS) == list(harness.LEMMA_NAMES)
+    for name, (parameters, notes, margin) in PINNED_LEMMAS.items():
+        report = check_lemma(name)
+        assert (report.check_id, report.status) == (f"lemma:{name}", CONFIRMED), name
+        assert (report.witness_graphs, report.q_values) == ([], []), name
+        assert report.parameters == parameters and list(report.parameters) == list(parameters)
+        assert report.notes == notes, name
+        assert report.margin == pytest.approx(margin, rel=0, abs=1e-12), name
+
+
+def test_q_raising_suites_name_each_miss(monkeypatch):
+    """With every comparison unresolved, each move and each shift is a
+    violation at its graph before the rewrite, named by its vertices or
+    by (t, s), and no rise is recorded."""
+    monkeypatch.setattr(harness, "q_compare", lambda *_: harness.Ordering.INDISTINGUISHABLE)
+    report = check_lemma("edgemove", range(7, 8))
+    assert report.status == REFUTED and report.margin == math.inf
+    assert report.witness_graphs == ["FqaE_", "FqaF_", "FqbF_", "Fqae_", "Fqaf_", "Fqaeo",
+                                     "Fqam_", "FqJFo", "FqHVo"]
+    assert report.notes == (["instances checked: 9"]
+                            + ["ChordSwap (0, 3, 1, 6) did not raise q"] * 7
+                            + ["ChordSwap (6, 5, 0, 1) did not raise q",
+                               "ChordSwap (6, 5, 1, 3) did not raise q"])
+    report = check_lemma("edgeshift", range(2, 4))
+    assert report.status == REFUTED and report.margin == math.inf
+    assert report.witness_graphs == ["Bo", "C{", "Cs", "Dt_", "Ci", "DjO", "Ds_", "Ese?", "DqO",
+                                     "EqT?", "DpG", "EpK_", "D{_", "E{e?", "DyO", "EyT?", "DxG",
+                                     "ExK_"]
+    assert report.notes == (["instances checked: 18"]
+                            + ["shift t=1,s=1 did not raise q",
+                               "shift t=2,s=1 did not raise q"] * 9)
 
 
 def test_claim41_names_the_first_entry_outside_and_slack_before_it(monkeypatch):
