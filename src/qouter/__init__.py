@@ -24,6 +24,7 @@ from .recognition import (
 from .spectral import (
     Ordering,
     SpectralResult,
+    compare_results,
     eta_max,
     q_compare,
     q_index,

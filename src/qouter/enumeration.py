@@ -30,7 +30,8 @@ once. (2) Refinement stops at the first round in which an eligible
 vertex of z's degree outranks z. (3) A z with two neighbours is tested
 by `recognition.is_outerplanar`; a leaf z adds no cycle to its
 outerplanar parent and needs no test. (4) The canonical search of a
-survivor reuses the colours of (2).
+survivor reuses the colours of (2); the automorphism orbits it finds
+on the way decide whether z is in the orbit of v*.
 
 Freeness of a forbidden pattern is closed under subgraphs (containing
 `C_l` or `tP_l` is a subgraph property), so it could prune the levels;
@@ -49,7 +50,7 @@ from . import recognition
 from .canon import _refine, _search, canonical_code
 from .errors import CapacityError, check_sep
 from .graphs import Graph, bits
-from .spectral import SpectralResult, q_indices
+from .spectral import Ordering, SpectralResult, compare_results, q_indices
 
 EXHAUSTIVE_CAP = 10
 
@@ -107,17 +108,14 @@ def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
     for mask in _masks(parent.n, outerplanar):
         child = parent.with_new_vertex(mask)
         rivals = _rivals(child.adj, outerplanar)
-        color = None if rivals is None else _refine(child, None, z, rivals)
+        color = None if rivals is None else _refine(child, z, rivals)
         if color is None:
             continue
         if outerplanar and mask.bit_count() == 2 and not recognition.is_outerplanar(child):
             continue
-        code, labeling = _search(child, color)
+        code, labeling, orbit = _search(child, color)
         top = [v for v in bits(rivals | 1 << z) if color[v] == color[z]]
-        vstar = max(top, key=labeling.index)
-        if z != vstar and canonical_code(child, mark=z) != canonical_code(child, mark=vstar):
-            continue
-        if code in seen:
+        if orbit[z] != orbit[max(top, key=labeling.index)] or code in seen:
             continue
         seen.add(code)
         yield child
@@ -184,8 +182,8 @@ def extremal_argmax(cls: EnumerationClass, sep: float = 1e-9) -> ArgmaxResult:
     tested only on the members the scan reaches. The first pattern-free
     member is the maximum `top` (the first maximal member in enumeration
     order). A later pattern-free member is excluded when `top` beats it
-    by more than `sep` plus both enclosure radii (the q_compare
-    contract); the rest are winners. The margin is the gap between `top`
+    by more than `sep` plus both enclosure radii (`compare_results`);
+    the rest are winners. The margin is the gap between `top`
     and the first excluded member, the best one (inf when nothing is
     excluded). Once that member is found, the scan stops at the first
     member with `top.q - q > sep + r_max + top.radius`, r_max being the
@@ -203,7 +201,7 @@ def extremal_argmax(cls: EnumerationClass, sep: float = 1e-9) -> ArgmaxResult:
             continue
         if top is None:
             top = res
-        elif top.q - res.q > sep + res.radius + top.radius:
+        elif compare_results(res, top, sep) is Ordering.LESS:
             if excluded is None:
                 excluded = res.q
             continue

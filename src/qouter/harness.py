@@ -28,7 +28,7 @@ from .errors import ConfigError, ParameterError, check_sep
 from .graph6 import graph6_encode
 from .graphs import Graph, bits
 from .recognition import ForbiddenPattern
-from .spectral import Ordering, eta_max, q_compare, q_index, q_indices, q_stream
+from .spectral import Ordering, compare_results, eta_max, q_index, q_indices, q_stream
 
 CONFIRMED = "Confirmed"
 REFUTED = "Refuted"
@@ -324,21 +324,22 @@ def _check_qmu(n_range, sep):
 def _raises_q(name, params, instances, sep, describe) -> VerificationReport:
     """The report of a suite whose every instance must raise q.
 
-    `instances` yields ((before, after, label), after): q_compare(after,
-    before, sep) must be GREATER, and a miss is a violation at before,
-    named by describe(label). The afters go through q_stream; the
-    befores are looked up, so the suite solves them first. The margin is
-    the least rise.
+    `instances` yields ((before, label), after): the after's result must
+    compare GREATER than the before's under sep, and a miss is a
+    violation at before, named by describe(label). The afters go
+    through q_stream; the befores are looked up, so the suite solves
+    them first. The margin is the least rise.
     """
     violations = []
     margin = float("inf")
     count = 0
-    for (before, after, label), res in q_stream(instances):
+    for (before, label), res in q_stream(instances):
         count += 1
-        if q_compare(after, before, sep) is not Ordering.GREATER:
+        base = q_index(before)
+        if compare_results(res, base, sep) is not Ordering.GREATER:
             violations.append((before, f"{describe(label)} did not raise q"))
         else:
-            margin = min(margin, res.q - q_index(before).q)
+            margin = min(margin, res.q - base.q)
     return _report(name, params, violations, margin, notes=[f"instances checked: {count}"])
 
 
@@ -353,7 +354,7 @@ def _move_suite(name, kind, n_range, sep):
             q_indices(graphs)
             for g in graphs:
                 for vertices, result in transforms.move_results(g, kind):
-                    yield (g, result, vertices), result
+                    yield (g, vertices), result
 
     return _raises_q(name, {"n_range": list(n_range), "sep": sep}, instances(), sep,
                      lambda vertices: f"{kind} {vertices}")
@@ -365,15 +366,14 @@ def _check_edgeshift(n_range, sep):
     total_cap = max(n_range)
     seeds = [g for k in (1, 2, 3) for g in connected_graphs(k)]
     shifts = [
-        (h_gadget(h, u, t, s), transforms.path_shift(h, u, t, s), (t, s))
+        ((h_gadget(h, u, t, s), (t, s)), transforms.path_shift(h, u, t, s))
         for h in seeds
         for u in range(h.n)
         for s in range(1, total_cap // 2 + 1)
         for t in range(s, total_cap - s + 1)
     ]
-    q_indices(before for before, _, _ in shifts)
-    return _raises_q("edgeshift", {"t_plus_s_max": total_cap, "sep": sep},
-                     ((shift, shift[1]) for shift in shifts), sep,
+    q_indices(before for (before, _), _ in shifts)
+    return _raises_q("edgeshift", {"t_plus_s_max": total_cap, "sep": sep}, shifts, sep,
                      lambda ts: "shift t={},s={}".format(*ts))
 
 
@@ -520,6 +520,8 @@ def parse_campaign_config(path) -> CampaignConfig:
 
 def _campaign_tasks(cfg: CampaignConfig) -> list[tuple[str, Callable[[], VerificationReport]]]:
     """Every (check id, task) of the campaign, in order, before any runs."""
+    if not cfg.checks:
+        raise ConfigError("no checks to run: give at least one in 'checks = ...'")
     tasks = []
     for token in cfg.checks:
         if token in THEOREMS:

@@ -6,7 +6,7 @@ eigensolve. On a connected graph Q is nonnegative and irreducible, so its
 top eigenvector x can be taken positive, and the Collatz-Wielandt bracket
 min_i (Qx)_i/x_i <= q <= max_i (Qx)_i/x_i encloses the Perron root. The
 distance from the computed q to the far end of that bracket is reported
-as `radius`; comparisons count a gap only beyond the radii.
+as `radius`; `compare_results` counts a gap only beyond the radii.
 
 `q_indices` is the one solver. A disconnected graph is the best of its
 components, each looked up or solved as a connected graph of its own.
@@ -192,16 +192,17 @@ class Ordering(enum.Enum):
     INDISTINGUISHABLE = "indistinguishable"
 
 
-def q_compare(g1: Graph, g2: Graph, sep: float = 1e-9) -> Ordering:
-    """Certified comparison of q(g1) vs q(g2), from one solve each.
-
-    Returns GREATER/LESS only when the gap exceeds `sep` plus both
-    enclosure radii, so the enclosures widened by `sep` are disjoint
-    (sep = 0 asks only that the enclosures be disjoint); otherwise
-    INDISTINGUISHABLE rather than a guess.
-    """
+def compare_results(a: SpectralResult, b: SpectralResult, sep: float = 1e-9) -> Ordering:
+    """Certified comparison of a.q vs b.q: GREATER/LESS only when the gap
+    exceeds `sep` plus both enclosure radii, so the enclosures widened by
+    `sep` are disjoint (sep = 0 asks only that the enclosures be
+    disjoint); otherwise INDISTINGUISHABLE rather than a guess."""
     check_sep(sep)
-    a, b = q_index(g1), q_index(g2)
     if abs(a.q - b.q) > sep + a.radius + b.radius:
         return Ordering.GREATER if a.q > b.q else Ordering.LESS
     return Ordering.INDISTINGUISHABLE
+
+
+def q_compare(g1: Graph, g2: Graph, sep: float = 1e-9) -> Ordering:
+    """compare_results of one solve each of g1 and g2."""
+    return compare_results(q_index(g1), q_index(g2), sep)

@@ -3,18 +3,23 @@
 These deliberately take different algorithmic routes than the package:
 eigenvalues via dense symmetric solves, minors via edge contraction
 recursion, cycles via subset Hamiltonicity, path packings via a
-subset DP. Memo keys are raw labeled adjacency, so nothing here depends
-on the package's canonical labeling. The exceptions are the package's
-earlier algorithms, kept as references for the paths that replaced
-them: `perron_oracle`, `argmax_oracle`, `children_oracle` and
-`outerplanar_minor_oracle`.
+subset DP, automorphisms via networkx VF2. Memo keys are raw labeled
+adjacency, so nothing here depends on the package's canonical
+labeling. The exceptions are the package's earlier algorithms, kept as
+references for the paths that replaced them: `perron_oracle`,
+`argmax_oracle`, `children_oracle` and `outerplanar_minor_oracle`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb, factorial
 
+import networkx as nx
 import numpy as np
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from qouter.canon import _refine, canonical_code, canonical_labeling
 from qouter.enumeration import _non_cut, enumerate_class
@@ -359,10 +364,38 @@ def argmax_oracle(cls, sep, solve=q_index):
     return sorted(canonical_code(g) for g in winners), top.q, margin
 
 
+def _nx_graph(g: Graph, mark: int | None = None) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from((v, {"mark": v == mark}) for v in range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def automorphic(g: Graph, a: int, b: int) -> bool:
+    """Whether some automorphism of g maps a to b: networkx VF2 between
+    two copies of g, a marked in the first and b in the second."""
+    return GraphMatcher(_nx_graph(g, a), _nx_graph(g, b),
+                        node_match=lambda x, y: x["mark"] == y["mark"]).is_isomorphic()
+
+
+@lru_cache(maxsize=None)
+def automorphism_oracle(g: Graph) -> tuple[set[frozenset[int]], int]:
+    """The automorphism orbits of g and the order of its group, from
+    every automorphism that networkx VF2 lists."""
+    h = _nx_graph(g)
+    orbits = {v: {v} for v in range(g.n)}
+    count = 0
+    for sigma in GraphMatcher(h, h).isomorphisms_iter():
+        count += 1
+        for v, w in sigma.items():
+            orbits[v].add(w)
+    return {frozenset(orbit) for orbit in orbits.values()}, count
+
+
 def children_oracle(parent: Graph, connected: bool, outerplanar: bool):
     """One canonical-augmentation step as first written: every child is
     refined in full, tested from scratch for outerplanarity, and refined
-    again inside `canonical_labeling`."""
+    again inside `canonical_labeling`; z's orbit is tested by `automorphic`."""
     seen = set()
     z = parent.n
     for mask in range(1 if connected else 0, 1 << parent.n):
@@ -370,7 +403,7 @@ def children_oracle(parent: Graph, connected: bool, outerplanar: bool):
             continue
         child = parent.with_new_vertex(mask)
         adj = child.adj
-        color = _refine(child, None)
+        color = _refine(child)
         # z is eligible, so only eligible vertices of colour >= color[z]
         # can reject the child or be v*.
         top = [
@@ -385,9 +418,65 @@ def children_oracle(parent: Graph, connected: bool, outerplanar: bool):
             continue
         code, labeling = canonical_labeling(child)
         vstar = max(top, key=labeling.index)
-        if z != vstar and canonical_code(child, mark=z) != canonical_code(child, mark=vstar):
+        if z != vstar and not automorphic(child, z, vstar):
             continue
         if code in seen:
             continue
         seen.add(code)
         yield child
+
+
+# -- labeled counts ---------------------------------------------------
+
+
+def labeled_connected(top: int) -> list[int]:
+    """Labeled connected graphs of order 1..top, by the exp-log
+    recurrence: of the 2^C(n,2) labeled graphs of order n, those whose
+    vertex 1 lies in a component of k < n vertices are not connected."""
+    graphs = [2 ** comb(n, 2) for n in range(top + 1)]
+    counts = [0]
+    for n in range(1, top + 1):
+        counts.append(graphs[n] - sum(comb(n - 1, k - 1) * counts[k] * graphs[n - k]
+                                      for k in range(1, n)))
+    return counts[1:]
+
+
+def _series_product(a: list, b: list) -> list:
+    """a * b truncated to the length of a."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _series_exp(f: list) -> list:
+    """exp(f) for a series with f[0] = 0: k e_k = sum_j j f_j e_(k-j)."""
+    e = [Fraction(1)]
+    for k in range(1, len(f)):
+        e.append(sum(j * f[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return e
+
+
+def labeled_connected_outerplanar(top: int) -> list[int]:
+    """Labeled connected outerplanar graphs of order 1..top, by blocks.
+
+    A block is K_2, or a polygon on k >= 3 vertices ((k - 1)!/2
+    Hamiltonian cycles) with one of its dissections. The exponential
+    series C of vertex-rooted graphs then satisfies C = x exp(B'(C)),
+    B being the series of blocks; iterating it fixes one more
+    coefficient each time.
+    """
+    # d[m]: dissections of an (m + 2)-gon. The face on the edge (0, m + 1)
+    # has >= 2 other sides, each closing a smaller dissected polygon;
+    # p[s] counts the sequences of such sides spanning s steps.
+    d, p = [1], [1]
+    for m in range(1, top):
+        p.append(sum(d[a - 1] * p[m - a] for a in range(1, m + 1)))
+        d.append(sum(d[a - 1] * p[m + 1 - a] for a in range(1, m + 1)))
+    # B'(y) = sum_k B_k y^(k-1) / (k-1)!
+    blocks = [Fraction(0), Fraction(1)] + [Fraction(d[j - 1], 2) for j in range(2, top + 1)]
+    c = [Fraction(0)] * (top + 1)
+    for _ in range(top):
+        f, power = [Fraction(0)] * (top + 1), [Fraction(1)] + [Fraction(0)] * top
+        for j in range(1, top + 1):
+            power = _series_product(power, c)
+            f = [x + blocks[j] * y for x, y in zip(f, power)]
+        c = [Fraction(0)] + _series_exp(f)[:top]
+    return [int(factorial(n - 1) * c[n]) for n in range(1, top + 1)]

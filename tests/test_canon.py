@@ -1,8 +1,12 @@
 import random
 from itertools import combinations
 
-from qouter.canon import canonical_code, is_transposition_automorphism
+from qouter.canon import _refine, _search, canonical_code, is_transposition_automorphism
+from qouter.constructions import path_join
+from qouter.enumeration import connected_graphs, connected_outerplanar
 from qouter.graphs import Graph, cycle, disjoint_union, from_edges, path, star
+
+from .oracles import automorphism_oracle
 
 # counts of graphs on n labeled-free vertices (all graphs, up to isomorphism)
 GRAPHS_UPTO_ISO = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
@@ -37,17 +41,19 @@ def test_distinguishes_same_degree_sequence():
     )
 
 
-def test_marked_codes_separate_orbits():
-    s = star(5)
-    center = canonical_code(s, mark=0)
-    leaves = {canonical_code(s, mark=v) for v in range(1, 5)}
-    assert len(leaves) == 1
-    assert center not in leaves
+def _orbits(g):
+    orbit = _search(g, _refine(g))[2]
+    return {frozenset(v for v in range(g.n) if orbit[v] == o) for o in orbit}
 
-    p = path(4)
-    assert canonical_code(p, mark=0) == canonical_code(p, mark=3)  # endpoints
-    assert canonical_code(p, mark=1) == canonical_code(p, mark=2)  # inner
-    assert canonical_code(p, mark=0) != canonical_code(p, mark=1)
+
+def test_search_orbits_match_networkx():
+    graphs = [g for n in range(1, 9) for g in connected_outerplanar(n)]
+    graphs += [g for n in range(1, 7) for g in connected_graphs(n)]
+    # twins at every level: stars and K_1 v kP_2
+    graphs += [star(k) for k in range(2, 9)] + [path_join([2] * k) for k in range(1, 5)]
+    for g in graphs:
+        assert _orbits(g) == automorphism_oracle(g)[0], g.adj
+    assert _orbits(path(4)) == {frozenset({0, 3}), frozenset({1, 2})}
 
 
 def test_transposition_automorphism():
@@ -58,6 +64,13 @@ def test_transposition_automorphism():
     assert is_transposition_automorphism(s, 1, 2)
     assert not is_transposition_automorphism(s, 0, 1)
     assert is_transposition_automorphism(s, 3, 3)
+    # the twin test against the definition, on every ordered pair
+    for g in [g for n in range(1, 7) for g in connected_graphs(n)] + [star(6), cycle(5)]:
+        for u in range(g.n):
+            for v in range(g.n):
+                perm = list(range(g.n))
+                perm[u], perm[v] = v, u
+                assert is_transposition_automorphism(g, u, v) == (g.permuted(perm) == g)
 
 
 def test_single_vertex():

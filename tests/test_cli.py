@@ -222,3 +222,13 @@ def test_campaign_without_cells_exits_with_one_line(tmp_path, capsys):
     assert err == ("qouter: error: check 'path' needs orders in 1..10 with at least one cell, "
                    "got n_min=9, n_max=11\n")
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("checks", ["", "checks = ,\n"])
+def test_campaign_without_checks_exits_with_one_line(tmp_path, capsys, checks):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{checks}n_min = 5\nn_max = 5\nout = {tmp_path / 'reports'}\n")
+    code, out, err = run(capsys, "campaign", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "qouter: error: no checks to run: give at least one in 'checks = ...'\n"
+    assert not (tmp_path / "reports").exists()

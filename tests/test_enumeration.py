@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from math import factorial
 
 import pytest
 
@@ -19,7 +20,14 @@ from qouter.harness import PATH_THEOREM_CELLS
 from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
 from qouter.spectral import q_index
 
-from .oracles import all_graphs_upto_iso, argmax_oracle, children_oracle
+from .oracles import (
+    all_graphs_upto_iso,
+    argmax_oracle,
+    automorphism_oracle,
+    children_oracle,
+    labeled_connected,
+    labeled_connected_outerplanar,
+)
 
 # https://oeis.org/A001349 (connected graphs up to isomorphism)
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -52,6 +60,26 @@ def test_generation_matches_filter_all():
             if g.is_connected() and is_outerplanar(g)
         }
         assert {canonical_code(g) for g in connected_outerplanar(n)} == expected_cop
+
+
+@pytest.mark.parametrize("generator, top, labeled", [
+    (connected_outerplanar, 8, labeled_connected_outerplanar),
+    (connected_graphs, 6, labeled_connected),
+])
+def test_classes_count_every_labeled_graph(generator, top, labeled):
+    """Each member G of order n stands for n!/|Aut(G)| labeled graphs, so
+    the class sums to the labeled count: a missing isomorphism class
+    lowers the sum and a duplicate raises it."""
+    counts = labeled(top)
+    for n in range(1, top + 1):
+        assert sum(factorial(n) // automorphism_oracle(g)[1] for g in generator(n)) == counts[n - 1]
+
+
+def test_labeled_counts_match_the_literature():
+    # https://oeis.org/A001187 (connected) and the block series at n <= 10
+    assert labeled_connected(7) == [1, 1, 4, 38, 728, 26704, 1866256]
+    assert labeled_connected_outerplanar(10) == [1, 1, 4, 37, 602, 14436, 458062, 18029992,
+                                                 845360028, 45938606320]
 
 
 @pytest.mark.parametrize("generator, connected, outerplanar, top", [
@@ -88,8 +116,8 @@ def test_early_exit_refinement(generator, connected, outerplanar, top):
                     if (not outerplanar or child.degree(v) <= 2)
                     and (not connected or child.induced(set(range(n + 1)) - {v}).is_connected())
                 ]
-                full = _refine(child, None)
-                early = _refine(child, None, n, sum(1 << v for v in eligible))
+                full = _refine(child)
+                early = _refine(child, n, sum(1 << v for v in eligible))
                 outranked = any(full[v] > full[n] for v in eligible)
                 if early is None:
                     stopped += 1

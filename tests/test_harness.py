@@ -220,7 +220,7 @@ def test_q_raising_suites_name_each_miss(monkeypatch):
     """With every comparison unresolved, each move and each shift is a
     violation at its graph before the rewrite, named by its vertices or
     by (t, s), and no rise is recorded."""
-    monkeypatch.setattr(harness, "q_compare", lambda *_: harness.Ordering.INDISTINGUISHABLE)
+    monkeypatch.setattr(harness, "compare_results", lambda *_: harness.Ordering.INDISTINGUISHABLE)
     report = check_lemma("edgemove", range(7, 8))
     assert report.status == REFUTED and report.margin == math.inf
     assert report.witness_graphs == ["FqaE_", "FqaF_", "FqbF_", "Fqae_", "Fqaf_", "Fqaeo",
@@ -389,6 +389,14 @@ def test_campaign_rejects_cells_it_cannot_run_before_running_any(tmp_path, monke
                                           "one cell"):
         run_campaign(_campaign(tmp_path, text))
     assert not ran
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("text", ["n_min = 5\nn_max = 5\n", "checks = ,\nn_min = 5\nn_max = 5\n"])
+def test_campaign_without_checks_is_rejected_before_writing(tmp_path, text):
+    # it used to run nothing, write a header-only summary and pass
+    with pytest.raises(ConfigError, match="no checks to run"):
+        run_campaign(_campaign(tmp_path, text))
     assert not (tmp_path / "reports").exists()
 
 
