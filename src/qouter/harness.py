@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import random
 import time
@@ -26,7 +27,7 @@ from .enumeration import (
 )
 from .errors import ConfigError, ParameterError, check_sep
 from .graph6 import graph6_encode
-from .graphs import Graph, bits
+from .graphs import bits
 from .recognition import ForbiddenPattern
 from .spectral import Ordering, compare_results, eta_max, q_index, q_indices, q_stream
 
@@ -53,11 +54,16 @@ class VerificationReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """JSON (RFC 8259) has no infinity: a non-finite margin is null."""
+        margin = self.margin if math.isfinite(self.margin) else None
+        return json.dumps({**self.to_dict(), "margin": margin}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        if data.get("margin", 0.0) is None:
+            data["margin"] = math.inf
+        return cls(**data)
 
 
 def _timed(fn):
@@ -295,12 +301,13 @@ def _check_delta(n_range, sep):
         for g, res in zip(graphs, q_indices(graphs)):
             q = res.q
             bound = g.max_degree() + 1
-            if q < bound - 1e-9:
+            tol = sep + res.radius
+            if q < bound - tol:
                 violations.append((g, f"q={q} below max-degree bound {bound}"))
             is_star = g.m == n - 1 and g.max_degree() == n - 1
-            if abs(q - bound) <= 1e-9 and not is_star:
+            if abs(q - bound) <= tol and not is_star:
                 violations.append((g, "max-degree bound tight on a non-star"))
-            if is_star and abs(q - bound) > 1e-9:
+            if is_star and abs(q - bound) > tol:
                 violations.append((g, "max-degree bound not tight on the star"))
             if not is_star:
                 slack = min(slack, q - bound)
@@ -315,7 +322,7 @@ def _check_qmu(n_range, sep):
         for g, res in zip(graphs, q_indices(graphs)):
             q = res.q
             bound = eta_max(g)
-            if q > bound + 1e-9:
+            if q > bound + sep + res.radius:
                 violations.append((g, f"q={q} above eta bound {bound}"))
             slack = min(slack, bound - q)
     return _report("qmu", {"n_range": list(n_range), "sep": sep}, violations, slack)

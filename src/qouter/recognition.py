@@ -4,13 +4,16 @@ Outerplanarity is decided by one series reduction: vertices of degree
 <= 1 are deleted and vertices of degree 2 smoothed, while each edge
 counts how many sides of it are already filled. It runs on the whole
 graph, whatever its components, and serves every caller: generation,
-the ascent and the constructions' class checks.
+the ascent and the constructions' class checks. Both forbidden patterns
+are decided by one path search, `_paths_from`: a C_l is a path on l
+vertices that ends next to its start, and tP_l is t disjoint paths.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import PatternError
 from .graphs import Graph, bits
@@ -108,77 +111,48 @@ def is_outerplanar(g: Graph) -> bool:
 # -- subgraph containment ---------------------------------------------
 
 
+def _paths_from(g: Graph, s: int, k: int, allowed: int) -> Iterator[tuple[int, int]]:
+    """(end, vertex mask) of every path on k vertices from s whose other
+    vertices are in the bitmask allowed, lowest neighbour first."""
+    stack = [(s, 1 << s)]
+    while stack:
+        v, mask = stack.pop()
+        if mask.bit_count() == k:
+            yield v, mask
+            continue
+        free = g.adj[v] & allowed & ~mask
+        while free:  # pushed highest first, so popped lowest first
+            w = free.bit_length() - 1
+            stack.append((w, mask | 1 << w))
+            free ^= 1 << w
+
+
 def contains_cycle(g: Graph, ell: int) -> bool:
-    """True iff g has a cycle on exactly ell vertices as a subgraph."""
+    """True iff g has a cycle on exactly ell vertices as a subgraph: a
+    path on ell vertices from its least vertex s that ends next to s."""
     if ell < 3:
         raise PatternError(f"cycle length {ell} < 3")
     if ell > g.n:
         return False
-
-    def grow(anchor: int, cur: int, used: int, depth: int) -> bool:
-        if depth == ell:
-            return bool((g.adj[cur] >> anchor) & 1)
-        for w in bits(g.adj[cur]):
-            if w > anchor and not (used >> w) & 1:
-                if grow(anchor, w, used | (1 << w), depth + 1):
-                    return True
-        return False
-
-    return any(grow(s, s, 1 << s, 1) for s in range(g.n))
+    return any((g.adj[end] >> s) & 1  # -(2 << s) masks the vertices above s
+               for s in range(g.n) for end, _ in _paths_from(g, s, ell, -(2 << s)))
 
 
 def contains_disjoint_paths(g: Graph, t: int, ell: int) -> bool:
     """True iff g contains t vertex-disjoint paths, each on exactly ell
-    vertices; paths are searched in increasing order of their least vertex."""
+    vertices; each grows from its smaller end a, placed in increasing a."""
     if t < 1 or ell < 2:
         raise PatternError(f"path union needs t >= 1, ell >= 2")
     if t * ell > g.n:
         return False
 
-    def place(remaining: int, used: int, min_start: int) -> bool:
-        if remaining == 0:
-            return True
-        for s in range(min_start, g.n):
-            if (used >> s) & 1:
-                continue
-            # s is the least vertex of the next path; walk one side from s,
-            # trying every split of the path around s
-            if _paths_through(s, used, remaining):
-                return True
-        return False
+    def pack(remaining: int, used: int, first: int) -> bool:
+        return remaining == 0 or any(
+            end > a and pack(remaining - 1, used | mask, a + 1)
+            for a in range(first, g.n) if not (used >> a) & 1
+            for end, mask in _paths_from(g, a, ell, ~used))
 
-    def _paths_through(s: int, used: int, remaining: int) -> bool:
-        # enumerate simple paths on ell vertices containing s with every
-        # vertex > s except s itself
-
-        def left(seq: tuple[int, ...], used2: int) -> bool:
-            # seq grows to the left of s; then grow right side
-            head = seq[0]
-            if right(seq, used2):
-                return True
-            if len(seq) == ell:
-                return False
-            for w in bits(g.adj[head]):
-                if w > s and not (used2 >> w) & 1:
-                    if left((w,) + seq, used2 | (1 << w)):
-                        return True
-            return False
-
-        def right(seq: tuple[int, ...], used2: int) -> bool:
-            if len(seq) == ell:
-                if seq[0] > seq[-1]:
-                    return False
-                return place(remaining - 1, used2, s + 1)
-            tail = seq[-1]
-            for w in bits(g.adj[tail]):
-                if w > s and not (used2 >> w) & 1:
-                    if right(seq + (w,), used2 | (1 << w)):
-                        return True
-            return False
-
-        return left((s,), used | (1 << s))
-
-    return place(t, 0, 0)
+    return pack(t, 0, 0)
 
 
 def is_f_free(g: Graph, pattern: ForbiddenPattern) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, factorial
 
 import networkx as nx
@@ -22,7 +22,7 @@ import numpy as np
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from qouter.canon import _refine, canonical_code, canonical_labeling
-from qouter.enumeration import _non_cut, enumerate_class
+from qouter.enumeration import enumerate_class
 from qouter.errors import CapacityError
 from qouter.graphs import Graph, bits, from_edges
 from qouter.recognition import is_outerplanar
@@ -262,22 +262,29 @@ def outerplanar_minor_oracle(g: Graph) -> bool:
 # -- cycle / path-packing oracles -------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _cycle_lengths(g: Graph) -> frozenset[int]:
+    """Every cycle length of g, by Held-Karp dynamic programming over
+    vertex subsets: ends[S] has v iff a path from min(S) to v covers
+    exactly S, and S spans a cycle iff |S| >= 3 and an end is next to
+    min(S)."""
+    ends = [0] * (1 << g.n)
+    for v in range(g.n):
+        ends[1 << v] = 1 << v
+    lengths = set()
+    for s in range(1, 1 << g.n):  # every subset of s comes before s
+        low = (s & -s).bit_length() - 1
+        if s.bit_count() >= 3 and ends[s] & g.adj[low]:
+            lengths.add(s.bit_count())
+        for v in bits(ends[s]):
+            for w in bits(g.adj[v] & ~s & ~((2 << low) - 1)):
+                ends[s | 1 << w] |= 1 << w
+    return frozenset(lengths)
+
+
 def cycle_oracle(g: Graph, ell: int) -> bool:
-    """Exact-ell cycle via subset enumeration plus Hamiltonicity check."""
-    if ell > g.n:
-        return False
-    for subset in combinations(range(g.n), ell):
-        first = subset[0]
-        rest = subset[1:]
-        for perm in permutations(rest):
-            if ell > 3 and perm[0] > perm[-1]:
-                continue  # direction dedup
-            seq = (first,) + perm
-            if all(g.has_edge(seq[i], seq[i + 1]) for i in range(ell - 1)) and g.has_edge(
-                seq[-1], first
-            ):
-                return True
-    return False
+    """Exact-ell cycle via subset Hamiltonicity (`_cycle_lengths`)."""
+    return ell in _cycle_lengths(g)
 
 
 def _has_ham_path(g: Graph, subset) -> bool:
@@ -402,15 +409,14 @@ def children_oracle(parent: Graph, connected: bool, outerplanar: bool):
         if outerplanar and mask.bit_count() > 2:
             continue
         child = parent.with_new_vertex(mask)
-        adj = child.adj
         color = _refine(child)
         # z is eligible, so only eligible vertices of colour >= color[z]
         # can reject the child or be v*.
         top = [
             v for v in range(child.n)
             if color[v] >= color[z]
-            and (not outerplanar or adj[v].bit_count() <= 2)
-            and (not connected or _non_cut(adj, v))
+            and (not outerplanar or child.degree(v) <= 2)
+            and (not connected or child.induced(set(range(child.n)) - {v}).is_connected())
         ]
         if any(color[v] > color[z] for v in top):
             continue

@@ -126,6 +126,20 @@ def test_lemma_subcommand(capsys):
     assert report["parameters"]["n_range"] == [2, 3, 4, 5]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_reports_are_strict_json(capsys):
+    """A margin of inf (nothing to separate) is written as null, which
+    a strict parser reads; Infinity is not JSON (RFC 8259)."""
+    for argv in (["verify", "cycle", "--n", "3", "--pattern", "C3"],
+                 ["lemma", "edgemove", "--n-min", "3", "--n-max", "3"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert json.loads(out, parse_constant=_reject_constant)["margin"] is None, argv
+
+
 def test_lemma_needs_both_bounds(capsys):
     for bound in ("--n-min", "--n-max"):
         code, out, err = run(capsys, "lemma", "perron", bound, "3")

@@ -40,6 +40,9 @@ def test_report_json_roundtrip():
     again = VerificationReport.from_json(report.to_json())
     assert again == report
     assert json.loads(report.to_json())["status"] == CONFIRMED
+    report.margin = math.inf
+    assert json.loads(report.to_json())["margin"] is None
+    assert VerificationReport.from_json(report.to_json()) == report
 
 
 def test_verify_cycle_theorem_confirms():
@@ -132,6 +135,18 @@ def test_check_lemma_small_ranges():
     assert report.status == CONFIRMED
     with pytest.raises(ParameterError):
         check_lemma("nonsense")
+
+
+def test_bound_suites_honour_sep():
+    """delta and qmu compare within sep plus the enclosure radius: at
+    sep = 0 both hold, and a sep above delta's least slack (0.0514) makes
+    some non-star look tight."""
+    for name in ("delta", "qmu"):
+        report = check_lemma(name, sep=0.0)
+        assert report.status == CONFIRMED, (name, report.notes)
+    report = check_lemma("delta", sep=0.06)
+    assert report.status == REFUTED
+    assert "max-degree bound tight on a non-star" in report.notes
 
 
 @pytest.mark.parametrize("name", harness.LEMMA_NAMES)

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from qouter.constructions import path_join
 from qouter.enumeration import connected_outerplanar
 from qouter.errors import PatternError
 from qouter.graphs import Graph, bits, complete, cycle, disjoint_union, from_edges, path, star
@@ -103,12 +104,12 @@ def test_children_match_minor_oracle():
     assert rejected[:2] == [0, 0] and rejected[2] > 0 and rejected[3] > 0
 
 
-def _random_graph(rng, n):
-    """A random tree on n vertices plus up to n/2 random edges: near
-    outerplanar, so both answers are common."""
+def _random_graph(rng, n, extra=None):
+    """A random tree on n vertices plus up to `extra` (n/2 by default)
+    random edges: near outerplanar, so both answers are common."""
     rows = [0] * n
     edges = [(v, rng.randrange(v)) for v in range(1, n)]
-    edges += [rng.sample(range(n), 2) for _ in range(rng.randint(0, n // 2))]
+    edges += [rng.sample(range(n), 2) for _ in range(rng.randint(0, n // 2 if extra is None else extra))]
     for u, v in edges:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
@@ -204,6 +205,48 @@ def test_contains_disjoint_paths_matches_oracle():
                 assert contains_disjoint_paths(g, t, ell) == path_pack_oracle(
                     g, t, ell
                 ), (g, t, ell)
+
+
+def test_containment_matches_oracles_on_larger_graphs():
+    """Seeded random graphs with n = 8..12, sparse and denser, against both
+    oracles: every cycle length, and every (t, ell) with t * ell <= n."""
+    rng = random.Random(13)
+    answers = set()
+    for n in range(8, 13):
+        for extra in (n // 2, n // 2, n, n):
+            g = _random_graph(rng, n, extra)
+            for ell in range(3, n + 1):
+                expected = cycle_oracle(g, ell)
+                assert contains_cycle(g, ell) == expected, (g.adj, ell)
+                answers.add(("C", expected))
+            for t in range(1, 5):
+                for ell in range(2, n // t + 1):
+                    expected = path_pack_oracle(g, t, ell)
+                    assert contains_disjoint_paths(g, t, ell) == expected, (g.adj, t, ell)
+                    answers.add((t, expected))
+    assert answers == {(k, a) for k in ("C", 1, 2, 3, 4) for a in (True, False)}
+
+
+def test_containment_independent_of_labels():
+    """The searches grow paths from low labels first, so random graphs and
+    path joins with n = 13..24 must give one answer under seeded
+    relabellings."""
+    rng = random.Random(17)
+    patterns = [ForbiddenPattern.cycle(ell) for ell in (3, 4, 5, 6, 8, 10)]
+    patterns += [ForbiddenPattern.paths(t, ell) for t, ell in
+                 ((1, 6), (1, 9), (2, 3), (2, 5), (3, 2), (3, 4), (4, 3))]
+    answers = set()
+    for n in range(13, 25):
+        parts = []
+        while sum(parts) < n - 1:
+            parts.append(min(rng.randint(1, 6), n - 1 - sum(parts)))
+        for g in (_random_graph(rng, n), path_join(parts)):
+            for pattern in patterns:
+                expected = is_f_free(g, pattern)
+                perm = rng.sample(range(n), n)
+                assert is_f_free(g.permuted(perm), pattern) == expected, (g.adj, pattern, perm)
+                answers.add((pattern.kind, expected))
+    assert answers == {(k, a) for k in ("cycle", "paths") for a in (True, False)}
 
 
 def test_is_f_free():
