@@ -4,10 +4,11 @@ Vertices are first partitioned by iterated degree refinement; the code is
 the lexicographically least lower-triangular adjacency over all orderings
 compatible with the partition. Interchangeable twin vertices are collapsed
 during the search, which keeps highly symmetric graphs (stars, unions of
-equal paths) tractable. The same search gives the automorphism orbits:
-swapping two twins is an automorphism, and so is the map between two
-leaves with equal rows; every least leaf is a chain of twin swaps away
-from a visited one, so these generate the automorphism group.
+equal paths) tractable. The same search returns the automorphisms it
+meets, as permutations: swapping two twins is an automorphism, and so is
+the map between two leaves with equal rows; every least leaf is a chain
+of twin swaps away from a visited one, so these generate the
+automorphism group. The orbits are read off those generators.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from .graphs import Graph, bits
 
 
-def _refine(g: Graph, z: int = 0, rivals: int = 0) -> list[int] | None:
+def _refine(g: Graph, z: int = 0, rivals: int = 0,
+            nbrs: list[list[int]] | None = None) -> list[int] | None:
     """Stable color per vertex, starting from degree.
 
     Colors are indices into the sorted distinct keys, so they are
@@ -23,9 +25,11 @@ def _refine(g: Graph, z: int = 0, rivals: int = 0) -> list[int] | None:
     Each round only splits classes and never reorders them, so once a
     vertex outranks z it does so in the final colors: refinement stops
     and returns None at the first round in which a vertex of the bitmask
-    `rivals` has a larger color than z.
+    `rivals` has a larger color than z. `nbrs`, g's neighbour lists, is
+    read off g's rows when not given.
     """
-    nbrs = [list(bits(row)) for row in g.adj]
+    if nbrs is None:
+        nbrs = [list(bits(row)) for row in g.adj]
     keys = [len(nv) for nv in nbrs]
     while True:
         order = {k: i for i, k in enumerate(sorted(set(keys)))}
@@ -44,9 +48,11 @@ def _twins(g: Graph, u: int, v: int) -> bool:
     return (g.adj[u] & ~(1 << v)) == (g.adj[v] & ~(1 << u))
 
 
-def _search(g: Graph, color: list[int]) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+def _search(g: Graph, color: list[int]) -> tuple[
+        tuple[int, ...], tuple[int, ...], list[int], list[tuple[int, ...]]]:
     """Minimum row sequence, one labeling (position -> vertex) achieving
-    it, and each vertex's automorphism orbit, named by one of its members."""
+    it, each vertex's automorphism orbit, named by one of its members, and
+    generators of the automorphism group (sigma[v] is the image of v)."""
     n = g.n
     by_color: dict[int, list[int]] = {}
     for v in range(n):
@@ -59,7 +65,8 @@ def _search(g: Graph, color: list[int]) -> tuple[tuple[int, ...], tuple[int, ...
     best_perm: list[int] | None = None
     perm: list[int] = []
     rows: list[int] = []
-    orbit = list(range(n))
+    swaps: set[tuple[int, int]] = set()
+    leaf_maps: set[tuple[int, ...]] = set()
     used = 0
 
     def rec(i: int, equal: bool) -> None:
@@ -70,9 +77,10 @@ def _search(g: Graph, color: list[int]) -> tuple[tuple[int, ...], tuple[int, ...
             if best is None or rows < best:
                 best, best_perm = rows.copy(), perm.copy()
             elif rows == best:  # best_perm[j] -> perm[j] is an automorphism
+                sigma = [0] * n
                 for a, b in zip(best_perm, perm):
-                    if orbit[a] != orbit[b]:
-                        orbit[:] = [orbit[a] if o == orbit[b] else o for o in orbit]
+                    sigma[a] = b
+                leaf_maps.add(tuple(sigma))
             return
         entries = []
         for v in by_color[pos_color[i]]:
@@ -90,8 +98,8 @@ def _search(g: Graph, color: list[int]) -> tuple[tuple[int, ...], tuple[int, ...
             twin = next((v2 for r2, v2 in pruned if row == r2 and _twins(g, v, v2)), v)
             if twin == v:
                 pruned.append((row, v))
-            elif orbit[twin] != orbit[v]:  # swapping twins is an automorphism
-                orbit[:] = [orbit[twin] if o == orbit[v] else o for o in orbit]
+            else:  # swapping twins is an automorphism
+                swaps.add((twin, v))
         for row, v in pruned:
             if equal and best is not None and row > best[i]:
                 break
@@ -106,7 +114,18 @@ def _search(g: Graph, color: list[int]) -> tuple[tuple[int, ...], tuple[int, ...
 
     rec(0, True)
     assert best is not None and best_perm is not None
-    return tuple(best), tuple(best_perm), orbit
+    generators = list(leaf_maps)
+    for a, b in swaps:
+        sigma = list(range(n))
+        sigma[a], sigma[b] = b, a
+        generators.append(tuple(sigma))
+    orbit = list(range(n))
+    for sigma in generators:
+        for a, b in enumerate(sigma):
+            if orbit[a] != orbit[b]:
+                old = orbit[b]
+                orbit[:] = [orbit[a] if o == old else o for o in orbit]
+    return tuple(best), tuple(best_perm), orbit, generators
 
 
 def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -4,10 +4,8 @@ lemma, campaign. Graph I/O is graph6 lines; reports are JSON."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import harness

@@ -4,9 +4,13 @@ Each class is built one order at a time by McKay's canonical
 augmentation (J. Algorithms 26, 1998): level n extends every member of
 the cached level n - 1 by one new vertex z, and a child is kept only if
 z lies in the automorphism orbit of the canonical deletion vertex v*,
-the eligible vertex placed last by the canonical labeling. Children from
-distinct extensions of one parent are deduplicated per parent, so the
-dedup set never outgrows one parent's children.
+the eligible vertex placed last by the canonical labeling. Extensions
+that an automorphism of the parent maps onto each other give isomorphic
+children, so only the least neighbourhood mask of each orbit is tried:
+one canonical search of the parent yields generators of its group, and
+the masks are walked in ascending order. Children from distinct
+extensions of one parent are still deduplicated per parent, so the dedup
+set never outgrows one parent's children.
 
 Each class deletes only vertices that leave a member of the class one
 order down, and adds z only with the neighbourhoods such a vertex has:
@@ -20,18 +24,21 @@ order down, and adds z only with the neighbourhoods such a vertex has:
   tree), and z gets any nonempty neighbourhood.
 
 In each class z itself is eligible: deleting it gives back the parent.
-Cut vertices come from bitmask reachability on the child's rows. The
-canonical search places the isomorphism-invariant refinement colours in
-ascending order, so v* carries the largest colour of an eligible vertex,
-and a child is kept only if z has it too. Each child is decided by the
-cheapest test that settles it. (1) Colours start from degree and never
-reorder, so an eligible vertex of larger degree than z rejects it at
-once. (2) Refinement stops at the first round in which an eligible
-vertex of z's degree outranks z. (3) A z with two neighbours is tested
-by `recognition.is_outerplanar`; a leaf z adds no cycle to its
-outerplanar parent and needs no test. (4) The canonical search of a
-survivor reuses the colours of (2); the automorphism orbits it finds
-on the way decide whether z is in the orbit of v*.
+What does not depend on z is computed once per parent: its neighbour
+lists, which the child's refinement extends by z, and the components of
+the parent minus each vertex v; v is a non-cut vertex of the child iff
+z's row meets every one of them. The canonical search places the
+isomorphism-invariant refinement colours in ascending order, so v*
+carries the largest colour of an eligible vertex, and a child is kept
+only if z has it too. Each child is decided by the cheapest test that
+settles it. (1) Colours start from degree and never reorder, so an
+eligible vertex of larger degree than z rejects it at once. (2)
+Refinement stops at the first round in which an eligible vertex of z's
+degree outranks z. (3) A z with two neighbours is tested by
+`recognition.is_outerplanar`; a leaf z adds no cycle to its outerplanar
+parent and needs no test. (4) The canonical search of a survivor reuses
+the colours of (2); the automorphism orbits it finds on the way decide
+whether z is in the orbit of v*.
 
 Freeness of a forbidden pattern is closed under subgraphs (containing
 `C_l` or `tP_l` is a subgraph property), so it could prune the levels;
@@ -71,49 +78,83 @@ def _masks(order: int, outerplanar: bool) -> tuple[int, ...]:
     return tuple(m for m in range(1, 1 << order) if m.bit_count() <= high)
 
 
-def _non_cut(adj: tuple[int, ...], v: int) -> bool:
-    """Whether deleting v leaves the rest of a connected graph connected."""
-    row = adj[v]
-    if row & (row - 1) == 0:
-        return True
+def _split(adj: tuple[int, ...], v: int) -> list[int]:
+    """The vertex masks of the components of the graph minus v."""
     rest = ((1 << len(adj)) - 1) & ~(1 << v)
-    seen = frontier = row & -row
-    while frontier:
-        grow = 0
-        for u in bits(frontier):
-            grow |= adj[u]
-        frontier = grow & rest & ~seen
-        seen |= frontier
-    return seen == rest
+    parts = []
+    while rest:
+        part = frontier = rest & -rest
+        while frontier:
+            grow = 0
+            for u in bits(frontier):
+                grow |= adj[u]
+            frontier = grow & rest & ~part
+            part |= frontier
+        parts.append(part)
+        rest &= ~part
+    return parts
 
 
-def _rivals(adj: tuple[int, ...], outerplanar: bool) -> int | None:
-    """The eligible vertices of z's degree other than z, the last vertex,
-    as a bitmask; None if an eligible vertex has a larger degree."""
-    degree = adj[-1].bit_count()
+def _rivals(degree: list[int], split: list[list[int]], mask: int,
+            outerplanar: bool) -> int | None:
+    """The eligible parent vertices of z's degree in the child that joins
+    z to `mask`, as a bitmask; None if an eligible vertex has a larger
+    degree. v is a non-cut vertex of the child iff z's row meets every
+    component of the parent minus v."""
+    z_degree = mask.bit_count()
     rivals = 0
-    for v in range(len(adj) - 1):
-        d = adj[v].bit_count()
-        if d < degree or (outerplanar and d > 2) or not _non_cut(adj, v):
+    for v, parts in enumerate(split):
+        d = degree[v] + (mask >> v & 1)
+        if d < z_degree or (outerplanar and d > 2) or not all(mask & p for p in parts):
             continue
-        if d > degree:
+        if d > z_degree:
             return None
         rivals |= 1 << v
     return rivals
 
 
+def _orbit(mask: int, images: list[list[int]]) -> set[int]:
+    """The orbit of a vertex set under the generators, each given by the
+    bit image of every vertex."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        m = stack.pop()
+        for image in images:
+            m2 = 0
+            for v in bits(m):
+                m2 |= image[v]
+            if m2 not in orbit:
+                orbit.add(m2)
+                stack.append(m2)
+    return orbit
+
+
 def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
-    seen: set[tuple[int, ...]] = set()
     z = parent.n
-    for mask in _masks(parent.n, outerplanar):
+    nbrs = [list(bits(row)) for row in parent.adj]
+    degree = [len(nv) for nv in nbrs]
+    split = [_split(parent.adj, v) for v in range(z)]
+    images = [[1 << w for w in sigma] for sigma in _search(parent, _refine(parent))[3]]
+    tried: set[int] = set()
+    seen: set[tuple[int, ...]] = set()
+    for mask in _masks(z, outerplanar):
+        if mask in tried:
+            continue
+        if images:
+            tried |= _orbit(mask, images)
+        rivals = _rivals(degree, split, mask, outerplanar)
+        if rivals is None:
+            continue
         child = parent.with_new_vertex(mask)
-        rivals = _rivals(child.adj, outerplanar)
-        color = None if rivals is None else _refine(child, z, rivals)
+        child_nbrs = [nv + [z] if mask >> v & 1 else nv for v, nv in enumerate(nbrs)]
+        child_nbrs.append(list(bits(mask)))
+        color = _refine(child, z, rivals, child_nbrs)
         if color is None:
             continue
         if outerplanar and mask.bit_count() == 2 and not recognition.is_outerplanar(child):
             continue
-        code, labeling, orbit = _search(child, color)
+        code, labeling, orbit, _ = _search(child, color)
         top = [v for v in bits(rivals | 1 << z) if color[v] == color[z]]
         if orbit[z] != orbit[max(top, key=labeling.index)] or code in seen:
             continue

@@ -183,7 +183,13 @@ def eta_exact(g: Graph, u: int) -> Fraction:
 
 
 def eta_max(g: Graph) -> float:
-    return float(max(eta_exact(g, u) for u in range(g.n)))
+    """float(max of eta_exact over the vertices), bit for bit: int / int
+    rounds correctly to nearest, and that rounding is monotone."""
+    degree = [row.bit_count() for row in g.adj]
+    if 0 in degree:
+        raise EtaUndefinedError(f"vertex {degree.index(0)} is isolated")
+    return max((d * d + sum(degree[v] for v in bits(row))) / d
+               for d, row in zip(degree, g.adj))
 
 
 class Ordering(enum.Enum):

@@ -54,15 +54,24 @@ def perron_rotate(g: Graph, u: int, v: int, w: int) -> Graph:
     _require(len({u, v, w}) == 3, "u, v, w must be distinct")
     _require(not g.has_edge(u, w), "uw must not be an edge")
     _require(g.has_edge(v, w), "vw must be an edge")
-    x = q_index(g).vector
+    failed = _perron_failure(g, q_index(g).vector, u, v)
+    if failed is not None:
+        raise PreconditionError(failed)
+    return g.remove_edge(v, w).add_edge(u, w)
+
+
+def _perron_failure(g: Graph, x, u: int, v: int) -> str | None:
+    """The failed clause x_u >= x_v of perron_rotate for the Perron vector
+    x of g, or None when it holds: by more than PERRON_MARGIN, or within
+    it when swapping u and v is an automorphism."""
     diff = float(x[u] - x[v])
-    if diff <= PERRON_MARGIN and not (
+    if diff > PERRON_MARGIN or (
         abs(diff) <= PERRON_MARGIN and is_transposition_automorphism(g, u, v)
     ):
-        if diff < -PERRON_MARGIN:
-            raise PreconditionError("perron entries satisfy x_u < x_v")
-        raise PreconditionError("x_u vs x_v margin indistinguishable")
-    return g.remove_edge(v, w).add_edge(u, w)
+        return None
+    if diff < -PERRON_MARGIN:
+        return "perron entries satisfy x_u < x_v"
+    return "x_u vs x_v margin indistinguishable"
 
 
 def leaf_reattach(g: Graph, u: int, v: int, w: int) -> Graph:
@@ -129,6 +138,9 @@ def path_shift(h: Graph, u: int, t: int, s: int) -> Graph:
 # Each candidate generator reads its tuples off the membership clauses of
 # its move's hypotheses and yields them in lexicographic order; the apply
 # function checks every clause again and stays the only authority.
+# PerronRotate's generator also tests the vector clause, through the
+# helper its apply function uses, with the Perron vector read once per
+# graph, so it yields only tuples at which the move applies.
 
 
 def _add_edge_candidates(g: Graph):
@@ -140,12 +152,17 @@ def _add_edge_candidates(g: Graph):
 
 
 def _perron_rotate_candidates(g: Graph):
-    """v != u, then w in N(v) minus N[u]."""
+    """v with the Perron clause x_u >= x_v, then w in N(v) minus N[u]
+    (empty for v = u); none on a disconnected graph."""
+    if not g.is_connected():
+        return
+    x = q_index(g).vector.tolist()
     for u in range(g.n):
         closed_u = g.adj[u] | (1 << u)
         for v in range(g.n):
-            if v != u:
-                for w in bits(g.adj[v] & ~closed_u):
+            outside = g.adj[v] & ~closed_u
+            if outside and _perron_failure(g, x, u, v) is None:
+                for w in bits(outside):
                     yield u, v, w
 
 

@@ -386,17 +386,30 @@ def automorphic(g: Graph, a: int, b: int) -> bool:
 
 
 @lru_cache(maxsize=None)
+def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Every automorphism of g, as networkx VF2 lists them (sigma[v] is
+    the image of v)."""
+    h = _nx_graph(g)
+    return tuple(tuple(sigma[v] for v in range(g.n))
+                 for sigma in GraphMatcher(h, h).isomorphisms_iter())
+
+
 def automorphism_oracle(g: Graph) -> tuple[set[frozenset[int]], int]:
     """The automorphism orbits of g and the order of its group, from
     every automorphism that networkx VF2 lists."""
-    h = _nx_graph(g)
     orbits = {v: {v} for v in range(g.n)}
-    count = 0
-    for sigma in GraphMatcher(h, h).isomorphisms_iter():
-        count += 1
-        for v, w in sigma.items():
+    for sigma in automorphisms(g):
+        for v, w in enumerate(sigma):
             orbits[v].add(w)
-    return {frozenset(orbit) for orbit in orbits.values()}, count
+    return {frozenset(orbit) for orbit in orbits.values()}, len(automorphisms(g))
+
+
+def least_of_mask_orbits(g: Graph, masks) -> list[int]:
+    """The masks, in their order, that are the least of their orbit under
+    every automorphism of g: one per orbit."""
+    return [m for m in masks
+            if all(sum(1 << sigma[v] for v in range(g.n) if m >> v & 1) >= m
+                   for sigma in automorphisms(g))]
 
 
 def children_oracle(parent: Graph, connected: bool, outerplanar: bool):

@@ -46,14 +46,37 @@ def _orbits(g):
     return {frozenset(v for v in range(g.n) if orbit[v] == o) for o in orbit}
 
 
-def test_search_orbits_match_networkx():
+def _orbit_test_graphs():
     graphs = [g for n in range(1, 9) for g in connected_outerplanar(n)]
     graphs += [g for n in range(1, 7) for g in connected_graphs(n)]
     # twins at every level: stars and K_1 v kP_2
     graphs += [star(k) for k in range(2, 9)] + [path_join([2] * k) for k in range(1, 5)]
-    for g in graphs:
+    return graphs
+
+
+def test_search_orbits_match_networkx():
+    for g in _orbit_test_graphs():
         assert _orbits(g) == automorphism_oracle(g)[0], g.adj
     assert _orbits(path(4)) == {frozenset({0, 3}), frozenset({1, 2})}
+
+
+def test_search_generators_are_automorphisms():
+    """Each generator `_search` returns is an automorphism, and together
+    they generate the whole group that networkx VF2 lists."""
+    for g in _orbit_test_graphs() + [cycle(6), disjoint_union([path(3), path(3), path(2)])]:
+        generators = _search(g, _refine(g))[3]
+        for sigma in generators:
+            assert sorted(sigma) == list(range(g.n)) and g.permuted(sigma) == g, (g.adj, sigma)
+        group = {tuple(range(g.n))}
+        frontier = list(group)
+        while frontier:
+            tau = frontier.pop()
+            for sigma in generators:
+                product = tuple(sigma[tau[v]] for v in range(g.n))
+                if product not in group:
+                    group.add(product)
+                    frontier.append(product)
+        assert len(group) == automorphism_oracle(g)[1], g.adj
 
 
 def test_transposition_automorphism():

@@ -27,6 +27,7 @@ from .oracles import (
     children_oracle,
     labeled_connected,
     labeled_connected_outerplanar,
+    least_of_mask_orbits,
 )
 
 # https://oeis.org/A001349 (connected graphs up to isomorphism)
@@ -125,6 +126,46 @@ def test_early_exit_refinement(generator, connected, outerplanar, top):
                 else:
                     assert early == full and not outranked, child.adj
     assert stopped > 0
+
+
+@pytest.mark.parametrize("generator, outerplanar, top", [
+    (connected_outerplanar, True, 7),
+    (connected_graphs, False, 6),
+])
+def test_children_try_one_mask_per_orbit(monkeypatch, generator, outerplanar, top):
+    """`_children` decides exactly one mask per Aut(parent) orbit, the
+    least, with Aut(parent) listed by networkx VF2."""
+    tried = []
+    rivals = enumeration._rivals
+    monkeypatch.setattr(enumeration, "_rivals",
+                        lambda d, s, mask, o: tried.append(mask) or rivals(d, s, mask, o))
+    for n in range(1, top + 1):
+        for parent in generator(n):
+            tried.clear()
+            list(enumeration._children(parent, outerplanar))
+            assert tried == least_of_mask_orbits(parent, enumeration._masks(n, outerplanar)), parent.adj
+
+
+def test_rivals_match_induced_connectivity():
+    """The per-parent rule (v is a non-cut vertex of the child iff z's row
+    meets every component of the parent minus v) against connectivity of
+    the child minus v, for every parent, mask and vertex at connected
+    n <= 6; and `_rivals` against the eligible vertices it implies."""
+    for n in range(1, 7):
+        for parent in connected_graphs(n):
+            degree = [parent.degree(v) for v in range(n)]
+            split = [enumeration._split(parent.adj, v) for v in range(n)]
+            for mask in range(1, 1 << n):
+                child = parent.with_new_vertex(mask)
+                non_cut = [child.induced(set(range(n + 1)) - {v}).is_connected() for v in range(n)]
+                assert [all(mask & p for p in split[v]) for v in range(n)] == non_cut
+                for outerplanar in (True, False):
+                    eligible = [v for v in range(n) if non_cut[v]
+                                and (not outerplanar or child.degree(v) <= 2)]
+                    z = child.degree(n)
+                    expected = (None if any(child.degree(v) > z for v in eligible)
+                                else sum(1 << v for v in eligible if child.degree(v) == z))
+                    assert enumeration._rivals(degree, split, mask, outerplanar) == expected
 
 
 def test_members_pairwise_nonisomorphic():

@@ -142,6 +142,17 @@ def test_eta():
         eta_exact(disjoint_union([path(1), path(2)]), 0)
 
 
+def test_eta_max_is_the_rounded_exact_max():
+    """eta_max rounds the exact maximum, bit for bit, and still refuses
+    an isolated vertex."""
+    for n in range(2, 7):
+        for g in connected_graphs(n):
+            assert eta_max(g) == float(max(eta_exact(g, u) for u in range(g.n))), g.adj
+    for g in (path(1), disjoint_union([path(2), path(1)])):
+        with pytest.raises(EtaUndefinedError, match=f"vertex {g.n - 1} is isolated"):
+            eta_max(g)
+
+
 def test_eta_upper_bounds_q():
     for n in range(2, 7):
         for g in all_graphs_upto_iso(n):

@@ -9,7 +9,7 @@ from qouter.constructions import cycle_extremal, h_gadget
 from qouter.enumeration import connected_graphs
 from qouter.errors import EdgeStateError, ParameterError, PreconditionError
 from qouter.graph6 import graph6_decode
-from qouter.graphs import Graph, cycle, from_edges, path, star
+from qouter.graphs import Graph, cycle, disjoint_union, from_edges, path, star
 from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
 from qouter.transforms import (
     MOVES,
@@ -202,6 +202,8 @@ def test_move_table_matches_exhaustive_scan():
     chord = path(5).with_new_vertex(0b11111).with_new_vertex(0b00110)
     rng = random.Random(2024)
     applied = set()
+    # every move needs a connected graph: no kind yields on two components
+    assert not _assert_table_matches(disjoint_union([path(3), star(4)]))
     for g in [g for n in range(1, 7) for g in connected_graphs(n)] + [chord]:
         kinds = _assert_table_matches(g)
         applied |= kinds
