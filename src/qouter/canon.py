@@ -22,11 +22,13 @@ def _refine(g: Graph, z: int = 0, rivals: int = 0,
 
     Colors are indices into the sorted distinct keys, so they are
     isomorphism-invariant; `_search` places them in ascending order.
-    Each round only splits classes and never reorders them, so once a
-    vertex outranks z it does so in the final colors: refinement stops
-    and returns None at the first round in which a vertex of the bitmask
-    `rivals` has a larger color than z. `nbrs`, g's neighbour lists, is
-    read off g's rows when not given.
+    Each round only splits classes and never reorders them, so a vertex
+    above or below z stays there in the final colors. Given the bitmask
+    `rivals`, refinement stops at the first round that decides z against
+    them: None if a rival has a larger color than z, that round's colors
+    (perhaps not yet stable) if every rival has a smaller one. So stable
+    colors come back only while a rival shares z's color. `nbrs`, g's
+    neighbour lists, is read off g's rows when not given.
     """
     if nbrs is None:
         nbrs = [list(bits(row)) for row in g.adj]
@@ -34,8 +36,10 @@ def _refine(g: Graph, z: int = 0, rivals: int = 0,
     while True:
         order = {k: i for i, k in enumerate(sorted(set(keys)))}
         color = [order[k] for k in keys]
-        if rivals and any(color[v] > color[z] for v in bits(rivals)):
-            return None
+        if rivals:
+            top = max(color[v] for v in bits(rivals))
+            if top != color[z]:
+                return None if top > color[z] else color
         keys = [
             (color[v], tuple(sorted([color[u] for u in nv])))
             for v, nv in enumerate(nbrs)

@@ -8,9 +8,8 @@ the eligible vertex placed last by the canonical labeling. Extensions
 that an automorphism of the parent maps onto each other give isomorphic
 children, so only the least neighbourhood mask of each orbit is tried:
 one canonical search of the parent yields generators of its group, and
-the masks are walked in ascending order. Children from distinct
-extensions of one parent are still deduplicated per parent, so the dedup
-set never outgrows one parent's children.
+the masks are walked in ascending order. Children kept from masks in
+distinct orbits are pairwise non-isomorphic, so no set of codes is kept.
 
 Each class deletes only vertices that leave a member of the class one
 order down, and adds z only with the neighbourhoods such a vertex has:
@@ -30,15 +29,20 @@ the parent minus each vertex v; v is a non-cut vertex of the child iff
 z's row meets every one of them. The canonical search places the
 isomorphism-invariant refinement colours in ascending order, so v*
 carries the largest colour of an eligible vertex, and a child is kept
-only if z has it too. Each child is decided by the cheapest test that
-settles it. (1) Colours start from degree and never reorder, so an
-eligible vertex of larger degree than z rejects it at once. (2)
-Refinement stops at the first round in which an eligible vertex of z's
-degree outranks z. (3) A z with two neighbours is tested by
-`recognition.is_outerplanar`; a leaf z adds no cycle to its outerplanar
-parent and needs no test. (4) The canonical search of a survivor reuses
-the colours of (2); the automorphism orbits it finds on the way decide
-whether z is in the orbit of v*.
+only if z has it too. Colours start from degree and each round only
+splits classes, never reorders them, so a child is decided by z and its
+rivals, the eligible vertices still tied with z. (1) The first two
+rounds are read off the parent's neighbour lists and the mask, before
+the child is built: an eligible vertex of larger degree than z, or of
+z's degree with larger sorted neighbour degrees, rejects the child.
+(2) A z with two neighbours is tested by `recognition.is_outerplanar`;
+a leaf z adds no cycle to its outerplanar parent and needs no test. (3)
+With rivals left, refinement stops at the first round in which one
+outranks z (rejected) or none shares z's colour (z is v*). (4) Only if
+a rival still has z's colour in the stable colouring does the canonical
+search run, on those colours; the automorphism orbits it finds decide
+whether z is in the orbit of v*. Without a rival z is v*, and the child
+is kept unsearched.
 
 Freeness of a forbidden pattern is closed under subgraphs (containing
 `C_l` or `tP_l` is a subgraph property), so it could prune the levels;
@@ -95,13 +99,17 @@ def _split(adj: tuple[int, ...], v: int) -> list[int]:
     return parts
 
 
-def _rivals(degree: list[int], split: list[list[int]], mask: int,
-            outerplanar: bool) -> int | None:
-    """The eligible parent vertices of z's degree in the child that joins
-    z to `mask`, as a bitmask; None if an eligible vertex has a larger
-    degree. v is a non-cut vertex of the child iff z's row meets every
-    component of the parent minus v."""
+def _rivals(degree: list[int], nbrs: list[list[int]], split: list[list[int]],
+            mask: int, outerplanar: bool) -> int | None:
+    """The eligible parent vertices that the first two refinement rounds
+    of the child joining z to `mask` leave tied with z, as a bitmask;
+    None if an eligible vertex outranks z. Round 1 colours by degree and
+    round 2 by the sorted neighbour degrees (round-1 colours are ranks
+    of degree, so these compare alike), read off the parent and the mask.
+    v is a non-cut vertex of the child iff z's row meets every component
+    of the parent minus v."""
     z_degree = mask.bit_count()
+    z_key = None
     rivals = 0
     for v, parts in enumerate(split):
         d = degree[v] + (mask >> v & 1)
@@ -109,7 +117,13 @@ def _rivals(degree: list[int], split: list[list[int]], mask: int,
             continue
         if d > z_degree:
             return None
-        rivals |= 1 << v
+        if z_key is None:
+            z_key = sorted([degree[w] + 1 for w in bits(mask)])
+        key = sorted([degree[w] + (mask >> w & 1) for w in nbrs[v]] + [z_degree] * (mask >> v & 1))
+        if key > z_key:
+            return None
+        if key == z_key:
+            rivals |= 1 << v
     return rivals
 
 
@@ -137,28 +151,28 @@ def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
     split = [_split(parent.adj, v) for v in range(z)]
     images = [[1 << w for w in sigma] for sigma in _search(parent, _refine(parent))[3]]
     tried: set[int] = set()
-    seen: set[tuple[int, ...]] = set()
     for mask in _masks(z, outerplanar):
         if mask in tried:
             continue
         if images:
             tried |= _orbit(mask, images)
-        rivals = _rivals(degree, split, mask, outerplanar)
+        rivals = _rivals(degree, nbrs, split, mask, outerplanar)
         if rivals is None:
             continue
         child = parent.with_new_vertex(mask)
-        child_nbrs = [nv + [z] if mask >> v & 1 else nv for v, nv in enumerate(nbrs)]
-        child_nbrs.append(list(bits(mask)))
-        color = _refine(child, z, rivals, child_nbrs)
-        if color is None:
-            continue
         if outerplanar and mask.bit_count() == 2 and not recognition.is_outerplanar(child):
             continue
-        code, labeling, orbit, _ = _search(child, color)
-        top = [v for v in bits(rivals | 1 << z) if color[v] == color[z]]
-        if orbit[z] != orbit[max(top, key=labeling.index)] or code in seen:
-            continue
-        seen.add(code)
+        if rivals:
+            child_nbrs = [nv + [z] if mask >> v & 1 else nv for v, nv in enumerate(nbrs)]
+            child_nbrs.append(list(bits(mask)))
+            color = _refine(child, z, rivals, child_nbrs)
+            if color is None:
+                continue
+            top = [v for v in bits(rivals | 1 << z) if color[v] == color[z]]
+            if len(top) > 1:
+                _, labeling, orbit, _ = _search(child, color)
+                if orbit[z] != orbit[max(top, key=labeling.index)]:
+                    continue
         yield child
 
 

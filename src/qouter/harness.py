@@ -445,15 +445,17 @@ def _check_claim41(n_range, sep):
 
 
 _ENUMERABLE = range(1, EXHAUSTIVE_CAP + 1)
+_WITH_EDGE = range(2, EXHAUSTIVE_CAP + 1)
 
 # suite name -> (runner, default n range, orders the suite is defined for).
-# qmu needs an edge; edgeshift's n is the largest t + s, and its gadgets
-# add t + s vertices to seeds of up to 3, within the 64-vertex limit.
+# obv, delta and qmu need an edge; edgeshift's n is the largest t + s, and
+# its gadgets add t + s vertices to seeds of up to 3, within the 64-vertex
+# limit.
 _LEMMA_SUITES = {
-    "obv": (_check_obv, range(2, 9), _ENUMERABLE),
+    "obv": (_check_obv, range(2, 9), _WITH_EDGE),
     "addedges": (partial(_move_suite, "addedges", "AddEdge"), range(2, 8), _ENUMERABLE),
-    "delta": (_check_delta, range(2, 8), _ENUMERABLE),
-    "qmu": (_check_qmu, range(2, 8), range(2, EXHAUSTIVE_CAP + 1)),
+    "delta": (_check_delta, range(2, 8), _WITH_EDGE),
+    "qmu": (_check_qmu, range(2, 8), _WITH_EDGE),
     "perron": (partial(_move_suite, "perron", "PerronRotate"), range(3, 8), _ENUMERABLE),
     "edgemove2": (partial(_move_suite, "edgemove2", "LeafReattach"), range(3, 8), _ENUMERABLE),
     "edgemove3": (partial(_move_suite, "edgemove3", "PendantPull"), range(4, 8), _ENUMERABLE),

@@ -161,6 +161,8 @@ def test_lemma_needs_both_bounds(capsys):
          "sep must be nonnegative"),
         (["verify", "cycle", "--n", "5", "--pattern", "2P4"], "needs a C<ell> pattern"),
         (["verify", "path", "--n", "6", "--pattern", "C4"], "needs a <t>P<ell> pattern"),
+        (["lemma", "obv", "--n-min", "1", "--n-max", "3"], "needs orders in 2..10"),
+        (["lemma", "delta", "--n-min", "1", "--n-max", "1"], "needs orders in 2..10"),
     ],
 )
 def test_usage_errors_exit_with_one_line(capsys, argv, message):

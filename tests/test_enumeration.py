@@ -15,7 +15,7 @@ from qouter.enumeration import (
     extremal_argmax,
 )
 from qouter.errors import CapacityError
-from qouter.graphs import path, star
+from qouter.graphs import bits, path, star
 from qouter.harness import PATH_THEOREM_CELLS
 from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
 from qouter.spectral import q_index
@@ -103,13 +103,28 @@ def test_levels_match_children_oracle(generator, connected, outerplanar, top):
     (connected_outerplanar, True, True, 7),
     (connected_graphs, True, False, 6),  # order 7: 853 parents, 108k children
 ])
-def test_early_exit_refinement(generator, connected, outerplanar, top):
-    """Refinement that stops once an eligible vertex outranks z: when it
-    returns, its colours are the full ones and no eligible vertex
-    outranks z; when it stops, the full colours outrank z too."""
-    stopped = 0
+def test_early_exit_refinement(monkeypatch, generator, connected, outerplanar, top):
+    """Each early decision against the full colours of the child, for
+    every parent and mask. `_rivals` (rounds 1 and 2 from the parent)
+    rejects only if an eligible vertex outranks z, and keeps every
+    vertex still tied with z. `_refine` with rivals returns None iff one
+    outranks z, and returns colours in which a rival shares z's colour
+    only if they are the full ones. `_children` rejects a child iff an
+    eligible vertex outranks z (or it is not outerplanar), and searches
+    it iff an eligible vertex other than z ends with z's colour."""
+    searched = []
+    search = enumeration._search
+    monkeypatch.setattr(enumeration, "_search",
+                        lambda g, color: searched.append(g) or search(g, color))
+    seen = {"round 2": 0, "rivals": 0, "refine": 0, "separated": 0, "search": 0}
     for n in range(1, top + 1):
         for parent in generator(n):
+            nbrs = [list(bits(row)) for row in parent.adj]
+            degree = [len(nv) for nv in nbrs]
+            split = [enumeration._split(parent.adj, v) for v in range(n)]
+            searched.clear()
+            kept = set(enumeration._children(parent, outerplanar))
+            searched_children = set(searched[1:])  # the first search is the parent's
             for mask in enumeration._masks(n, outerplanar):
                 child = parent.with_new_vertex(mask)
                 eligible = [
@@ -118,14 +133,40 @@ def test_early_exit_refinement(generator, connected, outerplanar, top):
                     and (not connected or child.induced(set(range(n + 1)) - {v}).is_connected())
                 ]
                 full = _refine(child)
-                early = _refine(child, n, sum(1 << v for v in eligible))
                 outranked = any(full[v] > full[n] for v in eligible)
-                if early is None:
-                    stopped += 1
+                tied = sum(1 << v for v in eligible if full[v] == full[n])
+                rivals = enumeration._rivals(degree, nbrs, split, mask, outerplanar)
+                if rivals is None:
+                    seen["round 2"] += 1
                     assert outranked, child.adj
+                    continue
+                assert rivals & tied == tied, child.adj
+                assert all(full[v] < full[n] for v in eligible if not rivals >> v & 1), child.adj
+                if rivals:
+                    seen["rivals"] += 1
+                    child_nbrs = [list(bits(row)) for row in child.adj]
+                    early = _refine(child, n, rivals, child_nbrs)
+                    assert (early is None) == outranked, child.adj
+                    if early is not None and any(early[v] == early[n] for v in bits(rivals)):
+                        seen["refine"] += 1
+                        assert early == full and tied, child.adj
+                    elif early is not None:
+                        seen["separated"] += 1
+                        assert not tied, child.adj
                 else:
-                    assert early == full and not outranked, child.adj
-    assert stopped > 0
+                    assert not outranked and not tied, child.adj
+                if mask not in least_of_mask_orbits(parent, [mask]):
+                    continue
+                if outerplanar and not is_outerplanar(child):
+                    assert child not in kept and child not in searched_children, child.adj
+                    continue
+                if outranked:
+                    assert child not in kept and child not in searched_children, child.adj
+                else:
+                    seen["search"] += bool(tied)
+                    assert (child in searched_children) == bool(tied), child.adj
+                    assert tied or child in kept, child.adj
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("generator, outerplanar, top", [
@@ -138,7 +179,7 @@ def test_children_try_one_mask_per_orbit(monkeypatch, generator, outerplanar, to
     tried = []
     rivals = enumeration._rivals
     monkeypatch.setattr(enumeration, "_rivals",
-                        lambda d, s, mask, o: tried.append(mask) or rivals(d, s, mask, o))
+                        lambda d, nb, s, mask, o: tried.append(mask) or rivals(d, nb, s, mask, o))
     for n in range(1, top + 1):
         for parent in generator(n):
             tried.clear()
@@ -150,29 +191,34 @@ def test_rivals_match_induced_connectivity():
     """The per-parent rule (v is a non-cut vertex of the child iff z's row
     meets every component of the parent minus v) against connectivity of
     the child minus v, for every parent, mask and vertex at connected
-    n <= 6; and `_rivals` against the eligible vertices it implies."""
+    n <= 6; and `_rivals` against the eligible vertices it implies, keyed
+    by degree and then by sorted neighbour degrees in the child."""
     for n in range(1, 7):
         for parent in connected_graphs(n):
-            degree = [parent.degree(v) for v in range(n)]
+            nbrs = [list(bits(row)) for row in parent.adj]
+            degree = [len(nv) for nv in nbrs]
             split = [enumeration._split(parent.adj, v) for v in range(n)]
             for mask in range(1, 1 << n):
                 child = parent.with_new_vertex(mask)
                 non_cut = [child.induced(set(range(n + 1)) - {v}).is_connected() for v in range(n)]
                 assert [all(mask & p for p in split[v]) for v in range(n)] == non_cut
+                key = [(child.degree(v), sorted(child.degree(u) for u in bits(child.adj[v])))
+                       for v in range(n + 1)]
                 for outerplanar in (True, False):
                     eligible = [v for v in range(n) if non_cut[v]
                                 and (not outerplanar or child.degree(v) <= 2)]
-                    z = child.degree(n)
-                    expected = (None if any(child.degree(v) > z for v in eligible)
-                                else sum(1 << v for v in eligible if child.degree(v) == z))
-                    assert enumeration._rivals(degree, split, mask, outerplanar) == expected
+                    expected = (None if any(key[v] > key[n] for v in eligible)
+                                else sum(1 << v for v in eligible if key[v] == key[n]))
+                    assert enumeration._rivals(degree, nbrs, split, mask, outerplanar) == expected
 
 
 def test_members_pairwise_nonisomorphic():
-    for n in range(1, 8):
-        graphs = connected_outerplanar(n)
-        codes = {canonical_code(g) for g in graphs}
-        assert len(codes) == len(graphs)
+    """Generation keeps no set of codes, so this and the count gate are
+    what catch a duplicate."""
+    for generator, top in ((connected_outerplanar, 9), (connected_graphs, 7)):
+        for n in range(1, top + 1):
+            graphs = generator(n)
+            assert len({canonical_code(g) for g in graphs}) == len(graphs), (generator, n)
 
 
 def test_enumerate_class_filters_pattern():

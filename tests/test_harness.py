@@ -164,6 +164,14 @@ def test_check_lemma_rejects_orders_outside_domain():
             check_lemma(name, n_range)
 
 
+@pytest.mark.parametrize("name", ["obv", "delta"])
+def test_edge_suites_reject_order_one(name):
+    """K_1 has no edge: the max-degree bound and the common-neighbour
+    count do not apply, so order 1 is outside both domains, as for qmu."""
+    with pytest.raises(ParameterError, match="needs orders in 2..10"):
+        check_lemma(name, [1])
+
+
 @pytest.mark.parametrize("name, n_range, count", [
     ("perron", range(3, 7), 582),
     ("edgemove2", range(3, 8), 57),
