@@ -26,7 +26,7 @@ from .spectral import (
     SpectralResult,
     compare_results,
     eta_max,
-    q_compare,
+    path_join_ratios,
     q_index,
     q_indices,
     q_stream,

@@ -29,7 +29,8 @@ from .errors import ConfigError, ParameterError, check_sep
 from .graph6 import graph6_encode
 from .graphs import bits
 from .recognition import ForbiddenPattern
-from .spectral import Ordering, compare_results, eta_max, q_index, q_indices, q_stream
+from .spectral import (Ordering, compare_results, eta_max, path_join_ratios, q_index,
+                       q_indices, q_stream)
 
 CONFIRMED = "Confirmed"
 REFUTED = "Refuted"
@@ -415,33 +416,35 @@ def _random_partition(rng, total):
 
 
 def _check_claim41(n_range, sep):
-    del sep
+    """1/q + sep < x_v/x_hub < 1/q + 30/q^2 - sep on each spec's join, solved
+    by path_join_ratios once per distinct spec; no bracket is a violation."""
     n_min, n_max = min(n_range), max(n_range)
     violations = []
-    slack = float("inf")
+    slack = math.inf
     count = 0
-    for _, specs in groupby(claim41_specs(n_min, n_max), key=lambda spec: spec.order):
-        joins = [path_join(spec) for spec in specs]
-        for g, res in zip(joins, q_indices(joins)):
-            hub = g.n - 1
-            x = res.vector[:hub] / res.vector[hub]
-            q = res.q
-            lo, hi = 1 / q, 1 / q + 30 / (q * q)
-            count += 1
-            outside = ~((lo < x) & (x < hi))
-            # the slack counts the entries before the first one outside
-            first = int(outside.argmax()) if outside.any() else hub
-            if first < hub:
-                violations.append((g, f"entry x_{first}={x[first]} outside ({lo}, {hi})"))
-            if first:
-                slack = min(slack, float((x[:first] - lo).min()), float((hi - x[:first]).min()))
-    return _report(
-        "claim41",
-        {"n_min": n_min, "n_max": n_max},
-        violations,
-        slack,
-        notes=[f"specs checked: {count}"],
-    )
+    for n, group in groupby(claim41_specs(n_min, n_max), key=lambda spec: spec.order):
+        specs = list(group)
+        row = {parts: i for i, parts in enumerate(dict.fromkeys(spec.parts for spec in specs))}
+        q, x, radii = path_join_ratios(row)
+        q = q[:, None]
+        lo, hi = 1 / q, 1 / q + 30 / (q * q)
+        outside = ~((lo + sep < x) & (x < hi - sep))
+        # the slack counts the entries before each join's first one outside
+        before = (~outside).cumprod(axis=1) > 0
+        before[radii == math.inf] = False
+        slack = min(slack, float((x - lo)[before].min(initial=slack)),
+                    float((hi - x)[before].min(initial=slack)))
+        for spec in specs:
+            i = row[spec.parts]
+            v = before[i].sum()
+            if radii[i] == math.inf:
+                violations.append((spec, f"no bracket at q={q[i, 0]}"))
+            elif v < n - 1:
+                violations.append((spec, f"entry x_{v}={x[i, v]} outside ({lo[i, 0]}, {hi[i, 0]})"))
+        count += len(specs)
+    return _report("claim41", {"n_min": n_min, "n_max": n_max, "sep": sep},
+                   [(path_join(spec), message) for spec, message in violations[:20]],
+                   slack, notes=[f"specs checked: {count}"])
 
 
 _ENUMERABLE = range(1, EXHAUSTIVE_CAP + 1)

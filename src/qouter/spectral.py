@@ -8,8 +8,8 @@ min_i (Qx)_i/x_i <= q <= max_i (Qx)_i/x_i encloses the Perron root. The
 distance from the computed q to the far end of that bracket is reported
 as `radius`; `compare_results` counts a gap only beyond the radii.
 
-`q_indices` is the one solver. A disconnected graph is the best of its
-components, each looked up or solved as a connected graph of its own.
+`q_indices` is the one solver for general graphs. A disconnected graph is
+the best of its components, each looked up or solved as a graph of its own.
 The connected graphs it has not solved before are grouped by order and
 each group is solved with stacked `eigh` calls of at most
 `_STACK_ENTRIES` matrix entries each; the sign fix, the positivity test
@@ -20,20 +20,20 @@ at once (the move results of the lemma suites): it reads ahead only
 until the graphs not yet solved fill one stack, and passes them to
 `q_indices` together. Results live in one dict keyed by graph, bounded
 at `_CACHE_SIZE` entries; `q_index` reads it and solves a miss as a
-batch of one.
+batch of one. Joins K_1 v (P_{a_1} u ... u P_{a_s}) have their structured
+solver, `path_join_ratios`: one secular equation each, and no matrix.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import EtaUndefinedError, check_sep
+from .errors import EtaUndefinedError, ParameterError, check_sep
 from .graphs import Graph, bits
 
 _CACHE_SIZE = 1 << 18
@@ -173,18 +173,49 @@ def q_index(g: Graph) -> SpectralResult:
     return res if res is not None else q_indices((g,))[0]
 
 
-def eta_exact(g: Graph, u: int) -> Fraction:
-    """d(u) + (sum of neighbor degrees)/d(u), an upper bound on q(g)."""
-    d = g.degree(u)
-    if d == 0:
-        raise EtaUndefinedError(f"vertex {u} is isolated")
-    total = sum(g.degree(v) for v in bits(g.adj[u]))
-    return Fraction(d * d + total, d)
+def path_join_ratios(parts_list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q, the Perron ratios x_v / x_hub (a row per join, its paths in the
+    order given) and the Collatz-Wielandt radii of the joins
+    K_1 v (P_{a_1} u ... u P_{a_s}) of one order n >= 5, each as if alone.
+
+    y = x / x_hub solves ((q - 1)I - Q(F))y = 1 on the linear forest F, and
+    q is the root of f(q) = q - (n - 1) - sum(y), f'(q) = 1 + |y|^2. Newton
+    starts at q(K_{1,n-1}) = n <= q, right of every pole (1 + q(F) < 5 <= n)
+    where f rises and is concave, and stops at the first iterate not rising."""
+    parts_list = list(parts_list)
+    k = sum(parts_list[0]) if parts_list else 0
+    if k < 4 or any(sum(parts) != k or min(parts) < 1 for parts in parts_list):
+        raise ParameterError("path joins need one order n >= 5 and parts >= 1")
+    # link[i] = 1 where F has the edge {i - 1, i}: 0 at each part boundary
+    link = np.ones((k + 1, len(parts_list)))
+    for j, parts in enumerate(parts_list):
+        link[[0, *accumulate(parts)], j] = 0.0
+    q, rise = np.full(len(parts_list), -np.inf), np.full(len(parts_list), k + 1.0)
+    pad = np.zeros((k + 2, len(parts_list)))  # y_v in row v + 1, 0 past the ends
+    y = pad[1:-1]
+    while (rise > q).any():
+        q = np.maximum(q, rise)
+        # y by a Thomas sweep, then f and f' (cumsum adds in vertex order)
+        pivot, rhs = (q - 1) - (link[:-1] + link[1:]), np.ones_like(y)
+        for i in range(1, k):
+            w = link[i] / pivot[i - 1]
+            pivot[i] -= w
+            rhs[i] += w * rhs[i - 1]
+        for i in range(k - 1, -1, -1):
+            y[i] = (rhs[i] + link[i + 1] * pad[i + 2]) / pivot[i]
+        hub = k + np.cumsum(y, axis=0)[-1]
+        rise = q - (q - hub) / (1.0 + np.cumsum(y * y, axis=0)[-1])
+    # (Q(y, 1))_v / y_v: each edge at v adds y_v and its other end's entry
+    ratios = (link[:-1] * (y + pad[:-2]) + link[1:] * (y + pad[2:]) + y + 1) / y
+    radii = np.maximum(q - np.minimum(ratios.min(axis=0), hub),
+                       np.maximum(ratios.max(axis=0), hub) - q)
+    radii[y.min(axis=0) <= 0] = np.inf  # no positive vector, no bracket
+    return q, y.T, radii
 
 
 def eta_max(g: Graph) -> float:
-    """float(max of eta_exact over the vertices), bit for bit: int / int
-    rounds correctly to nearest, and that rounding is monotone."""
+    """max over u of d(u) + (sum of neighbour degrees)/d(u), an upper bound
+    on q(g), bit for bit: int / int rounds correctly, and monotonely."""
     degree = [row.bit_count() for row in g.adj]
     if 0 in degree:
         raise EtaUndefinedError(f"vertex {degree.index(0)} is isolated")
@@ -208,7 +239,3 @@ def compare_results(a: SpectralResult, b: SpectralResult, sep: float = 1e-9) -> 
         return Ordering.GREATER if a.q > b.q else Ordering.LESS
     return Ordering.INDISTINGUISHABLE
 
-
-def q_compare(g1: Graph, g2: Graph, sep: float = 1e-9) -> Ordering:
-    """compare_results of one solve each of g1 and g2."""
-    return compare_results(q_index(g1), q_index(g2), sep)

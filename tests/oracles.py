@@ -3,11 +3,12 @@
 These deliberately take different algorithmic routes than the package:
 eigenvalues via dense symmetric solves, minors via edge contraction
 recursion, cycles via subset Hamiltonicity, path packings via a
-subset DP, automorphisms via networkx VF2. Memo keys are raw labeled
-adjacency, so nothing here depends on the package's canonical
-labeling. The exceptions are the package's earlier algorithms, kept as
-references for the paths that replaced them: `perron_oracle`,
-`argmax_oracle`, `children_oracle` and `outerplanar_minor_oracle`.
+subset DP, automorphisms via networkx VF2, the eta bound in exact
+fractions. Memo keys are raw labeled adjacency, so nothing here depends
+on the package's canonical labeling. The exceptions are the package's
+earlier algorithms, kept as references for the paths that replaced
+them: `perron_oracle`, `argmax_oracle`, `children_oracle` and
+`outerplanar_minor_oracle`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from qouter.canon import _refine, canonical_code, canonical_labeling
 from qouter.enumeration import enumerate_class
-from qouter.errors import CapacityError
+from qouter.errors import CapacityError, EtaUndefinedError
 from qouter.graphs import Graph, bits, from_edges
 from qouter.recognition import is_outerplanar
 from qouter.spectral import SpectralResult, q_index
@@ -68,6 +69,16 @@ def perron_oracle(g: Graph) -> SpectralResult:
 def eig_q(g: Graph) -> float:
     """Largest Q-eigenvalue via a full symmetric eigensolve."""
     return float(np.linalg.eigvalsh(q_matrix(g))[-1])
+
+
+def eta_exact(g: Graph, u: int) -> Fraction:
+    """d(u) + (sum of neighbour degrees)/d(u), an upper bound on q(g), as
+    an exact fraction: the reference that `eta_max` rounds."""
+    d = g.degree(u)
+    if d == 0:
+        raise EtaUndefinedError(f"vertex {u} is isolated")
+    total = sum(g.degree(v) for v in bits(g.adj[u]))
+    return Fraction(d * d + total, d)
 
 
 def q_root_bisection(coeffs, lo, hi, tol=1e-12) -> float:

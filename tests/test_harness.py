@@ -1,14 +1,14 @@
 import json
 import math
-from itertools import groupby
 
+import numpy as np
 import pytest
 
 from qouter import harness, spectral
 from qouter.canon import canonical_code
 from qouter.constructions import cycle_extremal
 from qouter.errors import ConfigError, ParameterError
-from qouter.graph6 import graph6_decode
+from qouter.graph6 import graph6_decode, graph6_encode
 from qouter.graphs import path, star
 from qouter.harness import (
     CONFIRMED,
@@ -23,7 +23,6 @@ from qouter.harness import (
     verify_path_theorem,
 )
 from qouter.recognition import ForbiddenPattern
-from qouter.spectral import SpectralResult
 
 
 def test_report_json_roundtrip():
@@ -224,7 +223,8 @@ PINNED_LEMMAS = {
     "edgemove": ({"n_range": [7], "sep": 1e-09}, ["instances checked: 9"], 0.4191286564523935),
     "edgeshift": ({"t_plus_s_max": 8, "sep": 1e-09},
                   ["instances checked: 144"], 0.00018207010871229556),
-    "claim41": ({"n_min": 6, "n_max": 40}, ["specs checked: 2983"], 0.000637631788516408),
+    "claim41": ({"n_min": 6, "n_max": 40, "sep": 1e-09}, ["specs checked: 2983"],
+                0.000637631788516408),
 }
 
 
@@ -263,40 +263,79 @@ def test_q_raising_suites_name_each_miss(monkeypatch):
 
 
 def test_claim41_names_the_first_entry_outside_and_slack_before_it(monkeypatch):
-    """With some Perron entries pushed out of the interval, the report
-    matches an entry-by-entry scan: the first entry outside is named, and
-    the slack covers only the entries before it."""
+    """With some Perron ratios pushed out of the interval and some radii
+    made infinite, the report matches an entry-by-entry scan of each spec
+    solved alone: the first entry outside is named, an unbracketed spec is
+    a violation, and the slack covers only the entries before the first
+    one outside."""
+    solve = spectral.path_join_ratios
 
-    def perturbed(graphs):
-        results = []
-        for i, res in enumerate(spectral.q_indices(graphs)):
-            x = res.vector.copy()
-            if i % 3 == 1:  # two entries outside, the later one below
-                x[-2] = 0.0
-                x[i % (len(x) - 2)] *= 40
-            elif i % 3 == 2:
-                x[(i + 2) % (len(x) - 1)] = 0.0
-            results.append(SpectralResult(res.q, x, res.radius, res.connected))
-        return results
+    def perturbed(parts_list):
+        qs, ys, radii = solve(parts_list)
+        ys, radii = ys.copy(), radii.copy()
+        for i, parts in enumerate(parts_list):
+            key = sum(a * a for a in parts) + len(parts)
+            if key % 4 == 1:  # two entries outside, the later one below
+                ys[i, -1] = 0.0
+                ys[i, key % (ys.shape[1] - 1)] *= 40
+            elif key % 4 == 2:
+                ys[i, (key + 2) % ys.shape[1]] = 0.0
+            elif key % 8 == 3:  # no bracket, and an entry just inside that must not count
+                radii[i] = math.inf
+                ys[i, 0] = 1 / qs[i] + 1e-7
+        return qs, ys, radii
 
-    monkeypatch.setattr(harness, "q_indices", perturbed)
-    report = check_lemma("claim41", range(6, 10))
-    violations, slack, count = [], math.inf, 0
-    for _, specs in groupby(harness.claim41_specs(6, 9), key=lambda spec: spec.order):
-        joins = [harness.path_join(spec) for spec in specs]
-        count += len(joins)
-        for g, res in zip(joins, perturbed(joins)):
-            x = res.vector / res.vector[g.n - 1]
-            lo, hi = 1 / res.q, 1 / res.q + 30 / (res.q * res.q)
-            for v in range(g.n - 1):
-                if not lo < x[v] < hi:
-                    violations.append(f"entry x_{v}={x[v]} outside ({lo}, {hi})")
-                    break
-                slack = min(slack, x[v] - lo, hi - x[v])
-    assert len(violations) > 20
+    monkeypatch.setattr(harness, "path_join_ratios", perturbed)
+    sep = 1e-9
+    report = check_lemma("claim41", range(6, 16), sep)
+    violations, witnesses, slack, count = [], [], math.inf, 0
+    for spec in harness.claim41_specs(6, 15):
+        count += 1
+        (q,), (x,), (radius,) = perturbed([spec.parts])
+        lo, hi = 1 / q, 1 / q + 30 / (q * q)
+        if radius == math.inf:
+            violations.append(f"no bracket at q={q}")
+            witnesses.append(graph6_encode(harness.path_join(spec)))
+            continue
+        for v in range(spec.order - 1):
+            if not lo + sep < x[v] < hi - sep:
+                violations.append(f"entry x_{v}={x[v]} outside ({lo}, {hi})")
+                witnesses.append(graph6_encode(harness.path_join(spec)))
+                break
+            slack = min(slack, x[v] - lo, hi - x[v])
+    assert len(violations) > 20 and any(m.startswith("no bracket") for m in violations[:20])
+    assert slack > 1e-6
     assert report.status == REFUTED
     assert report.notes == [f"specs checked: {count}"] + violations[:20]
+    assert report.witness_graphs == witnesses[:20]
     assert report.margin == slack
+
+
+def test_claim41_sep_widens_the_interval():
+    """The least distance of a Perron ratio to the interval's ends is
+    about 6.4e-4: sep = 0 confirms, sep = 1e-3 refutes."""
+    report = check_lemma("claim41", sep=0)
+    assert (report.status, report.parameters["sep"]) == (CONFIRMED, 0)
+    assert report.margin == pytest.approx(PINNED_LEMMAS["claim41"][2], rel=0, abs=1e-12)
+    report = check_lemma("claim41", sep=1e-3)
+    assert report.status == REFUTED and report.parameters["sep"] == 1e-3
+    assert len(report.notes) == 21 and report.notes[1].startswith("entry x_")
+
+
+def test_claim41_builds_no_join_and_no_dense_solve(monkeypatch):
+    """A clean default run solves its joins by path_join_ratios alone: no
+    eigh call, no join Graph, nothing added to the q_indices cache."""
+
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(harness, "path_join", forbidden)
+    monkeypatch.setattr(harness, "q_indices", forbidden)
+    monkeypatch.setattr(spectral, "_cache", {})
+    report = check_lemma("claim41")
+    assert report.status == CONFIRMED and report.notes == ["specs checked: 2983"]
+    assert spectral._cache == {}
 
 
 def test_campaign_config_parsing(tmp_path):

@@ -1,12 +1,13 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 import pytest
 
-from qouter import spectral
+from qouter import harness, spectral
+from qouter.constructions import PathJoinSpec, path_join
 from qouter.enumeration import (
     EnumerationClass,
     connected_graphs,
@@ -18,15 +19,22 @@ from qouter.graphs import complete, cycle, disjoint_union, from_edges, path, sta
 from qouter.recognition import ForbiddenPattern
 from qouter.spectral import (
     Ordering,
-    eta_exact,
+    compare_results,
     eta_max,
-    q_compare,
+    path_join_ratios,
     q_index,
     q_indices,
     q_stream,
 )
 
-from .oracles import all_graphs_upto_iso, eig_q, perron_oracle, q_matrix, q_root_bisection
+from .oracles import (
+    all_graphs_upto_iso,
+    eig_q,
+    eta_exact,
+    perron_oracle,
+    q_matrix,
+    q_root_bisection,
+)
 
 
 def test_frozen_small_values():
@@ -104,7 +112,7 @@ def test_no_bracket_without_a_positive_vector():
     res = q_index(g)
     assert res.radius == math.inf
     assert res.q == pytest.approx(eig_q(g), abs=1e-9)
-    assert q_compare(g, star(41)) is Ordering.INDISTINGUISHABLE
+    assert compare_results(q_index(g), q_index(star(41))) is Ordering.INDISTINGUISHABLE
 
 
 def test_cached_vector_is_read_only():
@@ -120,12 +128,12 @@ def test_sep_edge_values():
     g = cycle(6)
     h = g.permuted([1, 2, 3, 4, 5, 0])
     # sep = 0: only the enclosures have to be disjoint
-    assert q_compare(complete(4), path(4), sep=0) is Ordering.GREATER
-    assert q_compare(g, h, sep=0) is Ordering.INDISTINGUISHABLE
+    assert compare_results(q_index(complete(4)), q_index(path(4)), sep=0) is Ordering.GREATER
+    assert compare_results(q_index(g), q_index(h), sep=0) is Ordering.INDISTINGUISHABLE
     result = extremal_argmax(EnumerationClass(5, ForbiddenPattern.cycle(4)), sep=0)
     assert result.unique and result.margin > 0
     for bad in (-1e-12, float("nan")):
-        for compare in (lambda: q_compare(g, h, sep=bad),
+        for compare in (lambda: compare_results(q_index(g), q_index(h), sep=bad),
                         lambda: extremal_argmax(EnumerationClass(5), sep=bad)):
             with pytest.raises(ParameterError, match="sep must be nonnegative"):
                 compare()
@@ -161,18 +169,63 @@ def test_eta_upper_bounds_q():
 
 
 def test_q_compare():
-    assert q_compare(complete(4), path(4)) is Ordering.GREATER
-    assert q_compare(path(4), complete(4)) is Ordering.LESS
+    assert compare_results(q_index(complete(4)), q_index(path(4))) is Ordering.GREATER
+    assert compare_results(q_index(path(4)), q_index(complete(4))) is Ordering.LESS
     g = cycle(6)
     h = g.permuted([1, 2, 3, 4, 5, 0])
-    assert q_compare(g, h) is Ordering.INDISTINGUISHABLE
+    assert compare_results(q_index(g), q_index(h)) is Ordering.INDISTINGUISHABLE
     with pytest.raises(ValueError):
-        q_compare(g, h, sep=-1.0)
+        compare_results(q_index(g), q_index(h), sep=-1.0)
 
 
 def test_q_monotone_under_edge_addition():
     g = path(5)
-    assert q_compare(g.add_edge(0, 4), g) is Ordering.GREATER
+    assert compare_results(q_index(g.add_edge(0, 4)), q_index(g)) is Ordering.GREATER
+
+
+# -- the path-join solver ---------------------------------------------
+
+
+def _join_gate_specs():
+    """Each distinct claim41 join, five seeded random partitions per order
+    13..64, and the star, the fan and the all-P_2 join of each order 5..64."""
+    specs = list(harness.claim41_specs()) + list(harness.claim41_specs(13, 64, 5, seed=11))
+    for n in range(5, 65):
+        specs += [PathJoinSpec((1,) * (n - 1)), PathJoinSpec((n - 1,)),
+                  PathJoinSpec((2,) * ((n - 1) // 2) + (1,) * ((n - 1) % 2))]
+    return sorted(set(specs), key=lambda spec: spec.order)
+
+
+def test_path_join_ratios_match_the_dense_solve(cold_cache):
+    """Per order, q within 1e-12 q of eigh's, each ratio x_v/x_hub within
+    1e-12 of the dense vector's, and a radius at most 1e-11 that encloses
+    the dense q. A group's rows are bit for bit the joins solved alone."""
+    orders = set()
+    for n, group in groupby(_join_gate_specs(), key=lambda spec: spec.order):
+        parts = [spec.parts for spec in group]
+        orders.add(n)
+        qs, ys, radii = path_join_ratios(parts)
+        assert ys.shape == (len(parts), n - 1)
+        graphs = [path_join(p) for p in parts]
+        for i, (g, res) in enumerate(zip(graphs, q_indices(graphs))):
+            for ref in (res, perron_oracle(g)):
+                assert abs(qs[i] - ref.q) <= 1e-12 * ref.q, parts[i]
+                assert np.abs(ys[i] - ref.vector[:-1] / ref.vector[-1]).max() <= 1e-12, parts[i]
+            assert radii[i] <= 1e-11 and abs(qs[i] - res.q) <= radii[i] + res.radius, parts[i]
+        if n in (6, 13, 40, 64):
+            for i, p in enumerate(parts):
+                q, y, radius = path_join_ratios([p])
+                assert (q[0], radius[0]) == (qs[i], radii[i]) and np.array_equal(y[0], ys[i])
+    assert orders == set(range(5, 65))
+    star_q, _, star_radius = path_join_ratios([(1,) * 63])
+    assert star_q[0] == 64.0 and star_radius[0] <= 1e-11
+
+
+@pytest.mark.parametrize("parts", [[], [()], [(1, 1, 1)], [(3,)], [(2, 1)],
+                                   [(2, 2), (3,)], [(4, 0)], [(5, -1)]])
+def test_path_join_ratios_reject_orders_below_five(parts):
+    with pytest.raises(ParameterError):
+        path_join_ratios(parts)
 
 
 # -- the batch solver -------------------------------------------------
