@@ -98,14 +98,12 @@ def _cmd_construct(args) -> int:
         if pattern.kind != "cycle":
             raise ParameterError("construct cycle needs a C<ell> pattern")
         g, alpha, r = cycle_extremal(args.n, pattern.ell)
-        print(graph6_encode(g))
-        print(f"alpha={alpha} r={r}", file=sys.stderr)
     else:
         if pattern.kind != "paths":
             raise ParameterError("construct path needs a <t>P<ell> pattern")
-        g, alpha, r, flag = path_extremal(args.n, pattern.t, pattern.ell)
-        print(graph6_encode(g))
-        print(f"alpha={alpha} r={r} discrepancy={flag}", file=sys.stderr)
+        g, alpha, r = path_extremal(args.n, pattern.t, pattern.ell)
+    print(graph6_encode(g))
+    print(f"alpha={alpha} r={r}", file=sys.stderr)
     return 0
 
 
@@ -192,7 +190,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParameterError, CapacityError, PatternError, ConfigError) as exc:
+    except (ParameterError, CapacityError, PatternError, ConfigError, OSError) as exc:
         print(f"qouter: error: {exc}", file=sys.stderr)
         return 2
 

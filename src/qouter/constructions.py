@@ -1,10 +1,10 @@
 """Extremal candidate graphs: joins of path unions and the pendant-fan gadget.
 
-The candidate families are K_1 v (union of paths). Parameters are always
-resolved against the canonical decomposition (fixed largest part, then as
-many full parts as fit, then the remainder); the printed closed forms are
-evaluated separately and any disagreement is surfaced via a flag instead
-of being silently adopted.
+Both theorems' candidates are K_1 v (union of paths): an optional fixed
+head part, then as many full parts as fit, then the remainder (the
+canonical decomposition). The paper's printed closed forms for the path
+theorem miss the part-sum identity whenever t >= 2, so only the
+canonical decomposition is built; a test pins where the two differ.
 """
 
 from __future__ import annotations
@@ -44,13 +44,16 @@ def path_join(spec) -> Graph:
     return join_one(disjoint_union([path(p) for p in spec.parts]))
 
 
-def _decompose(n: int, a1: int, part: int) -> tuple[int, ...]:
-    """Canonical parts list: fixed a1, then alpha full parts, then remainder."""
-    alpha, r = divmod(n - 1 - a1, part)
-    parts = [a1] + [part] * alpha
-    if r:
-        parts.append(r)
-    return tuple(parts)
+def _join_candidate(n: int, head: tuple[int, ...], part: int,
+                    pattern: recognition.ForbiddenPattern) -> tuple[Graph, int, int]:
+    """K_1 v (P_h for h in head, alpha P_part, P_r), where alpha, r =
+    divmod(n - 1 - sum(head), part), checked to lie in pattern's class."""
+    if n > MAX_VERTICES:
+        raise CapacityError(f"order {n} exceeds {MAX_VERTICES}")
+    alpha, r = divmod(n - 1 - sum(head), part)
+    g = path_join(head + (part,) * alpha + (r,))
+    _assert_class(g, pattern)
+    return g, alpha, r
 
 
 def cycle_extremal(n: int, ell: int) -> tuple[Graph, int, int]:
@@ -58,24 +61,14 @@ def cycle_extremal(n: int, ell: int) -> tuple[Graph, int, int]:
     K_1 v (alpha P_{ell-2} u P_r)."""
     if not 3 <= ell <= n:
         raise ParameterError(f"need 3 <= ell <= n, got ell={ell}, n={n}")
-    if n > MAX_VERTICES:
-        raise CapacityError(f"order {n} exceeds {MAX_VERTICES}")
-    alpha, r = divmod(n - 1, ell - 2)
-    parts = [ell - 2] * alpha
-    if r:
-        parts.append(r)
-    g = path_join(parts)
-    _assert_class(g, recognition.ForbiddenPattern.cycle(ell))
-    return g, alpha, r
+    return _join_candidate(n, (), ell - 2, recognition.ForbiddenPattern.cycle(ell))
 
 
-def path_extremal(n: int, t: int, ell: int) -> tuple[Graph, int, int, bool]:
-    """The candidate maximizer among connected outerplanar tP_ell-free graphs.
-
-    Returns (graph, alpha, r, discrepancy_flag); the flag is set when the
-    printed closed-form parameters disagree with the canonical
-    decomposition (which is authoritative).
-    """
+def path_extremal(n: int, t: int, ell: int) -> tuple[Graph, int, int]:
+    """The candidate maximizer among connected outerplanar tP_ell-free graphs:
+    K_1 v (P_{a_1} u alpha P_part u P_r), with a_1 = ceil((ell-2)/2) and
+    part = floor((ell-2)/2) for t = 1, and a_1 = t*ell - ell - 1 and
+    part = ell - 1 for t >= 2."""
     if t == 1:
         if ell < 4:
             raise ParameterError("single-path pattern needs ell >= 4")
@@ -90,32 +83,7 @@ def path_extremal(n: int, t: int, ell: int) -> tuple[Graph, int, int, bool]:
         raise ParameterError(f"t must be >= 1, got {t}")
     if t * ell > n - 1:
         raise ParameterError(f"need t*ell <= n-1, got {t}*{ell} vs n={n}")
-    if n > MAX_VERTICES:
-        raise CapacityError(f"order {n} exceeds {MAX_VERTICES}")
-
-    parts = _decompose(n, a1, part)
-    alpha, r = divmod(n - 1 - a1, part)
-
-    printed = _printed_parts(n, t, ell, a1, part)
-    flag = sorted(printed, reverse=True) != list(parts) or sum(printed) != n - 1
-
-    g = path_join(parts)
-    _assert_class(g, recognition.ForbiddenPattern.paths(t, ell))
-    return g, alpha, r, flag
-
-
-def _printed_parts(n: int, t: int, ell: int, a1: int, part: int) -> list[int]:
-    """The paper-facing closed forms, evaluated verbatim for cross-checking."""
-    if t == 1:
-        alpha_p = (n - ell + 1) // part + 1 if part else 0
-        r_p = n - ell + 1 - (alpha_p - 1) * part
-    else:
-        alpha_p = (n - t + 2) // (ell - 1) - t + 1
-        r_p = n - 2 * ell + 2 - (alpha_p - 1) * (ell - 1)
-    parts = [a1] + [part] * alpha_p
-    if r_p:
-        parts.append(r_p)
-    return parts
+    return _join_candidate(n, (a1,), part, recognition.ForbiddenPattern.paths(t, ell))
 
 
 def h_gadget(h: Graph, u: int, t: int, s: int) -> Graph:

@@ -83,8 +83,8 @@ class Theorem:
     1..EXHAUSTIVE_CAP: `has_cell` says which patterns an order has, `rule`
     says so in words, and `entry` runs a cell through the kind's public
     check, looked up by name at call time. `candidate(n, pattern, sep)`
-    gives the paper's graph (or None), the report's parameters, notes and
-    extra q values. `miss(result, code)` gives the status, witnesses and
+    gives the paper's graph (or None), the report's parameters and extra
+    q values. `miss(result, code)` gives the status, witnesses and
     note when that graph, of canonical code `code`, is not the sole winner
     by more than sep;
     without a candidate it is the whole rule, and None means Confirmed."""
@@ -111,21 +111,13 @@ class Theorem:
 
 def _cycle_candidate(n, pattern, sep):
     expected, alpha, r = cycle_extremal(n, pattern.ell)
-    return expected, {"n": n, "ell": pattern.ell, "alpha": alpha, "r": r, "sep": sep}, [], []
+    return expected, {"n": n, "ell": pattern.ell, "alpha": alpha, "r": r, "sep": sep}, []
 
 
 def _path_candidate(n, pattern, sep):
-    expected, alpha, r, flag = path_extremal(n, pattern.t, pattern.ell)
-    _, trace = transforms.greedy_ascent(expected, pattern)
-    parameters = {"n": n, "t": pattern.t, "ell": pattern.ell, "alpha": alpha, "r": r,
-                  "sep": sep, "local_max": not trace}
-    notes = []
-    if flag:
-        notes.append("printed closed-form parameters fail the part-sum identity; "
-                     "canonical decomposition used")
-    if trace:
-        notes.append("greedy ascent improved the candidate inside the class")
-    return expected, parameters, notes, [q_index(expected).q]
+    expected, alpha, r = path_extremal(n, pattern.t, pattern.ell)
+    return expected, {"n": n, "t": pattern.t, "ell": pattern.ell, "alpha": alpha, "r": r,
+                      "sep": sep}, [q_index(expected).q]
 
 
 def _cycle_miss(result, expected_code):
@@ -159,7 +151,7 @@ THEOREMS = {
         "structural check needs a C<ell> pattern with 3 <= ell <= n "
         "or a <t>P<ell> pattern with 4 <= t*ell <= n - 1",
         lambda n, p, sep: structural_check(n, p, sep),
-        lambda n, p, sep: (None, {"n": n, "pattern": str(p), "sep": sep}, [], []), _hub_rule),
+        lambda n, p, sep: (None, {"n": n, "pattern": str(p), "sep": sep}, []), _hub_rule),
 }
 
 
@@ -169,7 +161,7 @@ def _run_cell(kind: str, n: int, pattern: ForbiddenPattern, sep: float) -> Verif
     theorem.require_cell(n, pattern)
 
     def run():
-        expected, parameters, notes, q_values = theorem.candidate(n, pattern, sep)
+        expected, parameters, q_values = theorem.candidate(n, pattern, sep)
         result = extremal_argmax(EnumerationClass(n, pattern), sep)
         code = None if expected is None else canonical_code(expected)
         # the winners are pairwise non-isomorphic
@@ -184,7 +176,7 @@ def _run_cell(kind: str, n: int, pattern: ForbiddenPattern, sep: float) -> Verif
             witness_graphs=[graph6_encode(g) for g in witnesses],
             q_values=[result.q] + q_values,
             margin=result.margin,
-            notes=notes + ([note] if note else []),
+            notes=[note] if note else [],
         )
 
     return _timed(run)

@@ -29,6 +29,7 @@ from qouter.recognition import (
     is_outerplanar,
 )
 from qouter.spectral import q_index
+from qouter.transforms import greedy_ascent
 
 from .oracles import (
     all_graphs_upto_iso,
@@ -148,18 +149,15 @@ def test_criterion_7_path_theorem_reports(capsys):
             produced += 1
             if report.status not in (CONFIRMED, OUT_OF_SCOPE):
                 failures.append((n, t, ell, report.status))
-            if not report.parameters["local_max"]:
+            candidate, _, _ = path_extremal(n, t, ell)
+            if greedy_ascent(candidate, ForbiddenPattern.paths(t, ell))[1]:
                 failures.append((n, t, ell, "candidate not a local maximum"))
-            _, _, _, flag = path_extremal(n, t, ell)
-            flagged = any("part-sum" in note for note in report.notes)
-            if flag != flagged:
-                failures.append((n, t, ell, "discrepancy flag not surfaced"))
             if report.status == OUT_OF_SCOPE and not report.witness_graphs:
                 failures.append((n, t, ell, "out-of-scope report lacks data"))
     elapsed = time.perf_counter() - start
     conclude(capsys, "criterion-7 path-theorem-reports", failures,
-             f"{produced} reports, all certified local maxima, "
-             "no silent mismatches, discrepancies flagged", elapsed)
+             f"{produced} reports, all candidates local maxima, "
+             "no silent mismatches", elapsed)
 
 
 def test_criterion_8_oracle_equivalence(capsys):

@@ -30,7 +30,7 @@ def test_construct_cycle(capsys):
 def test_construct_path(capsys):
     code, out, err = run(capsys, "construct", "path", "--n", "20", "--pattern", "2P3")
     assert code == 0
-    assert "discrepancy=True" in err
+    assert "alpha=8 r=1" in err
     assert graph6_decode(out.strip()).n == 20
 
 
@@ -180,6 +180,22 @@ def test_bad_graph6_exits_with_one_line(tmp_path, capsys, command):
     code, out, err = run(capsys, command, "--graph6", str(source))
     assert code == 2 and out == ""
     assert err.startswith(f"qouter: error: {source} line 3: 'zz~'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--graph6", "{missing}/nope.g6"],
+    ["ascend", "--graph6", "{missing}/nope.g6"],
+    ["campaign", "{missing}/nope.cfg"],
+    ["verify", "cycle", "--n", "5", "--pattern", "C4", "--out", "{missing}/r.json"],
+], ids=["spectral", "ascend", "campaign", "verify"])
+def test_missing_file_exits_with_one_line(tmp_path, capsys, argv):
+    """A file that cannot be read or written is a usage error (exit 2),
+    not a Refuted check (exit 1)."""
+    missing = tmp_path / "missing_dir"
+    code, out, err = run(capsys, *(arg.format(missing=missing) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("qouter: error: ") and str(missing) in err
     assert err.count("\n") == 1
 
 

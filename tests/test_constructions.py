@@ -1,5 +1,6 @@
 import pytest
 
+from qouter import constructions
 from qouter.canon import canonical_code
 from qouter.constructions import (
     PathJoinSpec,
@@ -72,9 +73,8 @@ def test_cycle_extremal_validation():
 
 
 def test_path_extremal_star_case():
-    g, alpha, r, flag = path_extremal(12, 1, 4)
+    g, alpha, r = path_extremal(12, 1, 4)
     assert (alpha, r) == (10, 0)
-    assert not flag
     assert canonical_code(g) == canonical_code(star(12))
 
 
@@ -91,24 +91,46 @@ def hub_part_sizes(g):
     return sorted(sizes, reverse=True)
 
 
-def test_path_extremal_printed_formula_agrees():
-    g, alpha, r, flag = path_extremal(16, 1, 6)
+def printed_parts(n, t, ell):
+    """The paper's printed closed forms for the tP_ell candidate's parts."""
+    if t == 1:
+        a1, part = (ell - 1) // 2, (ell - 2) // 2
+        alpha = (n - ell + 1) // part + 1
+        r = n - ell + 1 - (alpha - 1) * part
+    else:
+        a1, part = t * ell - ell - 1, ell - 1
+        alpha = (n - t + 2) // (ell - 1) - t + 1
+        r = n - 2 * ell + 2 - (alpha - 1) * (ell - 1)
+    return sorted([a1] + [part] * alpha + ([r] if r else []), reverse=True)
+
+
+def test_path_extremal_printed_formula_matches_iff_t_is_1(monkeypatch):
+    """The printed closed forms give the built candidate's parts exactly
+    when t = 1; for every t >= 2 they miss the part-sum identity."""
+    g, alpha, r = path_extremal(16, 1, 6)
     assert (alpha, r) == (6, 1)
-    assert not flag
     assert hub_part_sizes(g) == [2] * 7 + [1]
-
-
-def test_path_extremal_printed_formula_discrepancy():
-    g, alpha, r, flag = path_extremal(20, 2, 3)
+    g, alpha, r = path_extremal(20, 2, 3)
     assert (alpha, r) == (8, 1)
-    assert flag  # printed closed form misses the part-sum identity here
     assert hub_part_sizes(g) == [2] * 9 + [1]
+    # the class check takes seconds per cell at large t and has its own
+    # test (test_path_extremal_part_sum_identity); this one reads the parts
+    monkeypatch.setattr(constructions, "_assert_class", lambda g, pattern: None)
+    cells = 0
+    for n in range(5, 65):
+        for t in range(1, n):
+            for ell in range(4 if t == 1 else 2, (n - 1) // t + 1):
+                printed = printed_parts(n, t, ell)
+                assert (printed == hub_part_sizes(path_extremal(n, t, ell)[0])) == (t == 1)
+                assert (sum(printed) == n - 1) == (t == 1)
+                cells += 1
+    assert cells == 5685
 
 
 def test_path_extremal_part_sum_identity():
     for t, ell in [(1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (3, 2)]:
         for n in range(t * ell + 1, t * ell + 12):
-            g, alpha, r, _ = path_extremal(n, t, ell)
+            g, alpha, r = path_extremal(n, t, ell)
             assert g.n == n
             assert g.is_connected() and is_outerplanar(g)
             assert is_f_free(g, ForbiddenPattern.paths(t, ell))

@@ -6,7 +6,7 @@ import pytest
 
 from qouter import harness, spectral
 from qouter.canon import canonical_code
-from qouter.constructions import cycle_extremal
+from qouter.constructions import cycle_extremal, path_extremal
 from qouter.errors import ConfigError, ParameterError
 from qouter.graph6 import graph6_decode, graph6_encode
 from qouter.graphs import path, star
@@ -23,6 +23,7 @@ from qouter.harness import (
     verify_path_theorem,
 )
 from qouter.recognition import ForbiddenPattern
+from qouter.transforms import greedy_ascent
 
 
 def test_report_json_roundtrip():
@@ -85,17 +86,10 @@ def test_verify_path_theorem_star_cells():
     for n, t, ell in [(6, 1, 4), (6, 2, 2)]:
         report = verify_path_theorem(n, t, ell)
         assert report.status == CONFIRMED
-        assert report.parameters["local_max"] is True
+        candidate, _, _ = path_extremal(n, t, ell)
+        assert greedy_ascent(candidate, ForbiddenPattern.paths(t, ell))[1] == []
         witness = graph6_decode(report.witness_graphs[0])
         assert canonical_code(witness) == canonical_code(star(n))
-
-
-def test_verify_path_theorem_flags_discrepancy():
-    # (n, t, ell) = (8, 2, 3): the printed closed form breaks the
-    # part-sum identity, which every affected report must mention
-    report = verify_path_theorem(8, 2, 3)
-    assert report.status in (CONFIRMED, OUT_OF_SCOPE)
-    assert any("part-sum" in note for note in report.notes)
 
 
 def test_structural_check():
@@ -535,12 +529,10 @@ PINNED_REPORTS = [
         "q_values": [7.372281323269014], "margin": 0.11349565017828134, "notes": []}),
     (lambda: verify_path_theorem(7, 2, 3), {
         "check_id": "path:n=7,t=2,ell=3",
-        "parameters": {"n": 7, "t": 2, "ell": 3, "alpha": 2, "r": 0, "sep": 1e-09,
-                       "local_max": True},
+        "parameters": {"n": 7, "t": 2, "ell": 3, "alpha": 2, "r": 0, "sep": 1e-09},
         "status": "Confirmed", "witness_graphs": ["Fsqc_"],
         "q_values": [7.372281323269014, 7.3722813232690125], "margin": 0.11349565017828134,
-        "notes": ["printed closed-form parameters fail the part-sum identity; "
-                  "canonical decomposition used"]}),
+        "notes": []}),
     (lambda: structural_check(7, ForbiddenPattern.cycle(4)), {
         "check_id": "structural:n=7,pattern=C4",
         "parameters": {"n": 7, "pattern": "C4", "sep": 1e-09},
@@ -578,7 +570,7 @@ def test_theorem_reports_are_pinned(check, expected):
 def test_path_miss_is_out_of_scope(monkeypatch):
     """Below its order threshold a path cell may lose to another graph:
     that is OutOfScope with the data, never Refuted."""
-    monkeypatch.setattr(harness, "path_extremal", lambda n, t, ell: (path(n), 0, 0, False))
+    monkeypatch.setattr(harness, "path_extremal", lambda n, t, ell: (path(n), 0, 0))
     report = verify_path_theorem(7, 1, 4)
     assert report.status == OUT_OF_SCOPE
     assert report.witness_graphs and len(report.q_values) == 2
