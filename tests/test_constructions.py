@@ -104,15 +104,25 @@ def printed_parts(n, t, ell):
     return sorted([a1] + [part] * alpha + ([r] if r else []), reverse=True)
 
 
-def test_path_extremal_printed_formula_matches_iff_t_is_1(monkeypatch):
-    """The printed closed forms give the built candidate's parts exactly
-    when t = 1; for every t >= 2 they miss the part-sum identity."""
+def test_path_extremal_printed_formula_agrees():
     g, alpha, r = path_extremal(16, 1, 6)
     assert (alpha, r) == (6, 1)
     assert hub_part_sizes(g) == [2] * 7 + [1]
+    assert printed_parts(16, 1, 6) == hub_part_sizes(g)
+
+
+def test_path_extremal_printed_formula_discrepancy():
     g, alpha, r = path_extremal(20, 2, 3)
     assert (alpha, r) == (8, 1)
     assert hub_part_sizes(g) == [2] * 9 + [1]
+    # printed closed form misses the part-sum identity here
+    assert sum(printed_parts(20, 2, 3)) != 20 - 1
+    assert printed_parts(20, 2, 3) != hub_part_sizes(g)
+
+
+def test_path_extremal_printed_formula_matches_iff_t_is_1(monkeypatch):
+    """The printed closed forms give the built candidate's parts exactly
+    when t = 1; for every t >= 2 they miss the part-sum identity."""
     # the class check takes seconds per cell at large t and has its own
     # test (test_path_extremal_part_sum_identity); this one reads the parts
     monkeypatch.setattr(constructions, "_assert_class", lambda g, pattern: None)
