@@ -5,6 +5,8 @@ head part, then as many full parts as fit, then the remainder (the
 canonical decomposition). The paper's printed closed forms for the path
 theorem miss the part-sum identity whenever t >= 2, so only the
 canonical decomposition is built; a test pins where the two differ.
+Whether a candidate avoids its pattern is read off its parts
+(`join_is_f_free`) rather than searched for in the graph.
 """
 
 from __future__ import annotations
@@ -44,16 +46,35 @@ def path_join(spec) -> Graph:
     return join_one(disjoint_union([path(p) for p in spec.parts]))
 
 
+def join_is_f_free(parts, pattern: recognition.ForbiddenPattern) -> bool:
+    """Whether K_1 v (P_a for a in parts) avoids pattern, read off the parts.
+
+    The paths are acyclic, so a C_ell runs through the hub and ell - 1
+    consecutive vertices of one part. At most one P_ell passes the hub,
+    joining end pieces of at most two parts; a piece longer than its
+    part's residue a mod ell costs that part one P_ell of its own. So the
+    most disjoint P_ell number sum(a // ell), plus one when the two largest
+    residues (a missing one counts 0) add up to at least ell - 1.
+    """
+    ell = pattern.ell
+    if pattern.kind == "cycle":
+        return max(parts) < ell - 1
+    top = sorted((a % ell for a in parts), reverse=True)[:2] + [0]
+    return sum(a // ell for a in parts) + (top[0] + top[1] >= ell - 1) < pattern.t
+
+
 def _join_candidate(n: int, head: tuple[int, ...], part: int,
                     pattern: recognition.ForbiddenPattern) -> tuple[Graph, int, int]:
     """K_1 v (P_h for h in head, alpha P_part, P_r), where alpha, r =
-    divmod(n - 1 - sum(head), part), checked to lie in pattern's class."""
+    divmod(n - 1 - sum(head), part), checked to avoid pattern. A path
+    join is connected and outerplanar by construction."""
     if n > MAX_VERTICES:
         raise CapacityError(f"order {n} exceeds {MAX_VERTICES}")
     alpha, r = divmod(n - 1 - sum(head), part)
-    g = path_join(head + (part,) * alpha + (r,))
-    _assert_class(g, pattern)
-    return g, alpha, r
+    spec = PathJoinSpec(head + (part,) * alpha + (r,))
+    if not join_is_f_free(spec.parts, pattern):
+        raise ConstructionError(f"constructed graph contains {pattern}")
+    return path_join(spec), alpha, r
 
 
 def cycle_extremal(n: int, ell: int) -> tuple[Graph, int, int]:
@@ -107,11 +128,3 @@ def h_gadget(h: Graph, u: int, t: int, s: int) -> Graph:
             g = g.with_new_vertex(mask)
     return g
 
-
-def _assert_class(g: Graph, pattern: recognition.ForbiddenPattern) -> None:
-    if not g.is_connected():
-        raise ConstructionError("constructed graph is not connected")
-    if not recognition.is_outerplanar(g):
-        raise ConstructionError("constructed graph is not outerplanar")
-    if not recognition.is_f_free(g, pattern):
-        raise ConstructionError(f"constructed graph contains {pattern}")

@@ -36,6 +36,7 @@ CONFIRMED = "Confirmed"
 REFUTED = "Refuted"
 TIE = "Tie"
 OUT_OF_SCOPE = "OutOfScope"
+ERROR = "Error"
 
 PATH_THEOREM_CELLS = ((1, 4), (1, 5), (1, 6), (2, 2), (2, 3))
 
@@ -345,8 +346,10 @@ def _raises_q(name, params, instances, sep, describe) -> VerificationReport:
 
 def _move_suite(name, kind, n_range, sep):
     """Every application of the move `kind` of transforms.MOVES to a
-    connected graph of each order must raise q. The graphs of an order
-    are solved as one batch first, as the Perron guards read them."""
+    connected graph of each order must raise q. The move's generator
+    yields only the tuples at which it applies, so each is an instance.
+    The graphs of an order are solved as one batch first, as the Perron
+    guards read them."""
 
     def instances():
         for n in n_range:
@@ -560,7 +563,9 @@ def run_campaign(config_path) -> tuple[int, list[Path]]:
 
     The whole task list is built and checked before the first task runs.
     Each report is written as soon as its check finishes, and
-    summary.csv last. Exit code is 0 iff no check is Refuted.
+    summary.csv last. A check that raises gets a report with status
+    Error and the exception's first line as its note, and the campaign
+    goes on. Exit code is 0 iff no check is Refuted or Error.
     """
     cfg = parse_campaign_config(config_path)
     tasks = _campaign_tasks(cfg)
@@ -571,11 +576,16 @@ def run_campaign(config_path) -> tuple[int, list[Path]]:
     writer = csv.writer(summary)
     writer.writerow(["check_id", "status", "margin", "runtime_ms"])
     exit_code = 0
-    for _, task in tasks:
-        report = task()
+    for check_id, task in tasks:
+        try:
+            report = task()
+        except Exception as exc:
+            first_line = str(exc).partition("\n")[0]
+            report = VerificationReport(check_id, {}, ERROR,
+                                        notes=[f"{type(exc).__name__}: {first_line}"])
         name = report.check_id.replace(":", "_").replace(",", "_").replace("=", "")
         files.append(_write_atomically(out_dir / f"{name}.json", report.to_json()))
         writer.writerow([report.check_id, report.status, report.margin, report.runtime_ms])
-        exit_code |= report.status == REFUTED
+        exit_code |= report.status in (REFUTED, ERROR)
     files.append(_write_atomically(out_dir / "summary.csv", summary.getvalue()))
     return exit_code, files

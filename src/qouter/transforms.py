@@ -135,16 +135,17 @@ def path_shift(h: Graph, u: int, t: int, s: int) -> Graph:
 
 # -- the move table ---------------------------------------------------
 #
-# Each candidate generator reads its tuples off the membership clauses of
-# its move's hypotheses and yields them in lexicographic order; the apply
-# function checks every clause again and stays the only authority.
-# PerronRotate's generator also tests the vector clause, through the
-# helper its apply function uses, with the Perron vector read once per
-# graph, so it yields only tuples at which the move applies.
+# Each candidate generator tests every clause of its move's hypotheses and
+# yields exactly the vertex tuples at which the move applies, in
+# lexicographic order; none yields on a disconnected graph. The apply
+# function checks every clause again and stays the authority: a tuple it
+# refuses is a generator bug, and the error leaves move_results.
 
 
 def _add_edge_candidates(g: Graph):
     """Non-edges u < v."""
+    if not g.is_connected():
+        return
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if not g.has_edge(u, v):
@@ -153,7 +154,7 @@ def _add_edge_candidates(g: Graph):
 
 def _perron_rotate_candidates(g: Graph):
     """v with the Perron clause x_u >= x_v, then w in N(v) minus N[u]
-    (empty for v = u); none on a disconnected graph."""
+    (empty for v = u). The Perron vector is read once per graph."""
     if not g.is_connected():
         return
     x = q_index(g).vector.tolist()
@@ -167,32 +168,61 @@ def _perron_rotate_candidates(g: Graph):
 
 
 def _leaf_reattach_candidates(g: Graph):
-    """v in N(u), then w in N(v) minus N[u]."""
+    """v in N(u) with d(v) <= d(u) - 2 and one or two neighbors z outside
+    N[u], each with N(z) minus v inside N(v) minus N(u); then w among them."""
+    if not g.is_connected():
+        return
     for u in range(g.n):
         closed_u = g.adj[u] | (1 << u)
         for v in bits(g.adj[u]):
-            for w in bits(g.adj[v] & ~closed_u):
-                yield u, v, w
+            outside = g.adj[v] & ~closed_u
+            if g.degree(v) > g.degree(u) - 2 or outside.bit_count() not in (1, 2):
+                continue
+            allowed = g.adj[v] & ~g.adj[u]
+            if all(g.adj[z] & ~(1 << v) & ~allowed == 0 for z in bits(outside)):
+                for w in bits(outside):
+                    yield u, v, w
 
 
 def _pendant_pull_candidates(g: Graph):
-    """A leaf w1 outside N[u] whose one neighbor w2 is outside N[u]."""
+    """A leaf w1 outside N[u] whose one neighbor w2 lies outside N[u],
+    has every other neighbor in N(u), and has degree below d(u)."""
+    if not g.is_connected():
+        return
     full = (1 << g.n) - 1
     for u in range(g.n):
         closed_u = g.adj[u] | (1 << u)
         for w1 in bits(full & ~closed_u):
-            if g.adj[w1].bit_count() == 1 and not g.adj[w1] & closed_u:
-                yield u, w1, g.adj[w1].bit_length() - 1
+            if g.adj[w1].bit_count() != 1 or g.adj[w1] & closed_u:
+                continue
+            w2 = g.adj[w1].bit_length() - 1
+            if (g.adj[w2] & ~(1 << w1) & ~g.adj[u] == 0
+                    and g.degree(u) >= g.degree(w2) + 1):
+                yield u, w1, w2
 
 
 def _chord_swap_candidates(g: Graph):
-    """w outside N[u] with N(w) = {v1 < v2} inside N(u)."""
+    """u of degree >= 5 whose neighborhood induces paths, and w outside
+    N[u] with N(w) = {v1 < v2} an edge inside N(u) whose ends have no
+    neighbor outside N[u] but w. The neighborhood test runs at most once
+    per u, and only when a tuple reaches it."""
+    if not g.is_connected():
+        return
     full = (1 << g.n) - 1
     for u in range(g.n):
+        if g.degree(u) < 5:
+            continue
         closed_u = g.adj[u] | (1 << u)
+        paths = None
         for w in bits(full & ~closed_u):
-            if g.adj[w].bit_count() == 2 and not g.adj[w] & ~g.adj[u]:
-                v1, v2 = bits(g.adj[w])
+            if g.adj[w].bit_count() != 2 or g.adj[w] & ~g.adj[u]:
+                continue
+            v1, v2 = bits(g.adj[w])
+            if not g.has_edge(v1, v2) or (g.adj[v1] | g.adj[v2]) & ~closed_u & ~(1 << w):
+                continue
+            if paths is None:
+                paths = recognition.neighborhood_is_paths(g, u)
+            if paths:
                 yield u, w, v1, v2
 
 
@@ -211,14 +241,12 @@ MOVES = {
 
 def move_results(g: Graph, kind: str):
     """Yield (vertices, rewritten graph) for every vertex tuple at which the
-    move `kind` of MOVES applies to g, in lexicographic order."""
+    move `kind` of MOVES applies to g, in lexicographic order. The apply
+    function re-checks each generated tuple; a refusal propagates."""
     name, candidates = MOVES[kind]
     apply = globals()[name]
     for vertices in candidates(g):
-        try:
-            yield vertices, apply(g, *vertices)
-        except (PreconditionError, EdgeStateError):
-            continue
+        yield vertices, apply(g, *vertices)
 
 
 # -- greedy ascent ----------------------------------------------------

@@ -1,17 +1,26 @@
+import time
+
 import pytest
 
-from qouter import constructions
 from qouter.canon import canonical_code
 from qouter.constructions import (
     PathJoinSpec,
     cycle_extremal,
     h_gadget,
+    join_is_f_free,
     path_extremal,
     path_join,
 )
 from qouter.errors import CapacityError, ParameterError
 from qouter.graphs import Graph, path, star
-from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
+from qouter.harness import _partitions
+from qouter.recognition import (
+    ForbiddenPattern,
+    contains_cycle,
+    contains_disjoint_paths,
+    is_f_free,
+    is_outerplanar,
+)
 
 from .oracles import cycle_oracle, path_pack_oracle
 
@@ -120,12 +129,9 @@ def test_path_extremal_printed_formula_discrepancy():
     assert printed_parts(20, 2, 3) != hub_part_sizes(g)
 
 
-def test_path_extremal_printed_formula_matches_iff_t_is_1(monkeypatch):
+def test_path_extremal_printed_formula_matches_iff_t_is_1():
     """The printed closed forms give the built candidate's parts exactly
     when t = 1; for every t >= 2 they miss the part-sum identity."""
-    # the class check takes seconds per cell at large t and has its own
-    # test (test_path_extremal_part_sum_identity); this one reads the parts
-    monkeypatch.setattr(constructions, "_assert_class", lambda g, pattern: None)
     cells = 0
     for n in range(5, 65):
         for t in range(1, n):
@@ -146,6 +152,38 @@ def test_path_extremal_part_sum_identity():
             assert is_f_free(g, ForbiddenPattern.paths(t, ell))
             if n <= 8:
                 assert not path_pack_oracle(g, t, ell)
+
+
+def test_join_is_f_free_matches_the_searches():
+    """The closed form against contains_cycle and contains_disjoint_paths on
+    every path join of order n <= 13, for every C_ell and, at the largest t
+    the search packs and the next one, every tP_ell; containment is monotone
+    in t, so those two decide every t."""
+    cases = 0
+    for n in range(2, 14):
+        for parts in _partitions(n - 1):
+            g = path_join(parts)
+            for ell in range(3, n + 1):
+                assert join_is_f_free(parts, ForbiddenPattern.cycle(ell)) == (
+                    not contains_cycle(g, ell)), (parts, ell)
+                cases += 1
+            for ell in range(2, n + 1):
+                most = 0
+                while contains_disjoint_paths(g, most + 1, ell):
+                    most += 1
+                for t in range(max(most, 1), most + 2):
+                    assert join_is_f_free(parts, ForbiddenPattern.paths(t, ell)) == (
+                        t > most), (parts, t, ell)
+                    cases += 1
+    assert cases == 6825
+
+
+def test_path_extremal_many_short_paths_returns_fast():
+    # a general search for 13 disjoint P_3 in this join ran for minutes
+    start = time.perf_counter()
+    g, alpha, r = path_extremal(40, 13, 3)
+    assert time.perf_counter() - start < 1.0
+    assert hub_part_sizes(g) == [35, 2, 2] and (alpha, r) == (2, 0)
 
 
 def test_path_extremal_validation():

@@ -115,6 +115,22 @@ def test_connectivity_and_components():
     assert g.has_edge(2, 3) and not g.has_edge(1, 2)
 
 
+@settings(max_examples=80, deadline=None)
+@given(graphs_strategy)
+def test_reachable_mask_matches_networkx(g):
+    import networkx as nx
+
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    for v in range(g.n):
+        assert g.reachable_mask(v) == sum(1 << u for u in nx.node_connected_component(ref, v))
+    assert g.components() == sorted(
+        (sum(1 << u for u in comp) for comp in nx.connected_components(ref)),
+        key=lambda mask: mask & -mask)
+    assert g.is_connected() == nx.is_connected(ref)
+
+
 def test_connectivity_is_computed_once_per_graph(monkeypatch):
     calls = []
     reach = Graph.reachable_mask

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,12 +7,14 @@ import pytest
 
 from qouter import harness, spectral
 from qouter.canon import canonical_code
+from qouter.cli import main
 from qouter.constructions import cycle_extremal, path_extremal
 from qouter.errors import ConfigError, ParameterError
 from qouter.graph6 import graph6_decode, graph6_encode
 from qouter.graphs import path, star
 from qouter.harness import (
     CONFIRMED,
+    ERROR,
     OUT_OF_SCOPE,
     REFUTED,
     VerificationReport,
@@ -458,21 +461,48 @@ def test_campaign_without_checks_is_rejected_before_writing(tmp_path, text):
 
 def test_campaign_writes_each_report_as_its_check_finishes(tmp_path, monkeypatch):
     real = harness.verify_cycle_theorem
-    calls = []
+    reports = tmp_path / "reports"
+    seen = []
 
-    def second_fails(*args):
-        calls.append(args)
-        if len(calls) == 2:
+    def look_then_run(*args):
+        # each earlier report, the failed one included, is on disk already
+        seen.append(sorted(f.name for f in reports.iterdir()))
+        if len(seen) == 2:
             raise RuntimeError("second check fails")
         return real(*args)
 
-    monkeypatch.setattr(harness, "verify_cycle_theorem", second_fails)
-    with pytest.raises(RuntimeError, match="second check fails"):
-        run_campaign(_campaign(tmp_path, "checks = cycle\nn_min = 5\nn_max = 5\n"))
-    written = sorted(f.name for f in (tmp_path / "reports").iterdir())
-    assert written == ["cycle_n5_ell3.json"]
-    report = VerificationReport.from_json((tmp_path / "reports" / written[0]).read_text())
+    monkeypatch.setattr(harness, "verify_cycle_theorem", look_then_run)
+    run_campaign(_campaign(tmp_path, "checks = cycle\nn_min = 5\nn_max = 5\n"))
+    assert seen == [[], ["cycle_n5_ell3.json"], ["cycle_n5_ell3.json", "cycle_n5_ell4.json"]]
+    report = VerificationReport.from_json((reports / "cycle_n5_ell3.json").read_text())
     assert report.check_id == "cycle:n=5,ell=3" and report.status == CONFIRMED
+
+
+def test_campaign_survives_a_failing_check(tmp_path, monkeypatch, capsys):
+    real = harness.verify_cycle_theorem
+
+    def ell4_fails(n, ell, sep):
+        if ell == 4:
+            raise RuntimeError("solver blew up\nsecond line")
+        return real(n, ell, sep)
+
+    monkeypatch.setattr(harness, "verify_cycle_theorem", ell4_fails)
+    config = _campaign(tmp_path, "checks = cycle, lemma:delta\nn_min = 5\nn_max = 5\n")
+    code, files = run_campaign(config)
+    assert code == 1
+    assert [f.name for f in files] == ["cycle_n5_ell3.json", "cycle_n5_ell4.json",
+                                       "cycle_n5_ell5.json", "lemma_delta.json", "summary.csv"]
+    failed = VerificationReport.from_json((tmp_path / "reports" / "cycle_n5_ell4.json").read_text())
+    assert failed.check_id == "cycle:n=5,ell=4" and failed.status == ERROR
+    assert failed.notes == ["RuntimeError: solver blew up"]
+    rows = list(csv.reader((tmp_path / "reports" / "summary.csv").open()))
+    assert [row[:2] for row in rows[1:]] == [["cycle:n=5,ell=3", CONFIRMED],
+                                             ["cycle:n=5,ell=4", ERROR],
+                                             ["cycle:n=5,ell=5", CONFIRMED],
+                                             ["lemma:delta", CONFIRMED]]
+    # the command line exits 1 and still lists every file
+    assert main(["campaign", str(config)]) == 1
+    assert capsys.readouterr().out.split() == [str(f) for f in files]
 
 
 # The campaign's cells for checks = cycle, path, structural at n = 4..10,

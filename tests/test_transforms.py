@@ -184,11 +184,13 @@ def _exhaustive(g, kind):
 
 
 def _assert_table_matches(g):
-    """Assert every kind's generator agrees with the exhaustive scan on g;
-    return the kinds that apply somewhere."""
+    """Assert every kind's raw generator yields exactly the tuples that the
+    exhaustive scan accepts on g, in its order, and that move_results
+    gives the same rewrites; return the kinds that apply somewhere."""
     kinds = set()
     for kind in MOVES:
         expected = _exhaustive(g, kind)
+        assert list(MOVES[kind][1](g)) == [vertices for vertices, _ in expected], (kind, g)
         assert list(move_results(g, kind)) == expected, (kind, g)
         if expected:
             kinds.add(kind)
@@ -200,18 +202,33 @@ def test_move_table_matches_exhaustive_scan():
     # ChordSwap needs d(u) >= 5 and a w outside N[u], so n >= 7: add the
     # hub over P5 with w on the chord 1-2
     chord = path(5).with_new_vertex(0b11111).with_new_vertex(0b00110)
+    # graphs past the sweep's orders on which one clause alone refuses a
+    # move that every other clause admits
+    near_misses = [
+        # LeafReattach: v = 1 has three neighbours outside N[0]
+        star(7).with_new_vertex(0b10).with_new_vertex(0b10).with_new_vertex(0b10),
+        # PendantPull: w2 = 5 has the neighbour 4 outside N(0)
+        from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (5, 6)]),
+        # ChordSwap: N(6) = {1, 2} is no edge; 1 has a neighbour outside
+        # N[5] other than 6; N(5) induces a cycle
+        chord.remove_edge(1, 2),
+        chord.with_new_vertex(0b10),
+        chord.add_edge(0, 4),
+    ]
     rng = random.Random(2024)
     applied = set()
     # every move needs a connected graph: no kind yields on two components
     assert not _assert_table_matches(disjoint_union([path(3), star(4)]))
-    for g in [g for n in range(1, 7) for g in connected_graphs(n)] + [chord]:
+    for g in [g for n in range(1, 7) for g in connected_graphs(n)] + [chord] + near_misses:
         kinds = _assert_table_matches(g)
         applied |= kinds
         # the narrow moves apply on a handful of graphs, each under one
-        # labeling; check those under more labelings as well
-        if kinds - {"AddEdge", "PerronRotate"}:
+        # labeling; check those under more labelings as well, and with an
+        # isolated vertex added, where none applies
+        if kinds - {"AddEdge", "PerronRotate"} or g in near_misses:
             for _ in range(20):
                 _assert_table_matches(g.permuted(rng.sample(range(g.n), g.n)))
+            assert not _assert_table_matches(disjoint_union([g, path(1)]))
     # every kind applies somewhere, so the comparison is not vacuous
     assert applied == set(MOVES)
 
