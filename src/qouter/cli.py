@@ -11,7 +11,7 @@ from pathlib import Path
 from . import harness
 from .constructions import cycle_extremal, path_extremal, path_join
 from .enumeration import EnumerationClass, enumerate_class
-from .errors import CapacityError, ConfigError, ParameterError, PatternError
+from .errors import CapacityError, ConfigError, ParameterError, PatternError, check_max_steps
 from .graph6 import graph6_decode, graph6_encode
 from .recognition import ForbiddenPattern
 from .spectral import q_index, q_indices
@@ -127,6 +127,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_ascend(args) -> int:
+    check_max_steps(args.max_steps)  # before the input, which may hold no graph
     graphs = _read_graphs(args.graph6)
     pattern = ForbiddenPattern.parse(args.pattern) if args.pattern else None
     out = []

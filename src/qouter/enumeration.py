@@ -25,24 +25,24 @@ order down, and adds z only with the neighbourhoods such a vertex has:
 In each class z itself is eligible: deleting it gives back the parent.
 What does not depend on z is computed once per parent: its neighbour
 lists, which the child's refinement extends by z, and the components of
-the parent minus each vertex v; v is a non-cut vertex of the child iff
-z's row meets every one of them. The canonical search places the
-isomorphism-invariant refinement colours in ascending order, so v*
-carries the largest colour of an eligible vertex, and a child is kept
-only if z has it too. Colours start from degree and each round only
-splits classes, never reorders them, so a child is decided by z and its
-rivals, the eligible vertices still tied with z. (1) The first two
-rounds are read off the parent's neighbour lists and the mask, before
-the child is built: an eligible vertex of larger degree than z, or of
-z's degree with larger sorted neighbour degrees, rejects the child.
-(2) A z with two neighbours is tested by `recognition.is_outerplanar`;
-a leaf z adds no cycle to its outerplanar parent and needs no test. (3)
-With rivals left, refinement stops at the first round in which one
-outranks z (rejected) or none shares z's colour (z is v*). (4) Only if
-a rival still has z's colour in the stable colouring does the canonical
-search run, on those colours; the automorphism orbits it finds decide
-whether z is in the orbit of v*. Without a rival z is v*, and the child
-is kept unsearched.
+the parent minus each vertex v (`Graph.components` masked to all but v);
+v is a non-cut vertex of the child iff z's row meets every one of them.
+The canonical search places the isomorphism-invariant refinement colours
+in ascending order, so v* carries the largest colour of an eligible
+vertex, and a child is kept only if z has it too. Colours start from
+degree and each round only splits classes, never reorders them, so a
+child is decided by z and its rivals, the eligible vertices still tied
+with z. (1) The first two rounds are read off the parent's neighbour
+lists and the mask, before the child is built: an eligible vertex of
+larger degree than z, or of z's degree with larger sorted neighbour
+degrees, rejects the child. (2) A z with two neighbours is tested by
+`recognition.is_outerplanar`; a leaf z adds no cycle to its outerplanar
+parent and needs no test. (3) With rivals left, refinement stops at the
+first round in which one outranks z (rejected) or none shares z's colour
+(z is v*). (4) Only if a rival still has z's colour in the stable
+colouring does the canonical search run, on those colours; the
+automorphism orbits it finds decide whether z is in the orbit of v*.
+Without a rival z is v*, and the child is kept unsearched.
 
 Freeness of a forbidden pattern is closed under subgraphs (containing
 `C_l` or `tP_l` is a subgraph property), so it could prune the levels;
@@ -80,23 +80,6 @@ def _masks(order: int, outerplanar: bool) -> tuple[int, ...]:
     two vertices if outerplanar."""
     high = 2 if outerplanar else order
     return tuple(m for m in range(1, 1 << order) if m.bit_count() <= high)
-
-
-def _split(adj: tuple[int, ...], v: int) -> list[int]:
-    """The vertex masks of the components of the graph minus v."""
-    rest = ((1 << len(adj)) - 1) & ~(1 << v)
-    parts = []
-    while rest:
-        part = frontier = rest & -rest
-        while frontier:
-            grow = 0
-            for u in bits(frontier):
-                grow |= adj[u]
-            frontier = grow & rest & ~part
-            part |= frontier
-        parts.append(part)
-        rest &= ~part
-    return parts
 
 
 def _rivals(degree: list[int], nbrs: list[list[int]], split: list[list[int]],
@@ -148,7 +131,7 @@ def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
     z = parent.n
     nbrs = [list(bits(row)) for row in parent.adj]
     degree = [len(nv) for nv in nbrs]
-    split = [_split(parent.adj, v) for v in range(z)]
+    split = [parent.components(~(1 << v)) for v in range(z)]
     images = [[1 << w for w in sigma] for sigma in _search(parent, _refine(parent))[3]]
     tried: set[int] = set()
     for mask in _masks(z, outerplanar):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the `sep` check."""
+"""Exception types shared across the package, and the parameter checks."""
 
 
 class CapacityError(ValueError):
@@ -50,3 +50,8 @@ def check_sep(sep: float) -> None:
     """Reject a separation that is not a number >= 0, NaN included."""
     if not sep >= 0:
         raise ParameterError("sep must be nonnegative")
+
+
+def check_max_steps(max_steps: int) -> None:
+    if max_steps < 0:
+        raise ParameterError(f"max_steps must be >= 0, got {max_steps}")

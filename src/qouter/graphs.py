@@ -63,9 +63,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
@@ -145,10 +142,11 @@ class Graph:
 
     # -- connectivity -------------------------------------------------
 
-    def reachable_mask(self, start: int) -> int:
-        """Vertex mask of start's component, by breadth-first search over
-        bitsets. The frontier is walked inline: the bits() generator
-        costs about twice as much on the small graphs generation makes."""
+    def reachable_mask(self, start: int, within: int = -1) -> int:
+        """Vertex mask of start's component in G[within], all of G by
+        default, by breadth-first search over bitsets. The frontier is
+        walked inline: the bits() generator costs about twice as much on
+        the small graphs generation makes."""
         adj = self.adj
         seen = 1 << start
         frontier = seen
@@ -158,7 +156,7 @@ class Graph:
                 low = frontier & -frontier
                 grow |= adj[low.bit_length() - 1]
                 frontier ^= low
-            frontier = grow & ~seen
+            frontier = grow & within & ~seen
             seen |= frontier
         return seen
 
@@ -167,13 +165,14 @@ class Graph:
             object.__setattr__(self, "_connected", self.reachable_mask(0) == (1 << self.n) - 1)
         return self._connected
 
-    def components(self) -> list[int]:
-        """Vertex bitmasks of the connected components, by least vertex."""
-        remaining = (1 << self.n) - 1
+    def components(self, within: int = -1) -> list[int]:
+        """Vertex bitmasks of the components of G[within], all of G by
+        default, by least vertex."""
+        remaining = within & (1 << self.n) - 1
         comps = []
         while remaining:
             start = (remaining & -remaining).bit_length() - 1
-            mask = self.reachable_mask(start)
+            mask = self.reachable_mask(start, within)
             comps.append(mask)
             remaining &= ~mask
         return comps

@@ -27,7 +27,6 @@ from .enumeration import (
 )
 from .errors import ConfigError, ParameterError, check_sep
 from .graph6 import graph6_encode
-from .graphs import bits
 from .recognition import ForbiddenPattern
 from .spectral import (Ordering, compare_results, eta_max, path_join_ratios, q_index,
                        q_indices, q_stream)
@@ -228,9 +227,8 @@ def _check_obv(n_range, sep):
             for u in range(n):
                 if not recognition.neighborhood_is_paths(g, u):
                     violations.append((g, f"N({u}) is not a union of paths"))
-                nu = g.induced(bits(g.adj[u]))
-                sub_index = {v: i for i, v in enumerate(bits(g.adj[u]))}
-                closed = g.adj[u] | (1 << u)
+                nbrs = g.adj[u]
+                closed = nbrs | (1 << u)
                 two_cn = []
                 for v in range(n):
                     if v == u:
@@ -242,17 +240,12 @@ def _check_obv(n_range, sep):
                         a, b = cn
                         two_cn.append((v, a, b))
                         if not g.has_edge(a, b):
-                            ia, ib = sub_index[a], sub_index[b]
-                            same_comp = any(
-                                (comp >> ia) & 1 and (comp >> ib) & 1
-                                for comp in nu.components()
-                            )
-                            if same_comp:
+                            if (g.reachable_mask(a, nbrs) >> b) & 1:
                                 violations.append(
                                     (g, f"common neighbors of {u},{v} nonadjacent "
                                         "but in one component of G[N(u)]")
                                 )
-                            elif nu.degree(ia) > 1 or nu.degree(ib) > 1:
+                            elif any((g.adj[x] & nbrs).bit_count() > 1 for x in cn):
                                 violations.append(
                                     (g, f"common neighbors of {u},{v} in different "
                                         "components but not both path endpoints")

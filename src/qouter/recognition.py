@@ -168,10 +168,9 @@ def neighborhood_is_paths(g: Graph, u: int) -> bool:
     """True iff every component of the subgraph induced by N(u) is a path:
     of maximum degree <= 2 and acyclic, i.e. m = n - #components."""
     nbrs = g.adj[u]
-    if nbrs == 0:
-        return True
-    sub = g.induced(bits(nbrs))
-    return sub.max_degree() <= 2 and sub.m == sub.n - len(sub.components())
+    degrees = [(g.adj[x] & nbrs).bit_count() for x in bits(nbrs)]
+    return (max(degrees, default=0) <= 2
+            and sum(degrees) // 2 == len(degrees) - len(g.components(nbrs)))
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> tuple[int, ...]:

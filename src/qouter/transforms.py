@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import recognition
 from .canon import is_transposition_automorphism
-from .errors import EdgeStateError, ParameterError, PreconditionError
+from .errors import EdgeStateError, PreconditionError, check_max_steps
 from .graphs import Graph, bits
 from .spectral import q_index
 from .constructions import h_gadget
@@ -278,8 +278,7 @@ def greedy_ascent(
     hypotheses hold and the result stays connected, outerplanar, and
     pattern-free. A negative max_steps raises ParameterError.
     """
-    if max_steps < 0:
-        raise ParameterError(f"max_steps must be >= 0, got {max_steps}")
+    check_max_steps(max_steps)
     trace: list[TraceStep] = []
     current = g
     for _ in range(max_steps):

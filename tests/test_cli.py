@@ -207,9 +207,10 @@ def test_header_only_graph6_exits_with_one_line(tmp_path, capsys):
     assert err == f"qouter: error: {source} line 1: '>>graph6<<': empty graph6 string\n"
 
 
-def test_negative_max_steps_exits_with_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("text", ["", graph6_encode(path(6)) + "\n"], ids=["empty", "one-graph"])
+def test_negative_max_steps_exits_with_one_line(tmp_path, capsys, text):
     source = tmp_path / "seed.g6"
-    source.write_text(graph6_encode(path(6)) + "\n")
+    source.write_text(text)
     code, out, err = run(capsys, "ascend", "--graph6", str(source), "--max-steps", "-3")
     assert code == 2 and out == ""
     assert err == "qouter: error: max_steps must be >= 0, got -3\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from math import factorial
 
@@ -121,7 +122,7 @@ def test_early_exit_refinement(monkeypatch, generator, connected, outerplanar, t
         for parent in generator(n):
             nbrs = [list(bits(row)) for row in parent.adj]
             degree = [len(nv) for nv in nbrs]
-            split = [enumeration._split(parent.adj, v) for v in range(n)]
+            split = [parent.components(~(1 << v)) for v in range(n)]
             searched.clear()
             kept = set(enumeration._children(parent, outerplanar))
             searched_children = set(searched[1:])  # the first search is the parent's
@@ -197,7 +198,7 @@ def test_rivals_match_induced_connectivity():
         for parent in connected_graphs(n):
             nbrs = [list(bits(row)) for row in parent.adj]
             degree = [len(nv) for nv in nbrs]
-            split = [enumeration._split(parent.adj, v) for v in range(n)]
+            split = [parent.components(~(1 << v)) for v in range(n)]
             for mask in range(1, 1 << n):
                 child = parent.with_new_vertex(mask)
                 non_cut = [child.induced(set(range(n + 1)) - {v}).is_connected() for v in range(n)]
@@ -219,6 +220,18 @@ def test_members_pairwise_nonisomorphic():
         for n in range(1, top + 1):
             graphs = generator(n)
             assert len({canonical_code(g) for g in graphs}) == len(graphs), (generator, n)
+
+
+def test_generated_rows_are_pinned():
+    """The rows of every member, in generation order, as one SHA-256. A
+    change that re-keys the rows (another canonical form or mask order)
+    must update the value and say so; any other change keeps it."""
+    digest = hashlib.sha256()
+    for generator, top in ((connected_outerplanar, 9), (connected_graphs, 7)):
+        for n in range(1, top + 1):
+            for g in generator(n):
+                digest.update(repr(g.adj).encode())
+    assert digest.hexdigest() == "2607538a3cb4d33b0e26a67f7e7a25cd2278ced10b4d057b31ae19223beb3b34"
 
 
 def test_enumerate_class_filters_pattern():

@@ -116,18 +116,26 @@ def test_connectivity_and_components():
 
 
 @settings(max_examples=80, deadline=None)
-@given(graphs_strategy)
-def test_reachable_mask_matches_networkx(g):
+@given(graphs_strategy, st.data())
+def test_reachable_mask_matches_networkx(g, data):
+    """The walk restricted to a vertex mask (the empty one, every vertex,
+    and a drawn one) against the components of networkx's induced
+    subgraph; without a mask it walks every vertex."""
     import networkx as nx
 
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges())
-    for v in range(g.n):
-        assert g.reachable_mask(v) == sum(1 << u for u in nx.node_connected_component(ref, v))
-    assert g.components() == sorted(
-        (sum(1 << u for u in comp) for comp in nx.connected_components(ref)),
-        key=lambda mask: mask & -mask)
+    full = (1 << g.n) - 1
+    for within in (0, full, data.draw(st.integers(0, full), label="within")):
+        sub = ref.subgraph(bits(within))
+        for v in bits(within):
+            assert g.reachable_mask(v, within) == sum(1 << u for u in nx.node_connected_component(sub, v))
+        assert g.components(within) == sorted(
+            (sum(1 << u for u in comp) for comp in nx.connected_components(sub)),
+            key=lambda mask: mask & -mask)
+    assert [g.reachable_mask(v) for v in range(g.n)] == [g.reachable_mask(v, full) for v in range(g.n)]
+    assert g.components() == g.components(full)
     assert g.is_connected() == nx.is_connected(ref)
 
 

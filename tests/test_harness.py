@@ -11,7 +11,7 @@ from qouter.cli import main
 from qouter.constructions import cycle_extremal, path_extremal
 from qouter.errors import ConfigError, ParameterError
 from qouter.graph6 import graph6_decode, graph6_encode
-from qouter.graphs import path, star
+from qouter.graphs import complete, from_edges, path, star
 from qouter.harness import (
     CONFIRMED,
     ERROR,
@@ -121,6 +121,51 @@ def test_pair_disjointness_needs_adjacency():
     report = check_lemma("obv", range(6, 7))
     assert report.status == CONFIRMED
     assert any("adjacent vertex pairs" in note for note in report.notes)
+
+
+OBV_VIOLATIONS = [
+    (complete(4), [
+        "e=6 exceeds 2n-3 at n=4",
+        "N(0) is not a union of paths",
+        "N(1) is not a union of paths",
+        "N(2) is not a union of paths",
+        "N(3) is not a union of paths",
+    ]),
+    (from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]), [
+        "pair-disjointness holds only for adjacent vertex pairs; 3 unrestricted "
+        "exceptions, e.g. D]o (nonadjacent 3,4 share a common neighbor with 2)",
+        "|N(0) cap N(1)| = 3 > 2",
+        "|N(1) cap N(0)| = 3 > 2",
+    ]),
+    (from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (4, 1), (4, 3)]), [
+        "common neighbors of 0,4 nonadjacent but in one component of G[N(u)]",
+        "|N(1) cap N(3)| = 3 > 2",
+        "common neighbors of 2,4 nonadjacent but in one component of G[N(u)]",
+        "|N(3) cap N(1)| = 3 > 2",
+        "overlapping 2-common-neighbor pairs at 4: 0,2 despite edge 0-2",
+    ]),
+    (from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (2, 3), (4, 2), (4, 5)]), [
+        "common neighbors of 0,4 in different components but not both path endpoints",
+        "common neighbors of 2,5 in different components but not both path endpoints",
+    ]),
+    (from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2), (5, 2), (5, 3), (4, 5)]), [
+        "pair-disjointness holds only for adjacent vertex pairs; 1 unrestricted "
+        "exceptions, e.g. EsWw (nonadjacent 1,3 share a common neighbor with 2)",
+        "overlapping 2-common-neighbor pairs at 0: 4,5 despite edge 4-5",
+    ]),
+]
+
+
+@pytest.mark.parametrize("g, notes", OBV_VIOLATIONS, ids=["K4", "K23", "one-component",
+                                                          "not-endpoints", "overlap"])
+def test_obv_violation_messages_are_pinned(monkeypatch, g, notes):
+    """Each graph reaches a violation branch of the obv suite that no
+    member of the outerplanar class reaches: K_4 and K_{2,3} are not
+    outerplanar, and the other three break one structural rule each."""
+    monkeypatch.setattr(harness, "connected_outerplanar", lambda n: (g,))
+    report = check_lemma("obv", [g.n])
+    assert report.status == REFUTED
+    assert report.notes == notes
 
 
 def test_check_lemma_small_ranges():
