@@ -48,10 +48,6 @@ def _refine(g: Graph, z: int = 0, rivals: int = 0,
             return color
 
 
-def _twins(g: Graph, u: int, v: int) -> bool:
-    return (g.adj[u] & ~(1 << v)) == (g.adj[v] & ~(1 << u))
-
-
 def _search(g: Graph, color: list[int]) -> tuple[
         tuple[int, ...], tuple[int, ...], list[int], list[tuple[int, ...]]]:
     """Minimum row sequence, one labeling (position -> vertex) achieving
@@ -99,7 +95,8 @@ def _search(g: Graph, color: list[int]) -> tuple[
         entries.sort()
         pruned: list[tuple[int, int]] = []
         for row, v in entries:
-            twin = next((v2 for r2, v2 in pruned if row == r2 and _twins(g, v, v2)), v)
+            twin = next((v2 for r2, v2 in pruned
+                         if row == r2 and is_transposition_automorphism(g, v, v2)), v)
             if twin == v:
                 pruned.append((row, v))
             else:  # swapping twins is an automorphism
@@ -146,5 +143,5 @@ def canonical_code(g: Graph) -> bytes:
 
 def is_transposition_automorphism(g: Graph, u: int, v: int) -> bool:
     """True iff swapping u and v (fixing the rest) preserves the edge set:
-    exactly when u and v are twins."""
-    return u == v or _twins(g, u, v)
+    exactly when u and v are twins, which every vertex is of itself."""
+    return (g.adj[u] & ~(1 << v)) == (g.adj[v] & ~(1 << u))

@@ -151,7 +151,7 @@ def _cmd_ascend(args) -> int:
 def _emit_report(report, out) -> int:
     text = report.to_json()
     if out:
-        Path(out).write_text(text)
+        harness._write_atomically(Path(out), text)
     else:
         print(text)
     return 1 if report.status == harness.REFUTED else 0

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -28,8 +29,7 @@ from .enumeration import (
 from .errors import ConfigError, ParameterError, check_sep
 from .graph6 import graph6_encode
 from .recognition import ForbiddenPattern
-from .spectral import (Ordering, compare_results, eta_max, path_join_ratios, q_index,
-                       q_indices, q_stream)
+from .spectral import Ordering, compare_results, eta_max, path_join_ratios, q_index, q_stream
 
 CONFIRMED = "Confirmed"
 REFUTED = "Refuted"
@@ -280,56 +280,57 @@ def _check_obv(n_range, sep):
     return _report("obv", {"n_range": list(n_range)}, violations, 0.0, notes=notes)
 
 
+def _solved(n_range):
+    """(g, its q_indices result) for every connected graph of each order
+    in n_range, through q_stream: g comes only after its stack is solved."""
+    return q_stream((g, g) for n in n_range for g in connected_graphs(n))
+
+
 def _check_delta(n_range, sep):
     violations = []
     slack = float("inf")
-    for n in n_range:
-        graphs = connected_graphs(n)
-        for g, res in zip(graphs, q_indices(graphs)):
-            q = res.q
-            bound = g.max_degree() + 1
-            tol = sep + res.radius
-            if q < bound - tol:
-                violations.append((g, f"q={q} below max-degree bound {bound}"))
-            is_star = g.m == n - 1 and g.max_degree() == n - 1
-            if abs(q - bound) <= tol and not is_star:
-                violations.append((g, "max-degree bound tight on a non-star"))
-            if is_star and abs(q - bound) > tol:
-                violations.append((g, "max-degree bound not tight on the star"))
-            if not is_star:
-                slack = min(slack, q - bound)
+    for g, res in _solved(n_range):
+        q = res.q
+        bound = g.max_degree() + 1
+        tol = sep + res.radius
+        if q < bound - tol:
+            violations.append((g, f"q={q} below max-degree bound {bound}"))
+        is_star = g.m == g.n - 1 and g.max_degree() == g.n - 1
+        if abs(q - bound) <= tol and not is_star:
+            violations.append((g, "max-degree bound tight on a non-star"))
+        if is_star and abs(q - bound) > tol:
+            violations.append((g, "max-degree bound not tight on the star"))
+        if not is_star:
+            slack = min(slack, q - bound)
     return _report("delta", {"n_range": list(n_range), "sep": sep}, violations, slack)
 
 
 def _check_qmu(n_range, sep):
     violations = []
     slack = float("inf")
-    for n in n_range:
-        graphs = connected_graphs(n)
-        for g, res in zip(graphs, q_indices(graphs)):
-            q = res.q
-            bound = eta_max(g)
-            if q > bound + sep + res.radius:
-                violations.append((g, f"q={q} above eta bound {bound}"))
-            slack = min(slack, bound - q)
+    for g, res in _solved(n_range):
+        q = res.q
+        bound = eta_max(g)
+        if q > bound + sep + res.radius:
+            violations.append((g, f"q={q} above eta bound {bound}"))
+        slack = min(slack, bound - q)
     return _report("qmu", {"n_range": list(n_range), "sep": sep}, violations, slack)
 
 
 def _raises_q(name, params, instances, sep, describe) -> VerificationReport:
     """The report of a suite whose every instance must raise q.
 
-    `instances` yields ((before, label), after): the after's result must
-    compare GREATER than the before's under sep, and a miss is a
-    violation at before, named by describe(label). The afters go
-    through q_stream; the befores are looked up, so the suite solves
-    them first. The margin is the least rise.
+    `instances` yields ((before, before's result, label), after): the
+    after's result must compare GREATER than the before's under sep, and
+    a miss is a violation at before, named by describe(label). The
+    afters go through q_stream; the befores come with the result their
+    own stream gave. The margin is the least rise.
     """
     violations = []
     margin = float("inf")
     count = 0
-    for (before, label), res in q_stream(instances):
+    for (before, base, label), res in q_stream(instances):
         count += 1
-        base = q_index(before)
         if compare_results(res, base, sep) is not Ordering.GREATER:
             violations.append((before, f"{describe(label)} did not raise q"))
         else:
@@ -341,18 +342,11 @@ def _move_suite(name, kind, n_range, sep):
     """Every application of the move `kind` of transforms.MOVES to a
     connected graph of each order must raise q. The move's generator
     yields only the tuples at which it applies, so each is an instance.
-    The graphs of an order are solved as one batch first, as the Perron
-    guards read them."""
-
-    def instances():
-        for n in n_range:
-            graphs = connected_graphs(n)
-            q_indices(graphs)
-            for g in graphs:
-                for vertices, result in transforms.move_results(g, kind):
-                    yield (g, vertices), result
-
-    return _raises_q(name, {"n_range": list(n_range), "sep": sep}, instances(), sep,
+    The graphs come from the solved-class walk, so a Perron guard finds
+    each one's vector solved."""
+    instances = (((g, res, vertices), after) for g, res in _solved(n_range)
+                 for vertices, after in transforms.move_results(g, kind))
+    return _raises_q(name, {"n_range": list(n_range), "sep": sep}, instances, sep,
                      lambda vertices: f"{kind} {vertices}")
 
 
@@ -361,15 +355,14 @@ def _check_edgeshift(n_range, sep):
     with t + s at most max(n_range), must raise q."""
     total_cap = max(n_range)
     seeds = [g for k in (1, 2, 3) for g in connected_graphs(k)]
-    shifts = [
-        ((h_gadget(h, u, t, s), (t, s)), transforms.path_shift(h, u, t, s))
-        for h in seeds
-        for u in range(h.n)
-        for s in range(1, total_cap // 2 + 1)
-        for t in range(s, total_cap - s + 1)
-    ]
-    q_indices(before for (before, _), _ in shifts)
-    return _raises_q("edgeshift", {"t_plus_s_max": total_cap, "sep": sep}, shifts, sep,
+    shifts = ((h_gadget(h, u, t, s), (t, s), transforms.path_shift(h, u, t, s))
+              for h in seeds
+              for u in range(h.n)
+              for s in range(1, total_cap // 2 + 1)
+              for t in range(s, total_cap - s + 1))
+    instances = (((before, res, ts), after)
+                 for (before, ts, after), res in q_stream((shift, shift[0]) for shift in shifts))
+    return _raises_q("edgeshift", {"t_plus_s_max": total_cap, "sep": sep}, instances, sep,
                      lambda ts: "shift t={},s={}".format(*ts))
 
 
@@ -405,7 +398,8 @@ def _random_partition(rng, total):
 
 def _check_claim41(n_range, sep):
     """1/q + sep < x_v/x_hub < 1/q + 30/q^2 - sep on each spec's join, solved
-    by path_join_ratios once per distinct spec; no bracket is a violation."""
+    by path_join_ratios once per distinct spec; no bracket is a violation,
+    named once per distinct join."""
     n_min, n_max = min(n_range), max(n_range)
     violations = []
     slack = math.inf
@@ -422,16 +416,15 @@ def _check_claim41(n_range, sep):
         before[radii == math.inf] = False
         slack = min(slack, float((x - lo)[before].min(initial=slack)),
                     float((hi - x)[before].min(initial=slack)))
-        for spec in specs:
-            i = row[spec.parts]
+        for join, i in row.items():
             v = before[i].sum()
             if radii[i] == math.inf:
-                violations.append((spec, f"no bracket at q={q[i, 0]}"))
+                violations.append((join, f"no bracket at q={q[i, 0]}"))
             elif v < n - 1:
-                violations.append((spec, f"entry x_{v}={x[i, v]} outside ({lo[i, 0]}, {hi[i, 0]})"))
+                violations.append((join, f"entry x_{v}={x[i, v]} outside ({lo[i, 0]}, {hi[i, 0]})"))
         count += len(specs)
     return _report("claim41", {"n_min": n_min, "n_max": n_max, "sep": sep},
-                   [(path_join(spec), message) for spec, message in violations[:20]],
+                   [(path_join(join), message) for join, message in violations[:20]],
                    slack, notes=[f"specs checked: {count}"])
 
 
@@ -555,10 +548,11 @@ def run_campaign(config_path) -> tuple[int, list[Path]]:
     """Execute all configured checks; returns (exit code, written files).
 
     The whole task list is built and checked before the first task runs.
-    Each report is written as soon as its check finishes, and
-    summary.csv last. A check that raises gets a report with status
-    Error and the exception's first line as its note, and the campaign
-    goes on. Exit code is 0 iff no check is Refuted or Error.
+    Each report is written as soon as its check finishes, and then the
+    line `[k/N] <check id> <status> <runtime_ms> ms` goes to stderr;
+    summary.csv is written last. A check that raises gets a report with
+    status Error and the exception's first line as its note, and the
+    campaign goes on. Exit code is 0 iff no check is Refuted or Error.
     """
     cfg = parse_campaign_config(config_path)
     tasks = _campaign_tasks(cfg)
@@ -569,7 +563,7 @@ def run_campaign(config_path) -> tuple[int, list[Path]]:
     writer = csv.writer(summary)
     writer.writerow(["check_id", "status", "margin", "runtime_ms"])
     exit_code = 0
-    for check_id, task in tasks:
+    for k, (check_id, task) in enumerate(tasks, start=1):
         try:
             report = task()
         except Exception as exc:
@@ -579,6 +573,8 @@ def run_campaign(config_path) -> tuple[int, list[Path]]:
         name = report.check_id.replace(":", "_").replace(",", "_").replace("=", "")
         files.append(_write_atomically(out_dir / f"{name}.json", report.to_json()))
         writer.writerow([report.check_id, report.status, report.margin, report.runtime_ms])
+        print(f"[{k}/{len(tasks)}] {report.check_id} {report.status} {report.runtime_ms} ms",
+              file=sys.stderr)
         exit_code |= report.status in (REFUTED, ERROR)
     files.append(_write_atomically(out_dir / "summary.csv", summary.getvalue()))
     return exit_code, files

@@ -16,7 +16,8 @@ each group is solved with stacked `eigh` calls of at most
 and the bracket are computed per stack, as array operations. LAPACK
 solves every matrix of a stack on its own, so a result does not depend
 on the batch it came from. `q_stream` serves a stream too long to hold
-at once (the move results of the lemma suites): it reads ahead only
+at once: the lemma suites walk each connected class and the H-gadgets
+through it, and then the rewrites of those graphs. It reads ahead only
 until the graphs not yet solved fill one stack, and passes them to
 `q_indices` together. Results live in one dict keyed by graph, bounded
 at `_CACHE_SIZE` entries; `q_index` reads it and solves a miss as a
@@ -50,7 +51,6 @@ class SpectralResult:
     q: float
     vector: np.ndarray  # unit 2-norm, read-only; zero off the extremal component
     radius: float  # |true q - q| <= radius
-    connected: bool
 
 
 def _q_stack(rows: list[tuple[int, ...]]) -> np.ndarray:
@@ -95,7 +95,7 @@ def _solve(graphs: list[Graph]) -> dict[Graph, SpectralResult]:
             # each vector is a row of the stack's own array, which holds
             # no reference to eigh's output
             for g, q, x, radius in zip(chunk, qs.tolist(), xs, radii.tolist()):
-                results[g] = SpectralResult(q, x, radius, True)
+                results[g] = SpectralResult(q, x, radius)
     return results
 
 
@@ -113,7 +113,7 @@ def _best_part(g: Graph, parts: list[tuple[list[int], Graph]],
     vector = np.zeros(g.n)
     vector[parts[best][0]] = results[best].vector
     vector.flags.writeable = False
-    return SpectralResult(results[best].q, vector, results[best].radius, False)
+    return SpectralResult(results[best].q, vector, results[best].radius)
 
 
 def q_indices(graphs: Iterable[Graph]) -> list[SpectralResult]:
@@ -121,11 +121,11 @@ def q_indices(graphs: Iterable[Graph]) -> list[SpectralResult]:
     for each g in graphs, in order.
 
     For a disconnected graph the result is the maximum over components,
-    with the vector supported on an extremal component and the result
-    flagged via `connected=False`. Results are cached and shared, so
-    their vectors are read-only; a graph solved before is looked up, and
-    the others are solved together, the components of the disconnected
-    ones among them (these are cached as graphs of their own too).
+    with the vector supported on an extremal component. Results are
+    cached and shared, so their vectors are read-only; a graph solved
+    before is looked up, and the others are solved together, the
+    components of the disconnected ones among them (these are cached as
+    graphs of their own too).
     """
     graphs = list(graphs)
     found = {g: _cache.get(g) for g in graphs}

@@ -63,7 +63,7 @@ def perron_oracle(g: Graph) -> SpectralResult:
     q, x, radius, members = best
     vector = np.zeros(g.n)
     vector[members] = x
-    return SpectralResult(q, vector, radius, connected=len(comps) == 1)
+    return SpectralResult(q, vector, radius)
 
 
 def eig_q(g: Graph) -> float:

@@ -11,6 +11,7 @@ from qouter.cli import main
 from qouter.constructions import cycle_extremal, path_join
 from qouter.graph6 import graph6_decode, graph6_encode
 from qouter.graphs import path, star
+from qouter.harness import VerificationReport
 
 
 def run(capsys, *argv):
@@ -109,6 +110,31 @@ def test_verify_to_file(tmp_path, capsys):
     report = json.loads(out_file.read_text())
     assert report["status"] == "Confirmed"
     assert report["check_id"] == "cycle:n=6,ell=3"
+
+
+@pytest.mark.parametrize("argv, check_id", [
+    (["verify", "cycle", "--n", "6", "--pattern", "C3"], "cycle:n=6,ell=3"),
+    (["lemma", "delta", "--n-min", "2", "--n-max", "5"], "lemma:delta"),
+], ids=["verify", "lemma"])
+def test_out_is_written_atomically(tmp_path, capsys, monkeypatch, argv, check_id):
+    """--out writes through a temporary file beside the target and
+    renames it, so a run cut short never leaves a partial report."""
+    out_file = tmp_path / "r.json"
+    code, out, _ = run(capsys, *argv, "--out", str(out_file))
+    assert code == 0 and out == ""
+    assert [f.name for f in tmp_path.iterdir()] == ["r.json"]  # no .part file left
+    report = VerificationReport.from_json(out_file.read_text())
+    assert (report.check_id, report.status) == (check_id, "Confirmed")
+    # a run stopped before the rename keeps the old report whole
+    out_file.write_text("old report")
+
+    def stopped(*args):
+        raise OSError("stopped before the rename")
+
+    monkeypatch.setattr(os, "replace", stopped)
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert code == 2 and err == "qouter: error: stopped before the rename\n"
+    assert out_file.read_text() == "old report"
 
 
 def test_verify_structural_stdout(capsys):

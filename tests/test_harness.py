@@ -281,6 +281,25 @@ def test_lemma_reports_are_pinned():
         assert report.margin == pytest.approx(margin, rel=0, abs=1e-12), name
 
 
+def test_suites_take_each_q_from_the_stream_that_solved_it(monkeypatch):
+    """Run alone on an empty cache, with no q_index lookup allowed, every
+    suite that reads q still gives its pinned report: it solves each
+    graph it reads, and no suite relies on one that ran before it."""
+
+    def forbidden(*args):
+        raise AssertionError("q_index called")
+
+    monkeypatch.setattr(harness, "q_index", forbidden)
+    for name in ("perron", "edgemove2", "edgemove3", "edgemove", "addedges", "edgeshift",
+                 "delta", "qmu"):
+        monkeypatch.setattr(spectral, "_cache", {})
+        report = check_lemma(name)
+        parameters, notes, margin = PINNED_LEMMAS[name]
+        assert (report.status, report.parameters, report.notes) == (CONFIRMED, parameters,
+                                                                    notes), name
+        assert report.margin == pytest.approx(margin, rel=0, abs=1e-12), name
+
+
 def test_q_raising_suites_name_each_miss(monkeypatch):
     """With every comparison unresolved, each move and each shift is a
     violation at its graph before the rewrite, named by its vertices or
@@ -308,8 +327,8 @@ def test_claim41_names_the_first_entry_outside_and_slack_before_it(monkeypatch):
     """With some Perron ratios pushed out of the interval and some radii
     made infinite, the report matches an entry-by-entry scan of each spec
     solved alone: the first entry outside is named, an unbracketed spec is
-    a violation, and the slack covers only the entries before the first
-    one outside."""
+    a violation, each failing join is named once, and the slack covers
+    only the entries before the first one outside."""
     solve = spectral.path_join_ratios
 
     def perturbed(parts_list):
@@ -330,9 +349,12 @@ def test_claim41_names_the_first_entry_outside_and_slack_before_it(monkeypatch):
     monkeypatch.setattr(harness, "path_join_ratios", perturbed)
     sep = 1e-9
     report = check_lemma("claim41", range(6, 16), sep)
-    violations, witnesses, slack, count = [], [], math.inf, 0
+    violations, witnesses, slack, count, seen = [], [], math.inf, 0, set()
     for spec in harness.claim41_specs(6, 15):
         count += 1
+        if spec.parts in seen:  # a sampled repeat of an earlier join
+            continue
+        seen.add(spec.parts)
         (q,), (x,), (radius,) = perturbed([spec.parts])
         lo, hi = 1 / q, 1 / q + 30 / (q * q)
         if radius == math.inf:
@@ -350,6 +372,7 @@ def test_claim41_names_the_first_entry_outside_and_slack_before_it(monkeypatch):
     assert report.status == REFUTED
     assert report.notes == [f"specs checked: {count}"] + violations[:20]
     assert report.witness_graphs == witnesses[:20]
+    assert len(set(report.witness_graphs)) == 20
     assert report.margin == slack
 
 
@@ -362,6 +385,7 @@ def test_claim41_sep_widens_the_interval():
     report = check_lemma("claim41", sep=1e-3)
     assert report.status == REFUTED and report.parameters["sep"] == 1e-3
     assert len(report.notes) == 21 and report.notes[1].startswith("entry x_")
+    assert len(set(report.witness_graphs)) == 20  # sampled repeats are named once
 
 
 def test_claim41_builds_no_join_and_no_dense_solve(monkeypatch):
@@ -373,7 +397,7 @@ def test_claim41_builds_no_join_and_no_dense_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(harness, "path_join", forbidden)
-    monkeypatch.setattr(harness, "q_indices", forbidden)
+    monkeypatch.setattr(harness, "q_stream", forbidden)
     monkeypatch.setattr(spectral, "_cache", {})
     report = check_lemma("claim41")
     assert report.status == CONFIRMED and report.notes == ["specs checked: 2983"]
@@ -548,6 +572,29 @@ def test_campaign_survives_a_failing_check(tmp_path, monkeypatch, capsys):
     # the command line exits 1 and still lists every file
     assert main(["campaign", str(config)]) == 1
     assert capsys.readouterr().out.split() == [str(f) for f in files]
+
+
+def test_campaign_prints_one_progress_line_per_task(tmp_path, monkeypatch, capsys):
+    """Each finished task, an Error one too, gets `[k/N] <check id>
+    <status> <runtime_ms> ms` on stderr, after its report is written."""
+    real = harness.verify_cycle_theorem
+
+    def ell4_fails(n, ell, sep):
+        if ell == 4:
+            raise RuntimeError("solver blew up")
+        return real(n, ell, sep)
+
+    monkeypatch.setattr(harness, "verify_cycle_theorem", ell4_fails)
+    run_campaign(_campaign(tmp_path, "checks = cycle, lemma:delta\nn_min = 5\nn_max = 5\n"))
+    out, err = capsys.readouterr()
+    rows = list(csv.reader((tmp_path / "reports" / "summary.csv").open()))[1:]
+    assert [row[:2] for row in rows] == [["cycle:n=5,ell=3", CONFIRMED],
+                                         ["cycle:n=5,ell=4", ERROR],
+                                         ["cycle:n=5,ell=5", CONFIRMED],
+                                         ["lemma:delta", CONFIRMED]]
+    assert out == ""
+    assert err.splitlines() == [f"[{k}/4] {check_id} {status} {runtime_ms} ms"
+                                for k, (check_id, status, _, runtime_ms) in enumerate(rows, 1)]
 
 
 # The campaign's cells for checks = cycle, path, structural at n = 4..10,
