@@ -29,7 +29,6 @@ from .spectral import (
     path_join_ratios,
     q_index,
     q_indices,
-    q_stream,
 )
 from .constructions import (
     PathJoinSpec,

@@ -28,8 +28,9 @@ from .enumeration import (
 )
 from .errors import ConfigError, ParameterError, check_sep
 from .graph6 import graph6_encode
+from .graphs import bits
 from .recognition import ForbiddenPattern
-from .spectral import Ordering, compare_results, eta_max, path_join_ratios, q_index, q_stream
+from .spectral import Ordering, compare_results, eta_max, path_join_ratios, q_index, q_indices
 
 CONFIRMED = "Confirmed"
 REFUTED = "Refuted"
@@ -282,8 +283,9 @@ def _check_obv(n_range, sep):
 
 def _solved(n_range):
     """(g, its q_indices result) for every connected graph of each order
-    in n_range, through q_stream: g comes only after its stack is solved."""
-    return q_stream((g, g) for n in n_range for g in connected_graphs(n))
+    in n_range, solved as one batch."""
+    graphs = [g for n in n_range for g in connected_graphs(n)]
+    return zip(graphs, q_indices(graphs))
 
 
 def _check_delta(n_range, sep):
@@ -317,24 +319,79 @@ def _check_qmu(n_range, sep):
     return _report("qmu", {"n_range": list(n_range), "sep": sep}, violations, slack)
 
 
-def _raises_q(name, params, instances, sep, describe) -> VerificationReport:
+# The Rayleigh certificate's test vector is the before's Perron vector
+# times 2^40, rounded to integers: its quotients are then exact.
+_RAYLEIGH_SCALE = float(1 << 40)
+
+
+def _rayleigh_setup(before, base, sep):
+    """(X, num, threshold, den) of the Rayleigh certificate at before, or
+    None when base.q + base.radius + sep is not finite (no bracket).
+
+    X is base's vector scaled and rounded, den = sum X_i^2 and num = sum
+    of (X_u + X_v)^2 over before's edges. Any nonzero X gives q(G) >=
+    X'Q(G)X / X'X for every graph G of before's order, so an after whose
+    numerator exceeds threshold = floor((q + radius + sep) * den), that
+    sum formed exactly, has q above the before's bracket by more than sep.
+    """
+    if not math.isfinite(base.q + base.radius + sep):
+        return None
+    xs = [round(v * _RAYLEIGH_SCALE) for v in base.vector.tolist()]
+    den = sum(v * v for v in xs)
+    ratios = [value.as_integer_ratio() for value in (base.q, base.radius, sep)]
+    scale = max(d for _, d in ratios)  # each d is a power of two
+    hi = sum(p * (scale // d) for p, d in ratios)
+    num = sum((xs[u] + xs[v]) ** 2 for u, v in before.edges())
+    return xs, num, hi * den // scale, den
+
+
+def _rayleigh_num(before, after, xs, num):
+    """The numerator sum of (X_u + X_v)^2 over after's edges, from
+    before's num by the edges in which the two graphs differ."""
+    for u, (old, new) in enumerate(zip(before.adj, after.adj)):
+        if old != new:
+            for v in bits((old ^ new) & ~((2 << u) - 1)):  # each edge at its lower end
+                term = (xs[u] + xs[v]) ** 2
+                num += term if (new >> v) & 1 else -term
+    return num
+
+
+def _raises_q(name, params, befores, sep, describe) -> VerificationReport:
     """The report of a suite whose every instance must raise q.
 
-    `instances` yields ((before, before's result, label), after): the
-    after's result must compare GREATER than the before's under sep, and
-    a miss is a violation at before, named by describe(label). The
-    afters go through q_stream; the befores come with the result their
-    own stream gave. The margin is the least rise.
+    `befores` yields (before, before's result, instances), and each
+    instance is a (label, after) pair: q(after) must exceed the before's
+    bracket by more than sep, and a miss is a violation at before, named
+    by describe(label). An after of before's order is certified,
+    unsolved, when its exact Rayleigh quotient R on before's scaled
+    Perron vector clears q + radius + sep of before (see
+    _rayleigh_setup). The afters it leaves open are solved as one batch
+    and must compare GREATER than the before's result. The margin is a
+    lower bound on the least rise: R less the before's upper bracket
+    end, or the after's lower end less it for a solved after.
     """
     violations = []
     margin = float("inf")
     count = 0
-    for (before, base, label), res in q_stream(instances):
-        count += 1
+    left_open = []
+    for before, base, instances in befores:
+        setup = None
+        for label, after in instances:
+            count += 1
+            # set up at a before's first instance; without a bracket that is one test
+            setup = setup or _rayleigh_setup(before, base, sep)
+            if setup is not None and after.n == before.n:
+                xs, num, threshold, den = setup
+                num = _rayleigh_num(before, after, xs, num)
+                if num > threshold:
+                    margin = min(margin, num / den - (base.q + base.radius))
+                    continue
+            left_open.append((before, base, label, after))
+    for (before, base, label, _), res in zip(left_open, q_indices(i[-1] for i in left_open)):
         if compare_results(res, base, sep) is not Ordering.GREATER:
             violations.append((before, f"{describe(label)} did not raise q"))
         else:
-            margin = min(margin, res.q - base.q)
+            margin = min(margin, (res.q - res.radius) - (base.q + base.radius))
     return _report(name, params, violations, margin, notes=[f"instances checked: {count}"])
 
 
@@ -343,10 +400,11 @@ def _move_suite(name, kind, n_range, sep):
     connected graph of each order must raise q. The move's generator
     yields only the tuples at which it applies, so each is an instance.
     The graphs come from the solved-class walk, so a Perron guard finds
-    each one's vector solved."""
-    instances = (((g, res, vertices), after) for g, res in _solved(n_range)
-                 for vertices, after in transforms.move_results(g, kind))
-    return _raises_q(name, {"n_range": list(n_range), "sep": sep}, instances, sep,
+    each one's vector solved, and _raises_q certifies each rewrite by
+    the Rayleigh quotient on that vector; it solves only the rewrites
+    the quotient leaves open."""
+    befores = ((g, res, transforms.move_results(g, kind)) for g, res in _solved(n_range))
+    return _raises_q(name, {"n_range": list(n_range), "sep": sep}, befores, sep,
                      lambda vertices: f"{kind} {vertices}")
 
 
@@ -355,14 +413,14 @@ def _check_edgeshift(n_range, sep):
     with t + s at most max(n_range), must raise q."""
     total_cap = max(n_range)
     seeds = [g for k in (1, 2, 3) for g in connected_graphs(k)]
-    shifts = ((h_gadget(h, u, t, s), (t, s), transforms.path_shift(h, u, t, s))
+    shifts = [(h_gadget(h, u, t, s), (t, s), transforms.path_shift(h, u, t, s))
               for h in seeds
               for u in range(h.n)
               for s in range(1, total_cap // 2 + 1)
-              for t in range(s, total_cap - s + 1))
-    instances = (((before, res, ts), after)
-                 for (before, ts, after), res in q_stream((shift, shift[0]) for shift in shifts))
-    return _raises_q("edgeshift", {"t_plus_s_max": total_cap, "sep": sep}, instances, sep,
+              for t in range(s, total_cap - s + 1)]
+    befores = ((before, res, [(ts, after)]) for (before, ts, after), res
+               in zip(shifts, q_indices(before for before, _, _ in shifts)))
+    return _raises_q("edgeshift", {"t_plus_s_max": total_cap, "sep": sep}, befores, sep,
                      lambda ts: "shift t={},s={}".format(*ts))
 
 
@@ -550,8 +608,9 @@ def run_campaign(config_path) -> tuple[int, list[Path]]:
     The whole task list is built and checked before the first task runs.
     Each report is written as soon as its check finishes, and then the
     line `[k/N] <check id> <status> <runtime_ms> ms` goes to stderr;
-    summary.csv is written last. A check that raises gets a report with
-    status Error and the exception's first line as its note, and the
+    summary.csv is written last. The runtime of every report is the time
+    its task took here, raising or not. A check that raises gets a report
+    with status Error and the exception's first line as its note, and the
     campaign goes on. Exit code is 0 iff no check is Refuted or Error.
     """
     cfg = parse_campaign_config(config_path)
@@ -564,12 +623,14 @@ def run_campaign(config_path) -> tuple[int, list[Path]]:
     writer.writerow(["check_id", "status", "margin", "runtime_ms"])
     exit_code = 0
     for k, (check_id, task) in enumerate(tasks, start=1):
+        start = time.perf_counter()
         try:
             report = task()
         except Exception as exc:
             first_line = str(exc).partition("\n")[0]
             report = VerificationReport(check_id, {}, ERROR,
                                         notes=[f"{type(exc).__name__}: {first_line}"])
+        report.runtime_ms = int((time.perf_counter() - start) * 1000)
         name = report.check_id.replace(":", "_").replace(",", "_").replace("=", "")
         files.append(_write_atomically(out_dir / f"{name}.json", report.to_json()))
         writer.writerow([report.check_id, report.status, report.margin, report.runtime_ms])

@@ -15,11 +15,9 @@ each group is solved with stacked `eigh` calls of at most
 `_STACK_ENTRIES` matrix entries each; the sign fix, the positivity test
 and the bracket are computed per stack, as array operations. LAPACK
 solves every matrix of a stack on its own, so a result does not depend
-on the batch it came from. `q_stream` serves a stream too long to hold
-at once: the lemma suites walk each connected class and the H-gadgets
-through it, and then the rewrites of those graphs. It reads ahead only
-until the graphs not yet solved fill one stack, and passes them to
-`q_indices` together. Results live in one dict keyed by graph, bounded
+on the batch it came from. The lemma suites pass each connected class,
+the H-gadgets and the rewrites that no Rayleigh quotient certifies to
+it as one batch each. Results live in one dict keyed by graph, bounded
 at `_CACHE_SIZE` entries; `q_index` reads it and solves a miss as a
 batch of one. Joins K_1 v (P_{a_1} u ... u P_{a_s}) have their structured
 solver, `path_join_ratios`: one secular equation each, and no matrix.
@@ -30,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -145,26 +143,6 @@ def q_indices(graphs: Iterable[Graph]) -> list[SpectralResult]:
                 del _cache[old]
         _cache[g] = res
     return [found[g] for g in graphs]
-
-
-def q_stream(tagged: Iterable[tuple[object, Graph]]) -> Iterator[tuple[object, SpectralResult]]:
-    """Yield (tag, q_indices result of g) for each (tag, g) in tagged, in
-    order.
-
-    The stream is read ahead only until the graphs in it not yet solved
-    fill one stack of the latest graph's order; those read so far then go
-    to q_indices as one batch, and their results are yielded.
-    """
-    tags, graphs, unsolved = [], [], set()
-    for tag, g in tagged:
-        tags.append(tag)
-        graphs.append(g)
-        if g not in _cache:
-            unsolved.add(g)
-            if len(unsolved) >= max(1, _STACK_ENTRIES // (g.n * g.n)):
-                yield from zip(tags, q_indices(graphs))
-                tags, graphs, unsolved = [], [], set()
-    yield from zip(tags, q_indices(graphs))
 
 
 def q_index(g: Graph) -> SpectralResult:

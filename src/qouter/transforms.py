@@ -2,8 +2,10 @@
 
 Each move checks its structural hypotheses exactly as stated and raises
 PreconditionError (naming the first failed clause) otherwise. When the
-hypotheses hold, the rewritten graph has strictly larger Q-index; the
-test suite certifies this with separated comparisons.
+hypotheses hold, the rewritten graph has strictly larger Q-index. The
+move lemma suites of `harness` certify this per rewrite by the Rayleigh
+quotient of the rewritten graph on the original's Perron vector, in
+exact integers, and solve only the rewrites that quotient leaves open.
 """
 
 from __future__ import annotations

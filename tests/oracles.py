@@ -3,12 +3,12 @@
 These deliberately take different algorithmic routes than the package:
 eigenvalues via dense symmetric solves, minors via edge contraction
 recursion, cycles via subset Hamiltonicity, path packings via a
-subset DP, automorphisms via networkx VF2, the eta bound in exact
-fractions. Memo keys are raw labeled adjacency, so nothing here depends
-on the package's canonical labeling. The exceptions are the package's
-earlier algorithms, kept as references for the paths that replaced
-them: `perron_oracle`, `argmax_oracle`, `children_oracle` and
-`outerplanar_minor_oracle`.
+subset DP, automorphisms via networkx VF2, the eta bound and Rayleigh
+quotients (entry by entry of Q) in exact fractions. Memo keys are raw
+labeled adjacency, so nothing here depends on the package's canonical
+labeling. The exceptions are the package's earlier algorithms, kept as
+references for the paths that replaced them: `perron_oracle`,
+`argmax_oracle`, `children_oracle` and `outerplanar_minor_oracle`.
 """
 
 from __future__ import annotations
@@ -69,6 +69,15 @@ def perron_oracle(g: Graph) -> SpectralResult:
 def eig_q(g: Graph) -> float:
     """Largest Q-eigenvalue via a full symmetric eigensolve."""
     return float(np.linalg.eigvalsh(q_matrix(g))[-1])
+
+
+def rayleigh_quotient(g: Graph, x) -> Fraction:
+    """x'Q(g)x / x'x as an exact fraction, entry by entry of Q(g): a lower
+    bound on q(g) for any nonzero real vector x (floats converted exactly)."""
+    x = [Fraction(v) for v in x]
+    quadratic = sum(g.degree(i) * x[i] * x[i] + sum(x[i] * x[j] for j in bits(g.adj[i]))
+                    for i in range(g.n))
+    return quadratic / sum(v * v for v in x)
 
 
 def eta_exact(g: Graph, u: int) -> Fraction:

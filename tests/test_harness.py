@@ -1,14 +1,16 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qouter import harness, spectral
+from qouter import harness, spectral, transforms
 from qouter.canon import canonical_code
 from qouter.cli import main
 from qouter.constructions import cycle_extremal, path_extremal
+from qouter.enumeration import connected_graphs
 from qouter.errors import ConfigError, ParameterError
 from qouter.graph6 import graph6_decode, graph6_encode
 from qouter.graphs import complete, from_edges, path, star
@@ -26,7 +28,9 @@ from qouter.harness import (
     verify_path_theorem,
 )
 from qouter.recognition import ForbiddenPattern
+from qouter.spectral import Ordering, SpectralResult, compare_results
 from qouter.transforms import greedy_ascent
+from .oracles import rayleigh_quotient
 
 
 def test_report_json_roundtrip():
@@ -228,43 +232,47 @@ def test_move_suite_instance_counts(name, n_range, count):
 
 
 def test_move_suite_report_does_not_depend_on_the_stack_size(monkeypatch):
-    """Stacks of 16 order-7 matrices make the perron suite's stream call
-    q_indices hundreds of times; its report equals the one at the default
-    stack size."""
+    """Stacks of 16 order-7 matrices split the perron suite's befores into
+    dozens of eigh stacks; its report equals the one at the default stack
+    size, and each run makes exactly the stacks its befores need, one
+    order at a time: no after is solved."""
     calls = []
-    solve = spectral.q_indices
-    monkeypatch.setattr(spectral, "q_indices", lambda graphs: calls.append(1) or solve(graphs))
+    bracket = spectral._bracket
+    monkeypatch.setattr(spectral, "_bracket", lambda mats: calls.append(1) or bracket(mats))
     reports = []
     for entries in (16 * 7 * 7, spectral._STACK_ENTRIES):
         monkeypatch.setattr(spectral, "_STACK_ENTRIES", entries)
         monkeypatch.setattr(spectral, "_cache", {})
         calls.clear()
         report = check_lemma("perron", range(3, 8))
-        reports.append((report.status, report.notes, report.margin, len(calls)))
-    (*small, small_calls), (*default, default_calls) = reports
+        stacks = sum(-(-len(connected_graphs(n)) // (entries // (n * n))) for n in range(3, 8))
+        reports.append((report.status, report.notes, report.margin, len(calls), stacks))
+    (*small, small_calls, small_stacks), (*default, default_calls, default_stacks) = reports
     assert small == default
-    assert small_calls > 300 > 10 * default_calls
+    assert (small_calls, default_calls) == (small_stacks, default_stacks)
+    assert small_calls > len(connected_graphs(7)) // 16 > 5 * default_calls
 
 
 # Every lemma suite at its default range: status Confirmed, no witnesses
-# or q values, and these parameters, notes and margins (to 1e-12).
+# or q values, and these parameters, notes and margins (to 1e-12). A
+# q-raising suite's margin is a lower bound on its least rise.
 PINNED_LEMMAS = {
     "obv": ({"n_range": [2, 3, 4, 5, 6, 7, 8]},
             ["pair-disjointness holds only for adjacent vertex pairs; 288 unrestricted "
              "exceptions, e.g. EqYO (nonadjacent 3,4 share a common neighbor with 0)"], 0.0),
     "addedges": ({"n_range": [2, 3, 4, 5, 6, 7], "sep": 1e-09},
-                 ["instances checked: 9182"], 0.009480717813710626),
+                 ["instances checked: 9182"], 0.00561017970434996),
     "delta": ({"n_range": [2, 3, 4, 5, 6, 7], "sep": 1e-09}, [], 0.05137424173103611),
     "qmu": ({"n_range": [2, 3, 4, 5, 6, 7], "sep": 1e-09}, [], -1.7763568394002505e-15),
     "perron": ({"n_range": [3, 4, 5, 6, 7], "sep": 1e-09},
-               ["instances checked: 10739"], 0.01875276132306869),
+               ["instances checked: 10739"], 0.0013385179364711064),
     "edgemove2": ({"n_range": [3, 4, 5, 6, 7], "sep": 1e-09},
-                  ["instances checked: 57"], 0.26298228329011675),
+                  ["instances checked: 57"], 0.18885431389493146),
     "edgemove3": ({"n_range": [4, 5, 6, 7], "sep": 1e-09},
-                  ["instances checked: 127"], 0.13559050169902598),
-    "edgemove": ({"n_range": [7], "sep": 1e-09}, ["instances checked: 9"], 0.4191286564523935),
+                  ["instances checked: 127"], 0.097646416986648),
+    "edgemove": ({"n_range": [7], "sep": 1e-09}, ["instances checked: 9"], 0.029367654462941317),
     "edgeshift": ({"t_plus_s_max": 8, "sep": 1e-09},
-                  ["instances checked: 144"], 0.00018207010871229556),
+                  ["instances checked: 144"], 0.0001820701086572285),
     "claim41": ({"n_min": 6, "n_max": 40, "sep": 1e-09}, ["specs checked: 2983"],
                 0.000637631788516408),
 }
@@ -300,12 +308,12 @@ def test_suites_take_each_q_from_the_stream_that_solved_it(monkeypatch):
         assert report.margin == pytest.approx(margin, rel=0, abs=1e-12), name
 
 
-def test_q_raising_suites_name_each_miss(monkeypatch):
-    """With every comparison unresolved, each move and each shift is a
-    violation at its graph before the rewrite, named by its vertices or
-    by (t, s), and no rise is recorded."""
-    monkeypatch.setattr(harness, "compare_results", lambda *_: harness.Ordering.INDISTINGUISHABLE)
-    report = check_lemma("edgemove", range(7, 8))
+def test_q_raising_suites_name_each_miss():
+    """With a sep that no rise clears (q < 2n), neither the Rayleigh
+    certificate nor a solved comparison raises q: each move and each
+    shift is a violation at its graph before the rewrite, named by its
+    vertices or by (t, s), and no rise is recorded."""
+    report = check_lemma("edgemove", range(7, 8), sep=100.0)
     assert report.status == REFUTED and report.margin == math.inf
     assert report.witness_graphs == ["FqaE_", "FqaF_", "FqbF_", "Fqae_", "Fqaf_", "Fqaeo",
                                      "Fqam_", "FqJFo", "FqHVo"]
@@ -313,7 +321,7 @@ def test_q_raising_suites_name_each_miss(monkeypatch):
                             + ["ChordSwap (0, 3, 1, 6) did not raise q"] * 7
                             + ["ChordSwap (6, 5, 0, 1) did not raise q",
                                "ChordSwap (6, 5, 1, 3) did not raise q"])
-    report = check_lemma("edgeshift", range(2, 4))
+    report = check_lemma("edgeshift", range(2, 4), sep=100.0)
     assert report.status == REFUTED and report.margin == math.inf
     assert report.witness_graphs == ["Bo", "C{", "Cs", "Dt_", "Ci", "DjO", "Ds_", "Ese?", "DqO",
                                      "EqT?", "DpG", "EpK_", "D{_", "E{e?", "DyO", "EyT?", "DxG",
@@ -321,6 +329,108 @@ def test_q_raising_suites_name_each_miss(monkeypatch):
     assert report.notes == (["instances checked: 18"]
                             + ["shift t=1,s=1 did not raise q",
                                "shift t=2,s=1 did not raise q"] * 9)
+
+
+# Each move suite at its default orders up to 6, and ChordSwap at its one
+# default order, 7, where the Rayleigh certificate leaves instances open.
+MOVE_SUITES = [("addedges", "AddEdge", range(2, 7)), ("perron", "PerronRotate", range(3, 7)),
+               ("edgemove2", "LeafReattach", range(3, 7)), ("edgemove3", "PendantPull", range(4, 7)),
+               ("edgemove", "ChordSwap", range(7, 8))]
+
+
+@pytest.mark.parametrize("name, kind, n_range", MOVE_SUITES, ids=[m[0] for m in MOVE_SUITES])
+def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
+    """For every instance, the scaled vector, the threshold and the after's
+    numerator are those of an exact Fraction computation entry by entry
+    of Q; an after is certified exactly when its quotient clears q +
+    radius + sep of its before, and then q(after) is at least that
+    quotient. The report's margin is the least of the certified bounds
+    and the solved rises, at most the least rise solved the old way and
+    widened by both radii."""
+    sep = 1e-9
+    least_bound = least_rise = math.inf
+    opened = 0
+    for n in n_range:
+        for before in connected_graphs(n):
+            base = spectral.q_index(before)
+            xs, num, threshold, den = harness._rayleigh_setup(before, base, sep)
+            assert xs == [round(v * 2 ** 40) for v in base.vector.tolist()]
+            assert Fraction(num, den) == rayleigh_quotient(before, xs)
+            hi = Fraction(base.q) + Fraction(base.radius) + Fraction(sep)
+            assert threshold == math.floor(hi * den)
+            for _, after in transforms.move_results(before, kind):
+                bound = rayleigh_quotient(after, xs)
+                after_num = harness._rayleigh_num(before, after, xs, num)
+                assert Fraction(after_num, den) == bound
+                assert (after_num > threshold) == (bound > hi)
+                res = spectral.q_index(after)
+                least_rise = min(least_rise, res.q - base.q + res.radius + base.radius)
+                if bound > hi:
+                    assert res.q + res.radius >= float(bound)
+                    least_bound = min(least_bound, float(bound) - (base.q + base.radius))
+                else:
+                    opened += 1
+                    assert compare_results(res, base, sep) is Ordering.GREATER
+                    least_bound = min(least_bound, res.q - res.radius - (base.q + base.radius))
+    assert opened == (2 if kind == "ChordSwap" else 0)
+    report = check_lemma(name, n_range, sep)
+    assert report.status == CONFIRMED
+    assert report.margin == least_bound
+    assert 0 < report.margin <= least_rise
+
+
+# Afters that the Rayleigh certificate leaves to be solved at the default
+# ranges; every other after is certified unsolved.
+OPEN_AFTERS = {"addedges": 0, "perron": 0, "edgemove2": 0, "edgemove3": 0, "edgemove": 2,
+               "edgeshift": 45}
+
+
+def test_q_raising_suites_solve_only_the_afters_left_open(monkeypatch):
+    """Each q-raising suite solves its befores once, in full, and then
+    only the afters its certificate leaves open; its notes name every
+    instance, open or not."""
+    batches = []
+    solve = harness.q_indices
+    monkeypatch.setattr(harness, "q_indices",
+                        lambda graphs: solve(batches.append(list(graphs)) or batches[-1]))
+    for name, count in OPEN_AFTERS.items():
+        batches.clear()
+        report = check_lemma(name)
+        assert report.notes == PINNED_LEMMAS[name][1], name
+        befores, afters = batches
+        n_range = PINNED_LEMMAS[name][0].get("n_range", [])
+        assert len(befores) == (144 if name == "edgeshift" else
+                                sum(1 for n in n_range for _ in connected_graphs(n))), name
+        assert len(afters) == count, name
+
+
+def test_raises_q_leaves_what_it_cannot_certify_open(monkeypatch):
+    """An unbracketed before (radius inf, a vector not positive) has no
+    threshold, an after of another order has no quotient on the before's
+    vector, and an infinite sep clears nothing: each such instance is
+    solved instead of raising, and the unbracketed one and every one
+    under sep = inf is a violation there, as a solved comparison gives
+    it."""
+    batches = []
+    solve = harness.q_indices
+    monkeypatch.setattr(harness, "q_indices",
+                        lambda graphs: solve(batches.append(list(graphs)) or batches[-1]))
+    before = path(3)
+    base = spectral.q_index(before)
+    unbracketed = SpectralResult(base.q, np.array([0.5, -0.5, 0.5 ** 0.5]), math.inf)
+    befores = [(before, unbracketed, [("a", complete(3))]),
+               (before, base, [("b", star(4)), ("c", complete(3))])]
+    report = harness._raises_q("t", {}, iter(befores), 1e-9, str)
+    assert batches == [[complete(3), star(4)]]
+    assert report.status == REFUTED
+    assert report.notes == ["instances checked: 3", "a did not raise q"]
+    assert report.witness_graphs == [graph6_encode(before)]
+    assert 0 < report.margin < 1
+    batches.clear()
+    report = check_lemma("edgemove2", [6], sep=math.inf)
+    assert report.status == REFUTED and report.margin == math.inf
+    assert report.notes[0] == "instances checked: 4" and len(report.notes) == 5
+    assert [len(batch) for batch in batches] == [112, 4]  # the befores, then every after
 
 
 def test_claim41_names_the_first_entry_outside_and_slack_before_it(monkeypatch):
@@ -397,7 +507,7 @@ def test_claim41_builds_no_join_and_no_dense_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(harness, "path_join", forbidden)
-    monkeypatch.setattr(harness, "q_stream", forbidden)
+    monkeypatch.setattr(harness, "q_indices", forbidden)
     monkeypatch.setattr(spectral, "_cache", {})
     report = check_lemma("claim41")
     assert report.status == CONFIRMED and report.notes == ["specs checked: 2983"]
@@ -595,6 +705,29 @@ def test_campaign_prints_one_progress_line_per_task(tmp_path, monkeypatch, capsy
     assert out == ""
     assert err.splitlines() == [f"[{k}/4] {check_id} {status} {runtime_ms} ms"
                                 for k, (check_id, status, _, runtime_ms) in enumerate(rows, 1)]
+
+
+def test_campaign_times_a_check_that_raises(tmp_path, monkeypatch, capsys):
+    """An Error report's runtime is the time its task ran before it
+    raised, in its file, its summary row and its progress line."""
+    clock = [100.0]
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: clock[0])
+    real = harness.verify_cycle_theorem
+
+    def ell4_fails(n, ell, sep):
+        if ell == 4:
+            clock[0] += 2.5
+            raise RuntimeError("solver blew up")
+        return real(n, ell, sep)
+
+    monkeypatch.setattr(harness, "verify_cycle_theorem", ell4_fails)
+    run_campaign(_campaign(tmp_path, "checks = cycle\nn_min = 5\nn_max = 5\n"))
+    failed = VerificationReport.from_json((tmp_path / "reports" / "cycle_n5_ell4.json").read_text())
+    assert (failed.status, failed.runtime_ms) == (ERROR, 2500)
+    rows = list(csv.reader((tmp_path / "reports" / "summary.csv").open()))[1:]
+    assert [(row[1], row[3]) for row in rows] == [(CONFIRMED, "0"), (ERROR, "2500"),
+                                                  (CONFIRMED, "0")]
+    assert capsys.readouterr().err.splitlines()[1] == "[2/3] cycle:n=5,ell=4 Error 2500 ms"
 
 
 # The campaign's cells for checks = cycle, path, structural at n = 4..10,

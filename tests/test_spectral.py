@@ -24,7 +24,6 @@ from qouter.spectral import (
     path_join_ratios,
     q_index,
     q_indices,
-    q_stream,
 )
 
 from .oracles import (
@@ -361,46 +360,3 @@ def test_components_are_solved_as_graphs_of_their_own(cold_cache):
     assert path(3) in spectral._cache and cycle(5) in spectral._cache
     assert spectral._cache[cycle(5)].q == res.q
     _assert_bitwise([q_index(path(3)), q_index(cycle(5))], [path(3), cycle(5)])
-
-
-def test_q_stream_yields_each_result_in_order(cold_cache, monkeypatch):
-    """A stream of connected and disconnected graphs, with repeats and
-    graphs solved before it starts, read in stacks of 4 to 16 graphs: each
-    result is its graph's q_indices result, under its tag, in order."""
-    monkeypatch.setattr(spectral, "_STACK_ENTRIES", 4 * 6 * 6)
-    q_indices(connected_graphs(4))
-    graphs = [g for n in (5, 4, 6, 3) for g in connected_outerplanar(n)]
-    graphs += [disjoint_union([path(2), g]) for g in connected_outerplanar(4)]
-    graphs += graphs[::7]
-    out = list(q_stream(enumerate(graphs)))
-    assert [tag for tag, _ in out] == list(range(len(graphs)))
-    results = [res for _, res in out]
-    _assert_bitwise(results, graphs)
-    assert all(a is b for a, b in zip(results, q_indices(graphs)))
-
-
-def test_q_stream_reads_at_most_one_stack_ahead(cold_cache, monkeypatch):
-    """Distinct unsolved graphs are read one stack at a time: while the
-    i-th result is yielded the stream has read at most i + stack graphs.
-    Graphs solved before do not count towards the stack."""
-    stack = 10
-    monkeypatch.setattr(spectral, "_STACK_ENTRIES", stack * 6 * 6)
-    graphs = connected_graphs(6)
-    assert len(graphs) > 5 * stack
-
-    def read_ahead():
-        read = []
-
-        def source():
-            for i, g in enumerate(graphs):
-                read.append(i)
-                yield i, g
-
-        return [len(read) - i for i, _ in q_stream(source())]
-
-    ahead = read_ahead()
-    assert len(ahead) == len(graphs)
-    assert max(ahead) == stack and min(ahead) >= 1
-    spectral._cache.clear()
-    q_indices(graphs[::2])
-    assert max(read_ahead()) == 2 * stack
