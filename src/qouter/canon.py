@@ -1,14 +1,15 @@
-"""Canonical labeling and automorphism orbits by pruned exhaustive relabeling.
+"""Canonical labeling and automorphism generators by pruned exhaustive relabeling.
 
 Vertices are first partitioned by iterated degree refinement; the code is
 the lexicographically least lower-triangular adjacency over all orderings
-compatible with the partition. Interchangeable twin vertices are collapsed
-during the search, which keeps highly symmetric graphs (stars, unions of
-equal paths) tractable. The same search returns the automorphisms it
-meets, as permutations: swapping two twins is an automorphism, and so is
-the map between two leaves with equal rows; every least leaf is a chain
-of twin swaps away from a visited one, so these generate the
-automorphism group. The orbits are read off those generators.
+compatible with the partition. Twins, the vertex pairs whose swap is an
+automorphism, are found once before the search, which places each twin
+class in ascending order only; this keeps highly symmetric graphs (stars,
+unions of equal paths) tractable. The search returns generators of the
+automorphism group, as permutations: the swap of each vertex with its
+least twin, and the map between two leaves with equal rows. Every least
+leaf is a chain of twin swaps away from a visited one, so these generate
+the group.
 """
 
 from __future__ import annotations
@@ -49,10 +50,13 @@ def _refine(g: Graph, z: int = 0, rivals: int = 0,
 
 
 def _search(g: Graph, color: list[int]) -> tuple[
-        tuple[int, ...], tuple[int, ...], list[int], list[tuple[int, ...]]]:
+        tuple[int, ...], tuple[int, ...], list[tuple[int, ...]]]:
     """Minimum row sequence, one labeling (position -> vertex) achieving
-    it, each vertex's automorphism orbit, named by one of its members, and
-    generators of the automorphism group (sigma[v] is the image of v)."""
+    it, and generators of the automorphism group (sigma[v] is the image
+    of v). `color` must be automorphism-invariant, as every `_refine`
+    output is: then twins share a colour, and at every node an unused
+    pair of twins shares a row, so a vertex is tried only once its lower
+    twins (`lower[v]`) are placed."""
     n = g.n
     by_color: dict[int, list[int]] = {}
     for v in range(n):
@@ -60,13 +64,21 @@ def _search(g: Graph, color: list[int]) -> tuple[
     pos_color: list[int] = []
     for c in sorted(by_color):
         pos_color.extend([c] * len(by_color[c]))
+    lower = [0] * n
+    generators: list[tuple[int, ...]] = []  # swap of each vertex with its least twin
+    for members in by_color.values():
+        for k, v in enumerate(members):
+            twins = [u for u in members[:k] if is_transposition_automorphism(g, u, v)]
+            if twins:
+                lower[v] = sum(1 << u for u in twins)
+                sigma = list(range(n))
+                sigma[twins[0]], sigma[v] = v, twins[0]
+                generators.append(tuple(sigma))
 
     best: list[int] | None = None
     best_perm: list[int] | None = None
     perm: list[int] = []
     rows: list[int] = []
-    swaps: set[tuple[int, int]] = set()
-    leaf_maps: set[tuple[int, ...]] = set()
     used = 0
 
     def rec(i: int, equal: bool) -> None:
@@ -80,11 +92,11 @@ def _search(g: Graph, color: list[int]) -> tuple[
                 sigma = [0] * n
                 for a, b in zip(best_perm, perm):
                     sigma[a] = b
-                leaf_maps.add(tuple(sigma))
+                generators.append(tuple(sigma))
             return
         entries = []
         for v in by_color[pos_color[i]]:
-            if (used >> v) & 1:
+            if used >> v & 1 or lower[v] & ~used:
                 continue
             av = g.adj[v]
             row = 0
@@ -93,15 +105,7 @@ def _search(g: Graph, color: list[int]) -> tuple[
                     row |= 1 << j
             entries.append((row, v))
         entries.sort()
-        pruned: list[tuple[int, int]] = []
         for row, v in entries:
-            twin = next((v2 for r2, v2 in pruned
-                         if row == r2 and is_transposition_automorphism(g, v, v2)), v)
-            if twin == v:
-                pruned.append((row, v))
-            else:  # swapping twins is an automorphism
-                swaps.add((twin, v))
-        for row, v in pruned:
             if equal and best is not None and row > best[i]:
                 break
             child_equal = best is None or (equal and row == best[i])
@@ -115,18 +119,7 @@ def _search(g: Graph, color: list[int]) -> tuple[
 
     rec(0, True)
     assert best is not None and best_perm is not None
-    generators = list(leaf_maps)
-    for a, b in swaps:
-        sigma = list(range(n))
-        sigma[a], sigma[b] = b, a
-        generators.append(tuple(sigma))
-    orbit = list(range(n))
-    for sigma in generators:
-        for a, b in enumerate(sigma):
-            if orbit[a] != orbit[b]:
-                old = orbit[b]
-                orbit[:] = [orbit[a] if o == old else o for o in orbit]
-    return tuple(best), tuple(best_perm), orbit, generators
+    return tuple(best), tuple(best_perm), generators
 
 
 def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:

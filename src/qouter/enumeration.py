@@ -40,8 +40,8 @@ degrees, rejects the child. (2) A z with two neighbours is tested by
 parent and needs no test. (3) With rivals left, refinement stops at the
 first round in which one outranks z (rejected) or none shares z's colour
 (z is v*). (4) Only if a rival still has z's colour in the stable
-colouring does the canonical search run, on those colours; the
-automorphism orbits it finds decide whether z is in the orbit of v*.
+colouring does the canonical search run, on those colours; z is kept
+iff v* is in z's orbit under the generators it finds.
 Without a rival z is v*, and the child is kept unsearched.
 
 Freeness of a forbidden pattern is closed under subgraphs (containing
@@ -132,7 +132,7 @@ def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
     nbrs = [list(bits(row)) for row in parent.adj]
     degree = [len(nv) for nv in nbrs]
     split = [parent.components(~(1 << v)) for v in range(z)]
-    images = [[1 << w for w in sigma] for sigma in _search(parent, _refine(parent))[3]]
+    images = [[1 << w for w in sigma] for sigma in _search(parent, _refine(parent))[2]]
     tried: set[int] = set()
     for mask in _masks(z, outerplanar):
         if mask in tried:
@@ -153,8 +153,9 @@ def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
                 continue
             top = [v for v in bits(rivals | 1 << z) if color[v] == color[z]]
             if len(top) > 1:
-                _, labeling, orbit, _ = _search(child, color)
-                if orbit[z] != orbit[max(top, key=labeling.index)]:
+                _, labeling, generators = _search(child, color)
+                child_images = [[1 << w for w in sigma] for sigma in generators]
+                if 1 << max(top, key=labeling.index) not in _orbit(1 << z, child_images):
                     continue
         yield child
 

@@ -141,8 +141,9 @@ THEOREMS = {
         lambda n, p, sep: verify_cycle_theorem(n, p.ell, sep), _cycle_candidate, _cycle_miss),
     # a path cell below the theorem's order threshold may legitimately miss
     "path": Theorem(
-        "path:n={n},t={p.t},ell={p.ell}", lambda n, p: p.kind == "paths" and p.t * p.ell <= n - 1,
-        "path check needs a <t>P<ell> pattern with t*ell <= n - 1",
+        "path:n={n},t={p.t},ell={p.ell}",
+        lambda n, p: p.kind == "paths" and (p.t >= 2 or p.ell >= 4) and p.t * p.ell <= n - 1,
+        "path check needs a <t>P<ell> pattern with t >= 2 or ell >= 4, and t*ell <= n - 1",
         lambda n, p, sep: verify_path_theorem(n, p.t, p.ell, sep), _path_candidate,
         lambda result, *_: (OUT_OF_SCOPE, result.graphs, "argmax differs from candidate at "
                             "sub-threshold order; theorem hypotheses demand larger n")),

@@ -77,8 +77,6 @@ def is_outerplanar(g: Graph) -> bool:
     degree >= 3 contains a K_4 subdivision. g is outerplanar iff every
     vertex is deleted.
     """
-    if g.n >= 2 and g.m > 2 * g.n - 3:  # a shortcut; the reduction rejects these too
-        return False
     adj = list(g.adj)
     sides: dict[int, int] = {}  # keyed by the edge's two-bit vertex mask
     alive = (1 << g.n) - 1

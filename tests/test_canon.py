@@ -1,10 +1,11 @@
+import hashlib
 import random
 from itertools import combinations
 
 from qouter.canon import _refine, _search, canonical_code, is_transposition_automorphism
 from qouter.constructions import path_join
 from qouter.enumeration import connected_graphs, connected_outerplanar
-from qouter.graphs import Graph, cycle, disjoint_union, from_edges, path, star
+from qouter.graphs import Graph, complete, cycle, disjoint_union, from_edges, path, star
 
 from .oracles import automorphism_oracle
 
@@ -41,9 +42,22 @@ def test_distinguishes_same_degree_sequence():
     )
 
 
+def _searched(g):
+    """`_search` on g's refined colours, with the orbits of the group its
+    generators generate (each ascending, in order) in their place."""
+    rows, labeling, generators = _search(g, _refine(g))
+    orbit = [{v} for v in range(g.n)]
+    for sigma in generators:
+        for v, w in enumerate(sigma):
+            if w not in orbit[v]:
+                merged = orbit[v] | orbit[w]
+                for u in merged:
+                    orbit[u] = merged
+    return rows, labeling, sorted({tuple(sorted(o)) for o in orbit})
+
+
 def _orbits(g):
-    orbit = _search(g, _refine(g))[2]
-    return {frozenset(v for v in range(g.n) if orbit[v] == o) for o in orbit}
+    return set(map(frozenset, _searched(g)[2]))
 
 
 def _orbit_test_graphs():
@@ -64,7 +78,7 @@ def test_search_generators_are_automorphisms():
     """Each generator `_search` returns is an automorphism, and together
     they generate the whole group that networkx VF2 lists."""
     for g in _orbit_test_graphs() + [cycle(6), disjoint_union([path(3), path(3), path(2)])]:
-        generators = _search(g, _refine(g))[3]
+        generators = _search(g, _refine(g))[2]
         for sigma in generators:
             assert sorted(sigma) == list(range(g.n)) and g.permuted(sigma) == g, (g.adj, sigma)
         group = {tuple(range(g.n))}
@@ -77,6 +91,22 @@ def test_search_generators_are_automorphisms():
                     group.add(product)
                     frontier.append(product)
         assert len(group) == automorphism_oracle(g)[1], g.adj
+
+
+def test_search_is_pinned():
+    """(rows, labeling, orbit partition) of every search on the classes
+    and on twin-rich graphs, as one SHA-256. A change that re-keys the
+    rows or labeling must update the value and say so; a change to how
+    the search prunes or finds automorphisms keeps it."""
+    graphs = [g for n in range(1, 10) for g in connected_outerplanar(n)]
+    graphs += [g for n in range(1, 8) for g in connected_graphs(n)]
+    graphs += [star(k) for k in range(2, 10)] + [complete(k) for k in range(1, 9)]
+    graphs += [path_join([2] * k) for k in range(1, 7)] + [path_join([3] * k) for k in range(1, 5)]
+    graphs.append(disjoint_union([cycle(4)] * 3))
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(repr(_searched(g)).encode())
+    assert digest.hexdigest() == "7d4520478201c26236934e1fa7d4be7e8596b577346efd6f33f44fe98704ea20"
 
 
 def test_transposition_automorphism():

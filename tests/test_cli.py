@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -68,6 +69,14 @@ def test_spectral_from_file(tmp_path, capsys):
     assert name == graph6_encode(star(6))
     assert float(q) == pytest.approx(6.0, abs=1e-9)
     assert 0 <= float(radius) <= 1e-10
+
+
+def test_spectral_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(graph6_encode(star(6)) + "\n\n"))
+    code, out, _ = run(capsys, "spectral", "--graph6", "-")
+    assert code == 0
+    name, q, _ = out.strip().split(",")
+    assert name == graph6_encode(star(6)) and float(q) == pytest.approx(6.0, abs=1e-9)
 
 
 def test_enumerate_stream_and_count(capsys):
@@ -189,6 +198,8 @@ def test_lemma_needs_both_bounds(capsys):
         (["verify", "path", "--n", "6", "--pattern", "C4"], "needs a <t>P<ell> pattern"),
         (["lemma", "obv", "--n-min", "1", "--n-max", "3"], "needs orders in 2..10"),
         (["lemma", "delta", "--n-min", "1", "--n-max", "1"], "needs orders in 2..10"),
+        (["verify", "path", "--n", "8", "--pattern", "P3"],
+         "needs a <t>P<ell> pattern with t >= 2 or ell >= 4, and t*ell <= n - 1 and 1 <= n <= 10"),
     ],
 )
 def test_usage_errors_exit_with_one_line(capsys, argv, message):

@@ -193,6 +193,8 @@ def test_path_extremal_validation():
         path_extremal(8, 2, 4)  # t*ell > n-1
     with pytest.raises(ParameterError):
         path_extremal(10, 0, 4)
+    with pytest.raises(ParameterError, match="path union needs ell >= 2"):
+        path_extremal(10, 2, 1)
 
 
 def test_h_gadget():

@@ -60,6 +60,8 @@ def test_decode_errors():
         graph6_decode("A" + chr(200))  # byte outside graph6 alphabet
     with pytest.raises(ValueError):
         graph6_decode("B" + chr(63 + 1))  # nonzero padding for n=3
+    with pytest.raises(ValueError, match="unsupported graph6 size record"):
+        graph6_decode("~~" + "?" * 6)  # the 8-byte record of orders >= 258048
 
 
 @settings(max_examples=80, deadline=None)

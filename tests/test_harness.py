@@ -172,6 +172,22 @@ def test_obv_violation_messages_are_pinned(monkeypatch, g, notes):
     assert report.notes == notes
 
 
+@pytest.mark.parametrize("name, g, q, notes", [
+    ("delta", path(4), 2.5, ["q=2.5 below max-degree bound 3"]),
+    ("delta", path(4), 3.0, ["max-degree bound tight on a non-star"]),
+    ("delta", star(4), 4.5, ["max-degree bound not tight on the star"]),
+    ("qmu", path(4), 100.0, ["q=100.0 above eta bound 3.5"]),
+], ids=["below", "tight", "star-not-tight", "above-eta"])
+def test_bound_violation_messages_are_pinned(monkeypatch, name, g, q, notes):
+    """Each solve reaches a violation branch of delta or qmu that no
+    connected graph's true q reaches."""
+    solve = spectral.SpectralResult(q, np.full(g.n, g.n ** -0.5), 0.0)
+    monkeypatch.setattr(harness, "_solved", lambda n_range: [(g, solve)])
+    report = check_lemma(name, [g.n], sep=0.0)
+    assert report.status == REFUTED
+    assert report.notes == notes
+
+
 def test_check_lemma_small_ranges():
     for name in ("obv", "addedges", "delta", "qmu"):
         report = check_lemma(name, range(2, 6))
@@ -559,6 +575,9 @@ def test_campaign_config_errors(tmp_path):
         parse_campaign_config(bad)
     bad.write_text("checks = warpdrive\n")
     with pytest.raises(ConfigError):
+        run_campaign(bad)
+    bad.write_text("checks = lemma:nope\n")
+    with pytest.raises(ConfigError, match="unknown lemma suite 'nope'"):
         run_campaign(bad)
 
 

@@ -169,6 +169,7 @@ def test_contains_cycle_known():
     assert contains_cycle(cycle(5), 5)
     assert not contains_cycle(cycle(5), 4)
     assert not contains_cycle(path(9), 3)
+    assert not contains_cycle(cycle(5), 6)  # longer than the graph
     assert contains_cycle(complete(5), 3)
     assert contains_cycle(complete(5), 5)
     with pytest.raises(PatternError):
