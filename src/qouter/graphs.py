@@ -75,9 +75,6 @@ class Graph:
             for v in bits(self.adj[u] >> (u + 1)):
                 yield (u, u + 1 + v)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
-
     def max_degree(self) -> int:
         return max(row.bit_count() for row in self.adj)
 
@@ -187,10 +184,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
-
-
-def empty_graph(k: int) -> Graph:
-    return Graph(k, (0,) * k)
 
 
 def path(k: int) -> Graph:

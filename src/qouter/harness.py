@@ -56,15 +56,20 @@ class VerificationReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        """JSON (RFC 8259) has no infinity: a non-finite margin is null."""
-        margin = self.margin if math.isfinite(self.margin) else None
-        return json.dumps({**self.to_dict(), "margin": margin}, indent=2)
+        """JSON (RFC 8259) has no infinity: a non-finite margin or sep is
+        null, and any other non-finite value raises ValueError."""
+        data = self.to_dict()
+        for fields, key in ((data, "margin"), (data["parameters"], "sep")):
+            if key in fields and not math.isfinite(fields[key]):
+                fields[key] = None
+        return json.dumps(data, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
         data = json.loads(text)
-        if data.get("margin", 0.0) is None:
-            data["margin"] = math.inf
+        for fields, key in ((data, "margin"), (data["parameters"], "sep")):
+            if key in fields and fields[key] is None:
+                fields[key] = math.inf
         return cls(**data)
 
 
@@ -340,7 +345,7 @@ def _rayleigh_setup(before, base, sep):
     xs = [round(v * _RAYLEIGH_SCALE) for v in base.vector.tolist()]
     den = sum(v * v for v in xs)
     ratios = [value.as_integer_ratio() for value in (base.q, base.radius, sep)]
-    scale = max(d for _, d in ratios)  # each d is a power of two
+    scale = math.lcm(*(d for _, d in ratios))
     hi = sum(p * (scale // d) for p, d in ratios)
     num = sum((xs[u] + xs[v]) ** 2 for u, v in before.edges())
     return xs, num, hi * den // scale, den

@@ -1,8 +1,9 @@
 """Guarded Q-increasing rewrites and a deterministic greedy ascent.
 
 Each move checks its structural hypotheses exactly as stated and raises
-PreconditionError (naming the first failed clause) otherwise. When the
-hypotheses hold, the rewritten graph has strictly larger Q-index. The
+PreconditionError (naming the first failed clause) otherwise, except that
+add_edge_move raises EdgeStateError for a loop or an existing edge. When
+the hypotheses hold, the rewritten graph has strictly larger Q-index. The
 move lemma suites of `harness` certify this per rewrite by the Rayleigh
 quotient of the rewritten graph on the original's Perron vector, in
 exact integers, and solve only the rewrites that quotient leaves open.
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import recognition
-from .canon import is_transposition_automorphism
 from .errors import EdgeStateError, PreconditionError, check_max_steps
 from .graphs import Graph, bits
 from .spectral import q_index
@@ -49,27 +49,24 @@ def add_edge_move(g: Graph, u: int, v: int) -> Graph:
 def perron_rotate(g: Graph, u: int, v: int, w: int) -> Graph:
     """Rewire vw to uw when the Perron vector satisfies x_u >= x_v.
 
-    The vector hypothesis is accepted only with a numerical margin or an
-    exact u-v transposition symmetry; borderline cases are rejected.
+    The vector hypothesis is accepted only with a numerical margin;
+    borderline cases are rejected.
     """
     _require(g.is_connected(), "graph must be connected")
     _require(len({u, v, w}) == 3, "u, v, w must be distinct")
     _require(not g.has_edge(u, w), "uw must not be an edge")
     _require(g.has_edge(v, w), "vw must be an edge")
-    failed = _perron_failure(g, q_index(g).vector, u, v)
+    failed = _perron_failure(q_index(g).vector, u, v)
     if failed is not None:
         raise PreconditionError(failed)
     return g.remove_edge(v, w).add_edge(u, w)
 
 
-def _perron_failure(g: Graph, x, u: int, v: int) -> str | None:
-    """The failed clause x_u >= x_v of perron_rotate for the Perron vector
-    x of g, or None when it holds: by more than PERRON_MARGIN, or within
-    it when swapping u and v is an automorphism."""
+def _perron_failure(x, u: int, v: int) -> str | None:
+    """The failed clause x_u >= x_v of perron_rotate for a Perron vector x,
+    or None when it holds by more than PERRON_MARGIN."""
     diff = float(x[u] - x[v])
-    if diff > PERRON_MARGIN or (
-        abs(diff) <= PERRON_MARGIN and is_transposition_automorphism(g, u, v)
-    ):
+    if diff > PERRON_MARGIN:
         return None
     if diff < -PERRON_MARGIN:
         return "perron entries satisfy x_u < x_v"
@@ -137,17 +134,15 @@ def path_shift(h: Graph, u: int, t: int, s: int) -> Graph:
 
 # -- the move table ---------------------------------------------------
 #
-# Each candidate generator tests every clause of its move's hypotheses and
-# yields exactly the vertex tuples at which the move applies, in
-# lexicographic order; none yields on a disconnected graph. The apply
-# function checks every clause again and stays the authority: a tuple it
-# refuses is a generator bug, and the error leaves move_results.
+# Generators are called only on connected graphs (move_results yields
+# nothing on a disconnected one); each tests every other clause of its
+# move and yields exactly the tuples at which the move applies, in
+# lexicographic order. The apply function re-checks every clause and
+# stays the authority: a generated tuple it refuses, a generator bug, raises.
 
 
 def _add_edge_candidates(g: Graph):
     """Non-edges u < v."""
-    if not g.is_connected():
-        return
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if not g.has_edge(u, v):
@@ -157,14 +152,12 @@ def _add_edge_candidates(g: Graph):
 def _perron_rotate_candidates(g: Graph):
     """v with the Perron clause x_u >= x_v, then w in N(v) minus N[u]
     (empty for v = u). The Perron vector is read once per graph."""
-    if not g.is_connected():
-        return
     x = q_index(g).vector.tolist()
     for u in range(g.n):
         closed_u = g.adj[u] | (1 << u)
         for v in range(g.n):
             outside = g.adj[v] & ~closed_u
-            if outside and _perron_failure(g, x, u, v) is None:
+            if outside and _perron_failure(x, u, v) is None:
                 for w in bits(outside):
                     yield u, v, w
 
@@ -172,8 +165,6 @@ def _perron_rotate_candidates(g: Graph):
 def _leaf_reattach_candidates(g: Graph):
     """v in N(u) with d(v) <= d(u) - 2 and one or two neighbors z outside
     N[u], each with N(z) minus v inside N(v) minus N(u); then w among them."""
-    if not g.is_connected():
-        return
     for u in range(g.n):
         closed_u = g.adj[u] | (1 << u)
         for v in bits(g.adj[u]):
@@ -189,8 +180,6 @@ def _leaf_reattach_candidates(g: Graph):
 def _pendant_pull_candidates(g: Graph):
     """A leaf w1 outside N[u] whose one neighbor w2 lies outside N[u],
     has every other neighbor in N(u), and has degree below d(u)."""
-    if not g.is_connected():
-        return
     full = (1 << g.n) - 1
     for u in range(g.n):
         closed_u = g.adj[u] | (1 << u)
@@ -208,8 +197,6 @@ def _chord_swap_candidates(g: Graph):
     N[u] with N(w) = {v1 < v2} an edge inside N(u) whose ends have no
     neighbor outside N[u] but w. The neighborhood test runs at most once
     per u, and only when a tuple reaches it."""
-    if not g.is_connected():
-        return
     full = (1 << g.n) - 1
     for u in range(g.n):
         if g.degree(u) < 5:
@@ -245,6 +232,8 @@ def move_results(g: Graph, kind: str):
     """Yield (vertices, rewritten graph) for every vertex tuple at which the
     move `kind` of MOVES applies to g, in lexicographic order. The apply
     function re-checks each generated tuple; a refusal propagates."""
+    if not g.is_connected():
+        return
     name, candidates = MOVES[kind]
     apply = globals()[name]
     for vertices in candidates(g):

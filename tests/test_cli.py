@@ -165,14 +165,28 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def test_reports_are_strict_json(capsys):
-    """A margin of inf (nothing to separate) is written as null, which
-    a strict parser reads; Infinity is not JSON (RFC 8259)."""
+def test_reports_are_strict_json(tmp_path, capsys):
+    """A margin of inf (nothing to separate) and a sep of inf are written
+    as null, which a strict parser reads; Infinity is not JSON (RFC 8259)."""
     for argv in (["verify", "cycle", "--n", "3", "--pattern", "C3"],
                  ["lemma", "edgemove", "--n-min", "3", "--n-max", "3"]):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert json.loads(out, parse_constant=_reject_constant)["margin"] is None, argv
+    for argv in (["verify", "cycle", "--n", "5", "--pattern", "C4"],
+                 ["lemma", "qmu", "--n-min", "2", "--n-max", "4"]):
+        code, out, _ = run(capsys, *argv, "--sep", "inf")
+        assert code == 0, argv
+        assert json.loads(out, parse_constant=_reject_constant)["parameters"]["sep"] is None, argv
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("checks = cycle, lemma:qmu\nn_min = 5\nn_max = 5\nsep = inf\n"
+                   f"out = {tmp_path / 'reports'}\n")
+    assert run(capsys, "campaign", str(cfg))[0] == 0
+    reports = sorted((tmp_path / "reports").glob("*.json"))
+    assert len(reports) == 4
+    for report in reports:
+        data = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert data["parameters"]["sep"] is None, report
 
 
 def test_lemma_needs_both_bounds(capsys):
@@ -218,6 +232,15 @@ def test_bad_graph6_exits_with_one_line(tmp_path, capsys, command):
     assert code == 2 and out == ""
     assert err.startswith(f"qouter: error: {source} line 3: 'zz~'")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line, order", [("?", 0), ("~?@@", 65)])
+def test_graph6_order_outside_1_to_64_exits_with_one_line(tmp_path, capsys, line, order):
+    source = tmp_path / "orders.g6"
+    source.write_text(graph6_encode(path(4)) + "\n" + line + "\n")
+    code, out, err = run(capsys, "spectral", "--graph6", str(source))
+    assert code == 2 and out == ""
+    assert err == f"qouter: error: {source} line 2: {line!r}: graph6 order {order} outside 1..64\n"
 
 
 @pytest.mark.parametrize("argv", [

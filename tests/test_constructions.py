@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from qouter import constructions
 from qouter.canon import canonical_code
 from qouter.constructions import (
     PathJoinSpec,
@@ -212,3 +213,16 @@ def test_h_gadget():
         h_gadget(single, 0, 0, 1)
     with pytest.raises(ParameterError):
         h_gadget(single, 2, 1, 1)
+    with pytest.raises(CapacityError, match="gadget order 65 exceeds 64"):
+        h_gadget(path(60), 0, 3, 2)
+
+
+def test_candidates_past_64_vertices_raise_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("a part was built")
+
+    monkeypatch.setattr(constructions, "PathJoinSpec", build)
+    with pytest.raises(CapacityError, match="order 1000000000 exceeds 64"):
+        cycle_extremal(10**9, 4)
+    with pytest.raises(CapacityError, match="order 65 exceeds 64"):
+        path_extremal(65, 2, 3)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qouter.errors import CapacityError
 from qouter.graph6 import graph6_decode, graph6_encode
 from qouter.graphs import complete, cycle, from_edges, path, star
 
@@ -62,6 +63,10 @@ def test_decode_errors():
         graph6_decode("B" + chr(63 + 1))  # nonzero padding for n=3
     with pytest.raises(ValueError, match="unsupported graph6 size record"):
         graph6_decode("~~" + "?" * 6)  # the 8-byte record of orders >= 258048
+    with pytest.raises(CapacityError, match="graph6 order 0 outside 1..64"):
+        graph6_decode("?")
+    with pytest.raises(CapacityError, match="graph6 order 65 outside 1..64"):
+        graph6_decode("~?@@")  # the long form of 65
 
 
 @settings(max_examples=80, deadline=None)

@@ -50,6 +50,15 @@ def test_report_json_roundtrip():
     report.margin = math.inf
     assert json.loads(report.to_json())["margin"] is None
     assert VerificationReport.from_json(report.to_json()) == report
+    # an infinite sep is null too; it and the margin read back as inf
+    report.parameters["sep"] = math.inf
+    data = json.loads(report.to_json())
+    assert data["margin"] is None and data["parameters"]["sep"] is None
+    assert VerificationReport.from_json(report.to_json()) == report
+    # no other non-finite value gets out as a bare Infinity or NaN
+    report.q_values = [math.nan]
+    with pytest.raises(ValueError):
+        report.to_json()
 
 
 def test_verify_cycle_theorem_confirms():
@@ -374,6 +383,10 @@ def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
             assert Fraction(num, den) == rayleigh_quotient(before, xs)
             hi = Fraction(base.q) + Fraction(base.radius) + Fraction(sep)
             assert threshold == math.floor(hi * den)
+            # exact for any rational sep too, not only for a dyadic float
+            for other in (0, Fraction(1, 3), Fraction(1, 10**9 + 7)):
+                hi_other = Fraction(base.q) + Fraction(base.radius) + other
+                assert harness._rayleigh_setup(before, base, other)[2] == math.floor(hi_other * den)
             for _, after in transforms.move_results(before, kind):
                 bound = rayleigh_quotient(after, xs)
                 after_num = harness._rayleigh_num(before, after, xs, num)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -56,8 +57,8 @@ def test_perron_rotate_rejections():
     with pytest.raises(PreconditionError) as err:
         perron_rotate(g, 0, 1, 2)  # x_0 < x_1
     assert "x_u < x_v" in str(err.value)
-    # x_1 == x_2 by mirror symmetry, but swapping only 1 and 2 is not an
-    # automorphism, so the borderline case is refused rather than forced
+    # x_1 == x_2 by mirror symmetry: a tie within the margin is refused
+    # rather than forced
     with pytest.raises(PreconditionError) as err:
         perron_rotate(g, 1, 2, 3)
     assert "indistinguishable" in str(err.value)
@@ -167,9 +168,10 @@ _SHAPES = {
 }
 
 
-def _exhaustive(g, kind):
-    """Every distinct-vertex tuple, in lexicographic order, that the
-    move's apply function accepts."""
+def _outcomes(g, kind):
+    """Every distinct-vertex tuple of the move, in lexicographic order,
+    with its apply function's outcome: the rewritten graph, or the
+    refusal's class and clause."""
     arity, pair = _SHAPES[kind]
     apply = getattr(transforms, MOVES[kind][0])
     found = []
@@ -178,19 +180,30 @@ def _exhaustive(g, kind):
             continue
         try:
             found.append((vertices, apply(g, *vertices)))
-        except (PreconditionError, EdgeStateError):
-            pass
+        except PreconditionError as exc:
+            found.append((vertices, ("PreconditionError", exc.clause)))
+        except EdgeStateError as exc:
+            found.append((vertices, ("EdgeStateError", str(exc))))
     return found
 
 
-def _assert_table_matches(g):
-    """Assert every kind's raw generator yields exactly the tuples that the
-    exhaustive scan accepts on g, in its order, and that move_results
-    gives the same rewrites; return the kinds that apply somewhere."""
+def _assert_table_matches(g, digest):
+    """Assert move_results gives exactly the rewrites that the exhaustive
+    scan accepts on g, in its order; on a connected g, that each raw
+    generator yields exactly their tuples, and on a disconnected g, that
+    every guard refuses. Add every tuple's outcome to digest and return
+    the kinds that apply somewhere."""
     kinds = set()
     for kind in MOVES:
-        expected = _exhaustive(g, kind)
-        assert list(MOVES[kind][1](g)) == [vertices for vertices, _ in expected], (kind, g)
+        outcomes = _outcomes(g, kind)
+        for vertices, out in outcomes:
+            out = out.adj if isinstance(out, Graph) else out
+            digest.update(repr((kind, g.adj, vertices, out)).encode())
+        expected = [(vertices, out) for vertices, out in outcomes if isinstance(out, Graph)]
+        if g.is_connected():
+            assert list(MOVES[kind][1](g)) == [vertices for vertices, _ in expected], (kind, g)
+        else:
+            assert not expected, (kind, g)
         assert list(move_results(g, kind)) == expected, (kind, g)
         if expected:
             kinds.add(kind)
@@ -217,20 +230,24 @@ def test_move_table_matches_exhaustive_scan():
     ]
     rng = random.Random(2024)
     applied = set()
+    # every tuple's outcome, rewritten rows or refusal clause, in sweep order
+    digest = hashlib.sha256()
     # every move needs a connected graph: no kind yields on two components
-    assert not _assert_table_matches(disjoint_union([path(3), star(4)]))
+    assert not _assert_table_matches(disjoint_union([path(3), star(4)]), digest)
     for g in [g for n in range(1, 7) for g in connected_graphs(n)] + [chord] + near_misses:
-        kinds = _assert_table_matches(g)
+        kinds = _assert_table_matches(g, digest)
         applied |= kinds
         # the narrow moves apply on a handful of graphs, each under one
         # labeling; check those under more labelings as well, and with an
         # isolated vertex added, where none applies
         if kinds - {"AddEdge", "PerronRotate"} or g in near_misses:
             for _ in range(20):
-                _assert_table_matches(g.permuted(rng.sample(range(g.n), g.n)))
-            assert not _assert_table_matches(disjoint_union([g, path(1)]))
+                _assert_table_matches(g.permuted(rng.sample(range(g.n), g.n)), digest)
+            assert not _assert_table_matches(disjoint_union([g, path(1)]), digest)
     # every kind applies somewhere, so the comparison is not vacuous
     assert applied == set(MOVES)
+    assert digest.hexdigest() == (
+        "3b20a5e153c1049650095c634898f2e038d15a9ffa22abaaeb0ec84d4160ed88")
 
 
 def test_greedy_ascent_trace_is_pinned():
