@@ -64,6 +64,7 @@ from .graphs import Graph, bits
 from .spectral import Ordering, SpectralResult, compare_results, q_indices
 
 EXHAUSTIVE_CAP = 10
+CONNECTED_CAP = 9  # connected_graphs: order 10 has 11,716,571 graphs
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,9 @@ def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
 def _generate(n: int, generator: Callable[[int], tuple[Graph, ...]],
               outerplanar: bool) -> tuple[Graph, ...]:
     """Level n of a class from `generator(n - 1)`, its cached level below."""
-    if not 1 <= n <= EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive enumeration needs 1 <= n <= {EXHAUSTIVE_CAP}, got {n}")
+    cap = EXHAUSTIVE_CAP if outerplanar else CONNECTED_CAP
+    if not 1 <= n <= cap:
+        raise CapacityError(f"exhaustive enumeration needs 1 <= n <= {cap}, got {n}")
     if n == 1:
         return (Graph(1, (0,)),)
     return tuple(

@@ -20,6 +20,7 @@ from . import recognition, transforms
 from .canon import canonical_code
 from .constructions import PathJoinSpec, cycle_extremal, h_gadget, path_extremal, path_join
 from .enumeration import (
+    CONNECTED_CAP,
     EXHAUSTIVE_CAP,
     EnumerationClass,
     connected_graphs,
@@ -404,11 +405,11 @@ def _raises_q(name, params, befores, sep, describe) -> VerificationReport:
 def _move_suite(name, kind, n_range, sep):
     """Every application of the move `kind` of transforms.MOVES to a
     connected graph of each order must raise q. The move's generator
-    yields only the tuples at which it applies, so each is an instance.
-    The graphs come from the solved-class walk, so a Perron guard finds
-    each one's vector solved, and _raises_q certifies each rewrite by
-    the Rayleigh quotient on that vector; it solves only the rewrites
-    the quotient leaves open."""
+    yields only the tuples at which it applies, each with its rewrite,
+    so each is an instance. The graphs come from the solved-class walk,
+    so the PerronRotate generator finds each one's vector solved, and
+    _raises_q certifies each rewrite by the Rayleigh quotient on that
+    vector; it solves only the rewrites the quotient leaves open."""
     befores = ((g, res, transforms.move_results(g, kind)) for g, res in _solved(n_range))
     return _raises_q(name, {"n_range": list(n_range), "sep": sep}, befores, sep,
                      lambda vertices: f"{kind} {vertices}")
@@ -492,22 +493,22 @@ def _check_claim41(n_range, sep):
                    slack, notes=[f"specs checked: {count}"])
 
 
-_ENUMERABLE = range(1, EXHAUSTIVE_CAP + 1)
-_WITH_EDGE = range(2, EXHAUSTIVE_CAP + 1)
+_CONNECTED = range(1, CONNECTED_CAP + 1)
+_WITH_EDGE = range(2, CONNECTED_CAP + 1)
 
 # suite name -> (runner, default n range, orders the suite is defined for).
-# obv, delta and qmu need an edge; edgeshift's n is the largest t + s, and
-# its gadgets add t + s vertices to seeds of up to 3, within the 64-vertex
-# limit.
+# The connected-graph suites stop at CONNECTED_CAP; obv, delta and qmu
+# need an edge. edgeshift's n is the largest t + s, and its gadgets add
+# t + s vertices to seeds of up to 3, within the 64-vertex limit.
 _LEMMA_SUITES = {
-    "obv": (_check_obv, range(2, 9), _WITH_EDGE),
-    "addedges": (partial(_move_suite, "addedges", "AddEdge"), range(2, 8), _ENUMERABLE),
+    "obv": (_check_obv, range(2, 9), range(2, EXHAUSTIVE_CAP + 1)),
+    "addedges": (partial(_move_suite, "addedges", "AddEdge"), range(2, 8), _CONNECTED),
     "delta": (_check_delta, range(2, 8), _WITH_EDGE),
     "qmu": (_check_qmu, range(2, 8), _WITH_EDGE),
-    "perron": (partial(_move_suite, "perron", "PerronRotate"), range(3, 8), _ENUMERABLE),
-    "edgemove2": (partial(_move_suite, "edgemove2", "LeafReattach"), range(3, 8), _ENUMERABLE),
-    "edgemove3": (partial(_move_suite, "edgemove3", "PendantPull"), range(4, 8), _ENUMERABLE),
-    "edgemove": (partial(_move_suite, "edgemove", "ChordSwap"), range(7, 8), _ENUMERABLE),
+    "perron": (partial(_move_suite, "perron", "PerronRotate"), range(3, 8), _CONNECTED),
+    "edgemove2": (partial(_move_suite, "edgemove2", "LeafReattach"), range(3, 8), _CONNECTED),
+    "edgemove3": (partial(_move_suite, "edgemove3", "PendantPull"), range(4, 8), _CONNECTED),
+    "edgemove": (partial(_move_suite, "edgemove", "ChordSwap"), range(7, 8), _CONNECTED),
     "edgeshift": (_check_edgeshift, range(2, 9), range(2, 62)),
     "claim41": (_check_claim41, range(6, 41), range(6, 41)),
 }

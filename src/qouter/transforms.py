@@ -1,12 +1,13 @@
 """Guarded Q-increasing rewrites and a deterministic greedy ascent.
 
-Each move checks its structural hypotheses exactly as stated and raises
-PreconditionError (naming the first failed clause) otherwise, except that
-add_edge_move raises EdgeStateError for a loop or an existing edge. When
-the hypotheses hold, the rewritten graph has strictly larger Q-index. The
-move lemma suites of `harness` certify this per rewrite by the Rayleigh
-quotient of the rewritten graph on the original's Perron vector, in
-exact integers, and solve only the rewrites that quotient leaves open.
+Each move function checks its structural hypotheses at one vertex tuple
+exactly as stated and raises PreconditionError (naming the first failed
+clause) otherwise, except that add_edge_move raises EdgeStateError for a
+loop or an existing edge. When they hold, the rewritten graph has strictly
+larger Q-index. The lemma suites of `harness` and greedy_ascent apply the
+moves only through the generators of MOVES, which build each rewrite
+themselves; the suites certify each by its exact Rayleigh quotient on the
+original's Perron vector and solve only what that leaves open.
 """
 
 from __future__ import annotations
@@ -136,9 +137,9 @@ def path_shift(h: Graph, u: int, t: int, s: int) -> Graph:
 #
 # Generators are called only on connected graphs (move_results yields
 # nothing on a disconnected one); each tests every other clause of its
-# move and yields exactly the tuples at which the move applies, in
-# lexicographic order. The apply function re-checks every clause and
-# stays the authority: a generated tuple it refuses, a generator bug, raises.
+# move and yields (vertices, rewritten graph) for exactly the tuples at
+# which the move applies, in lexicographic order, rewriting by the same
+# edge edit as the move's guarded function above.
 
 
 def _add_edge_candidates(g: Graph):
@@ -146,7 +147,7 @@ def _add_edge_candidates(g: Graph):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if not g.has_edge(u, v):
-                yield u, v
+                yield (u, v), g.add_edge(u, v)
 
 
 def _perron_rotate_candidates(g: Graph):
@@ -159,7 +160,7 @@ def _perron_rotate_candidates(g: Graph):
             outside = g.adj[v] & ~closed_u
             if outside and _perron_failure(x, u, v) is None:
                 for w in bits(outside):
-                    yield u, v, w
+                    yield (u, v, w), g.remove_edge(v, w).add_edge(u, w)
 
 
 def _leaf_reattach_candidates(g: Graph):
@@ -174,7 +175,7 @@ def _leaf_reattach_candidates(g: Graph):
             allowed = g.adj[v] & ~g.adj[u]
             if all(g.adj[z] & ~(1 << v) & ~allowed == 0 for z in bits(outside)):
                 for w in bits(outside):
-                    yield u, v, w
+                    yield (u, v, w), g.remove_edge(v, w).add_edge(u, w)
 
 
 def _pendant_pull_candidates(g: Graph):
@@ -189,7 +190,7 @@ def _pendant_pull_candidates(g: Graph):
             w2 = g.adj[w1].bit_length() - 1
             if (g.adj[w2] & ~(1 << w1) & ~g.adj[u] == 0
                     and g.degree(u) >= g.degree(w2) + 1):
-                yield u, w1, w2
+                yield (u, w1, w2), g.remove_edge(w1, w2).add_edge(u, w1)
 
 
 def _chord_swap_candidates(g: Graph):
@@ -212,32 +213,26 @@ def _chord_swap_candidates(g: Graph):
             if paths is None:
                 paths = recognition.neighborhood_is_paths(g, u)
             if paths:
-                yield u, w, v1, v2
+                yield (u, w, v1, v2), g.remove_edge(v1, v2).add_edge(u, w)
 
 
-# The single definition of the vertex moves, in greedy_ascent's scan order:
-# kind -> (name of its guarded apply function, candidate generator). The
-# apply function is looked up by name at call time, so rebinding the module
-# attribute (as perfbench/tracer.py does) reaches every caller.
+# The single definition of the vertex moves, kind -> generator, in
+# greedy_ascent's scan order.
 MOVES = {
-    "AddEdge": ("add_edge_move", _add_edge_candidates),
-    "PerronRotate": ("perron_rotate", _perron_rotate_candidates),
-    "LeafReattach": ("leaf_reattach", _leaf_reattach_candidates),
-    "PendantPull": ("pendant_pull", _pendant_pull_candidates),
-    "ChordSwap": ("chord_swap", _chord_swap_candidates),
+    "AddEdge": _add_edge_candidates,
+    "PerronRotate": _perron_rotate_candidates,
+    "LeafReattach": _leaf_reattach_candidates,
+    "PendantPull": _pendant_pull_candidates,
+    "ChordSwap": _chord_swap_candidates,
 }
 
 
 def move_results(g: Graph, kind: str):
     """Yield (vertices, rewritten graph) for every vertex tuple at which the
-    move `kind` of MOVES applies to g, in lexicographic order. The apply
-    function re-checks each generated tuple; a refusal propagates."""
-    if not g.is_connected():
-        return
-    name, candidates = MOVES[kind]
-    apply = globals()[name]
-    for vertices in candidates(g):
-        yield vertices, apply(g, *vertices)
+    move `kind` of MOVES applies to g, in lexicographic order: its
+    generator's output, and nothing on a disconnected g."""
+    if g.is_connected():
+        yield from MOVES[kind](g)
 
 
 # -- greedy ascent ----------------------------------------------------

@@ -211,9 +211,11 @@ def test_lemma_needs_both_bounds(capsys):
         (["verify", "cycle", "--n", "5", "--pattern", "2P4"], "needs a C<ell> pattern"),
         (["verify", "path", "--n", "6", "--pattern", "C4"], "needs a <t>P<ell> pattern"),
         (["lemma", "obv", "--n-min", "1", "--n-max", "3"], "needs orders in 2..10"),
-        (["lemma", "delta", "--n-min", "1", "--n-max", "1"], "needs orders in 2..10"),
+        (["lemma", "delta", "--n-min", "1", "--n-max", "1"], "needs orders in 2..9"),
         (["verify", "path", "--n", "8", "--pattern", "P3"],
          "needs a <t>P<ell> pattern with t >= 2 or ell >= 4, and t*ell <= n - 1 and 1 <= n <= 10"),
+        # order 10 of the connected graphs is never generated
+        (["lemma", "delta", "--n-min", "10", "--n-max", "10"], "needs orders in 2..9, got [10]"),
     ],
 )
 def test_usage_errors_exit_with_one_line(capsys, argv, message):

@@ -242,6 +242,19 @@ def test_enumerate_class_filters_pattern():
     assert len(members) == len(by_filter)
 
 
+def test_connected_graphs_stop_at_order_9(monkeypatch):
+    """Order 10 of the general class holds 11,716,571 graphs: it is
+    refused before any graph is generated, and order 9 is the cap."""
+
+    def refuse(*args):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(enumeration, "_children", refuse)
+    with pytest.raises(CapacityError, match="exhaustive enumeration needs 1 <= n <= 9, got 10"):
+        connected_graphs(10)
+    assert enumeration.CONNECTED_CAP == 9 < enumeration.EXHAUSTIVE_CAP == 10
+
+
 def test_capacity_cap():
     for n in (11, 0, -1):
         for generator in (connected_outerplanar, connected_graphs):

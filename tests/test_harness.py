@@ -237,9 +237,27 @@ def test_check_lemma_rejects_orders_outside_domain():
 @pytest.mark.parametrize("name", ["obv", "delta"])
 def test_edge_suites_reject_order_one(name):
     """K_1 has no edge: the max-degree bound and the common-neighbour
-    count do not apply, so order 1 is outside both domains, as for qmu."""
-    with pytest.raises(ParameterError, match="needs orders in 2..10"):
+    count do not apply, so order 1 is outside both domains, as for qmu.
+    obv runs on outerplanar graphs up to order 10, delta on connected
+    graphs up to order 9."""
+    domain = {"obv": "2..10", "delta": "2..9"}[name]
+    with pytest.raises(ParameterError, match=f"needs orders in {domain}"):
         check_lemma(name, [1])
+
+
+@pytest.mark.parametrize("name", ["addedges", "delta", "qmu", "perron", "edgemove2",
+                                  "edgemove3", "edgemove"])
+def test_connected_graph_suites_stop_at_order_9(monkeypatch, name):
+    """Order 10 of the connected graphs (11,716,571 of them) is out of
+    reach: each suite that walks them refuses it before generating any."""
+
+    def refuse(n):
+        raise AssertionError("connected_graphs called")
+
+    monkeypatch.setattr(harness, "connected_graphs", refuse)
+    low = 2 if name in ("delta", "qmu") else 1
+    with pytest.raises(ParameterError, match=fr"needs orders in {low}\.\.9, got \[9, 10\]"):
+        check_lemma(name, [9, 10])
 
 
 @pytest.mark.parametrize("name, n_range, count", [
@@ -408,22 +426,31 @@ def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
     assert 0 < report.margin <= least_rise
 
 
-# Afters that the Rayleigh certificate leaves to be solved at the default
-# ranges; every other after is certified unsolved.
-OPEN_AFTERS = {"addedges": 0, "perron": 0, "edgemove2": 0, "edgemove3": 0, "edgemove": 2,
-               "edgeshift": 45}
+# Afters that the Rayleigh certificate leaves open at the default ranges,
+# and how many of those reach the solver; every other after is certified
+# unsolved. Each open after of edgeshift, the gadget on (t+1, s-1) with
+# s >= 2, is the before of another shift, so it is a cache lookup.
+OPEN_AFTERS = {"addedges": (0, 0), "perron": (0, 0), "edgemove2": (0, 0), "edgemove3": (0, 0),
+               "edgemove": (2, 2), "edgeshift": (45, 0)}
 
 
 def test_q_raising_suites_solve_only_the_afters_left_open(monkeypatch):
-    """Each q-raising suite solves its befores once, in full, and then
-    only the afters its certificate leaves open; its notes name every
+    """Run alone on an empty cache, each q-raising suite solves its
+    befores once, in full, and then only the afters its certificate
+    leaves open and no batch has solved yet; its notes name every
     instance, open or not."""
     batches = []
+    solved = []
     solve = harness.q_indices
     monkeypatch.setattr(harness, "q_indices",
                         lambda graphs: solve(batches.append(list(graphs)) or batches[-1]))
-    for name, count in OPEN_AFTERS.items():
+    dense = spectral._solve
+    monkeypatch.setattr(spectral, "_solve",
+                        lambda graphs: solved.append(len(graphs)) or dense(graphs))
+    for name, (count, fresh) in OPEN_AFTERS.items():
+        monkeypatch.setattr(spectral, "_cache", {})
         batches.clear()
+        solved.clear()
         report = check_lemma(name)
         assert report.notes == PINNED_LEMMAS[name][1], name
         befores, afters = batches
@@ -431,6 +458,7 @@ def test_q_raising_suites_solve_only_the_afters_left_open(monkeypatch):
         assert len(befores) == (144 if name == "edgeshift" else
                                 sum(1 for n in n_range for _ in connected_graphs(n))), name
         assert len(afters) == count, name
+        assert solved == [len(befores), fresh], name
 
 
 def test_raises_q_leaves_what_it_cannot_certify_open(monkeypatch):

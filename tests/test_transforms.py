@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from qouter import transforms
+from qouter import harness, transforms
 from qouter.canon import canonical_code
 from qouter.constructions import cycle_extremal, h_gadget
 from qouter.enumeration import connected_graphs
@@ -25,6 +25,7 @@ from qouter.transforms import (
 )
 
 from .oracles import eig_q
+from .test_harness import MOVE_SUITES, PINNED_LEMMAS
 
 
 def assert_strict_increase(before, after):
@@ -156,24 +157,23 @@ def test_greedy_ascent_rejects_negative_max_steps():
         greedy_ascent(path(6), ForbiddenPattern.cycle(4), max_steps=-3)
 
 
-# Arity of each move, and the positions of the one unordered pair in its
-# tuple (the edge uv of AddEdge, the chord v1v2 of ChordSwap), which the
-# scan lists once, smaller vertex first.
+# The guarded function of each move, its arity, and the positions of the
+# one unordered pair in its tuple (the edge uv of AddEdge, the chord v1v2
+# of ChordSwap), which the scan lists once, smaller vertex first.
 _SHAPES = {
-    "AddEdge": (2, (0, 1)),
-    "PerronRotate": (3, None),
-    "LeafReattach": (3, None),
-    "PendantPull": (3, None),
-    "ChordSwap": (4, (2, 3)),
+    "AddEdge": (add_edge_move, 2, (0, 1)),
+    "PerronRotate": (perron_rotate, 3, None),
+    "LeafReattach": (leaf_reattach, 3, None),
+    "PendantPull": (pendant_pull, 3, None),
+    "ChordSwap": (chord_swap, 4, (2, 3)),
 }
 
 
 def _outcomes(g, kind):
     """Every distinct-vertex tuple of the move, in lexicographic order,
-    with its apply function's outcome: the rewritten graph, or the
+    with its guarded function's outcome: the rewritten graph, or the
     refusal's class and clause."""
-    arity, pair = _SHAPES[kind]
-    apply = getattr(transforms, MOVES[kind][0])
+    apply, arity, pair = _SHAPES[kind]
     found = []
     for vertices in permutations(range(g.n), arity):
         if pair and vertices[pair[0]] > vertices[pair[1]]:
@@ -190,9 +190,9 @@ def _outcomes(g, kind):
 def _assert_table_matches(g, digest):
     """Assert move_results gives exactly the rewrites that the exhaustive
     scan accepts on g, in its order; on a connected g, that each raw
-    generator yields exactly their tuples, and on a disconnected g, that
-    every guard refuses. Add every tuple's outcome to digest and return
-    the kinds that apply somewhere."""
+    generator yields exactly their tuples and rows, and on a disconnected
+    g, that every guard refuses. Add every tuple's outcome to digest and
+    return the kinds that apply somewhere."""
     kinds = set()
     for kind in MOVES:
         outcomes = _outcomes(g, kind)
@@ -201,7 +201,8 @@ def _assert_table_matches(g, digest):
             digest.update(repr((kind, g.adj, vertices, out)).encode())
         expected = [(vertices, out) for vertices, out in outcomes if isinstance(out, Graph)]
         if g.is_connected():
-            assert list(MOVES[kind][1](g)) == [vertices for vertices, _ in expected], (kind, g)
+            assert [(vertices, after.adj) for vertices, after in MOVES[kind](g)] == [
+                (vertices, after.adj) for vertices, after in expected], (kind, g)
         else:
             assert not expected, (kind, g)
         assert list(move_results(g, kind)) == expected, (kind, g)
@@ -250,22 +251,68 @@ def test_move_table_matches_exhaustive_scan():
         "3b20a5e153c1049650095c634898f2e038d15a9ffa22abaaeb0ec84d4160ed88")
 
 
+# a 20-vertex random recursive tree and its greedy ascent under C4, as
+# recorded from the exhaustive scan that the move table replaced
+ASCENT_SEED = "Sq_O__ACA??G_??_?O??__????_@??A??"
+ASCENT_TRACE = [
+    ("AddEdge", (0, 3)),
+    ("AddEdge", (0, 17)),
+    ("AddEdge", (2, 4)),
+    ("AddEdge", (3, 8)),
+    ("AddEdge", (3, 11)),
+    ("AddEdge", (3, 15)),
+    ("AddEdge", (10, 19)),
+    ("AddEdge", (12, 16)),
+    ("AddEdge", (13, 14)),
+    ("PerronRotate", (0, 6, 14)),
+    ("PerronRotate", (0, 8, 18)),
+    ("PerronRotate", (1, 7, 19)),
+]
+
+
+def _ascent_moves():
+    _, trace = greedy_ascent(graph6_decode(ASCENT_SEED), ForbiddenPattern.cycle(4))
+    return [(step.move.kind, step.move.vertices) for step in trace]
+
+
 def test_greedy_ascent_trace_is_pinned():
-    # a 20-vertex random recursive tree; the trace was recorded from the
-    # exhaustive scan that the move table replaced
-    seed = graph6_decode("Sq_O__ACA??G_??_?O??__????_@??A??")
-    _, trace = greedy_ascent(seed, ForbiddenPattern.cycle(4))
-    assert [(step.move.kind, step.move.vertices) for step in trace] == [
-        ("AddEdge", (0, 3)),
-        ("AddEdge", (0, 17)),
-        ("AddEdge", (2, 4)),
-        ("AddEdge", (3, 8)),
-        ("AddEdge", (3, 11)),
-        ("AddEdge", (3, 15)),
-        ("AddEdge", (10, 19)),
-        ("AddEdge", (12, 16)),
-        ("AddEdge", (13, 14)),
-        ("PerronRotate", (0, 6, 14)),
-        ("PerronRotate", (0, 8, 18)),
-        ("PerronRotate", (1, 7, 19)),
-    ]
+    assert _ascent_moves() == ASCENT_TRACE
+
+
+def test_move_results_agree_with_the_guards_at_the_suite_ranges():
+    """Every (vertices, after) that move_results yields on the connected
+    graphs of each move suite's default orders is, row for row, what the
+    move's guarded function gives at those vertices; all 20,114 of them,
+    as many as the suites' pinned reports count."""
+    total = 0
+    for name, kind, _ in MOVE_SUITES:
+        apply = _SHAPES[kind][0]
+        count = 0
+        for n in harness._LEMMA_SUITES[name][1]:
+            for g in connected_graphs(n):
+                for vertices, after in move_results(g, kind):
+                    assert apply(g, *vertices).adj == after.adj, (kind, g, vertices)
+                    count += 1
+        assert PINNED_LEMMAS[name][1] == [f"instances checked: {count}"], name
+        total += count
+    assert total == 20114
+
+
+def test_suites_and_ascent_run_without_the_guards(monkeypatch):
+    """With every guarded move function replaced by one that raises, each
+    move suite still gives its pinned report at its default range, and
+    greedy_ascent its pinned trace: the generators alone build the
+    rewrites."""
+
+    def refuse(*args):
+        raise AssertionError("guarded move function called")
+
+    for apply, _, _ in _SHAPES.values():
+        monkeypatch.setattr(transforms, apply.__name__, refuse)
+    for name, _, _ in MOVE_SUITES:
+        report = harness.check_lemma(name)
+        parameters, notes, margin = PINNED_LEMMAS[name]
+        assert (report.status, report.parameters, report.notes) == (harness.CONFIRMED,
+                                                                    parameters, notes), name
+        assert report.margin == pytest.approx(margin, rel=0, abs=1e-12), name
+    assert _ascent_moves() == ASCENT_TRACE
