@@ -29,7 +29,6 @@ from .enumeration import (
 )
 from .errors import ConfigError, ParameterError, check_sep
 from .graph6 import graph6_encode
-from .graphs import bits
 from .recognition import ForbiddenPattern
 from .spectral import Ordering, compare_results, eta_max, path_join_ratios, q_index, q_indices
 
@@ -352,30 +351,21 @@ def _rayleigh_setup(before, base, sep):
     return xs, num, hi * den // scale, den
 
 
-def _rayleigh_num(before, after, xs, num):
-    """The numerator sum of (X_u + X_v)^2 over after's edges, from
-    before's num by the edges in which the two graphs differ."""
-    for u, (old, new) in enumerate(zip(before.adj, after.adj)):
-        if old != new:
-            for v in bits((old ^ new) & ~((2 << u) - 1)):  # each edge at its lower end
-                term = (xs[u] + xs[v]) ** 2
-                num += term if (new >> v) & 1 else -term
-    return num
-
-
 def _raises_q(name, params, befores, sep, describe) -> VerificationReport:
     """The report of a suite whose every instance must raise q.
 
     `befores` yields (before, before's result, instances), and each
-    instance is a (label, after) pair: q(after) must exceed the before's
-    bracket by more than sep, and a miss is a violation at before, named
-    by describe(label). An after of before's order is certified,
-    unsolved, when its exact Rayleigh quotient R on before's scaled
-    Perron vector clears q + radius + sep of before (see
-    _rayleigh_setup). The afters it leaves open are solved as one batch
-    and must compare GREATER than the before's result. The margin is a
-    lower bound on the least rise: R less the before's upper bracket
-    end, or the after's lower end less it for a solved after.
+    instance is an edge edit (label, drop, add) of before: q of its after
+    must exceed the before's bracket by more than sep, and a miss is a
+    violation at before, named by describe(label). An edit is certified,
+    its after never built, when the after's exact Rayleigh quotient R on
+    before's scaled Perron vector clears q + radius + sep of before (see
+    _rayleigh_setup): its numerator is before's num plus (X_a + X_b)^2
+    for add = ab, less (X_c + X_d)^2 for drop = cd. Only the afters left
+    open are built (transforms.rewrite) and solved, as one batch, and
+    must compare GREATER than the before's result. The margin is a lower
+    bound on the least rise: R less the before's upper bracket end, or
+    the after's lower end less it for a solved after.
     """
     violations = []
     margin = float("inf")
@@ -383,18 +373,21 @@ def _raises_q(name, params, befores, sep, describe) -> VerificationReport:
     left_open = []
     for before, base, instances in befores:
         setup = None
-        for label, after in instances:
+        for label, drop, add in instances:
             count += 1
             # set up at a before's first instance; without a bracket that is one test
             setup = setup or _rayleigh_setup(before, base, sep)
-            if setup is not None and after.n == before.n:
+            if setup is not None:
                 xs, num, threshold, den = setup
-                num = _rayleigh_num(before, after, xs, num)
+                num += (xs[add[0]] + xs[add[1]]) ** 2
+                if drop is not None:
+                    num -= (xs[drop[0]] + xs[drop[1]]) ** 2
                 if num > threshold:
                     margin = min(margin, num / den - (base.q + base.radius))
                     continue
-            left_open.append((before, base, label, after))
-    for (before, base, label, _), res in zip(left_open, q_indices(i[-1] for i in left_open)):
+            left_open.append((before, base, label, drop, add))
+    afters = q_indices(transforms.rewrite(g, drop, add) for g, _, _, drop, add in left_open)
+    for (before, base, label, _, _), res in zip(left_open, afters):
         if compare_results(res, base, sep) is not Ordering.GREATER:
             violations.append((before, f"{describe(label)} did not raise q"))
         else:
@@ -405,11 +398,11 @@ def _raises_q(name, params, befores, sep, describe) -> VerificationReport:
 def _move_suite(name, kind, n_range, sep):
     """Every application of the move `kind` of transforms.MOVES to a
     connected graph of each order must raise q. The move's generator
-    yields only the tuples at which it applies, each with its rewrite,
+    yields only the tuples at which it applies, each with its edge edit,
     so each is an instance. The graphs come from the solved-class walk,
     so the PerronRotate generator finds each one's vector solved, and
-    _raises_q certifies each rewrite by the Rayleigh quotient on that
-    vector; it solves only the rewrites the quotient leaves open."""
+    _raises_q certifies each edit by the Rayleigh quotient on that
+    vector; it builds and solves only the afters the quotient leaves open."""
     befores = ((g, res, transforms.move_results(g, kind)) for g, res in _solved(n_range))
     return _raises_q(name, {"n_range": list(n_range), "sep": sep}, befores, sep,
                      lambda vertices: f"{kind} {vertices}")
@@ -417,16 +410,18 @@ def _move_suite(name, kind, n_range, sep):
 
 def _check_edgeshift(n_range, sep):
     """Every path shift of an H-gadget on a seed of at most 3 vertices,
-    with t + s at most max(n_range), must raise q."""
+    with t + s at most max(n_range), must raise q. The shift (t, s) is an
+    edge edit of the gadget: P_s's head k = h.n + t leaves its successor
+    (if s >= 2) and becomes P_t's tail, giving the gadget on (t+1, s-1)."""
     total_cap = max(n_range)
     seeds = [g for k in (1, 2, 3) for g in connected_graphs(k)]
-    shifts = [(h_gadget(h, u, t, s), (t, s), transforms.path_shift(h, u, t, s))
+    shifts = [(h_gadget(h, u, t, s), t, s, h.n + t)
               for h in seeds
               for u in range(h.n)
               for s in range(1, total_cap // 2 + 1)
               for t in range(s, total_cap - s + 1)]
-    befores = ((before, res, [(ts, after)]) for (before, ts, after), res
-               in zip(shifts, q_indices(before for before, _, _ in shifts)))
+    befores = ((before, res, [((t, s), (k, k + 1) if s > 1 else None, (k - 1, k))])
+               for (before, t, s, k), res in zip(shifts, q_indices(b for b, *_ in shifts)))
     return _raises_q("edgeshift", {"t_plus_s_max": total_cap, "sep": sep}, befores, sep,
                      lambda ts: "shift t={},s={}".format(*ts))
 
@@ -518,8 +513,8 @@ LEMMA_NAMES = tuple(_LEMMA_SUITES)
 def check_lemma(name: str, n_range=None, sep: float = 1e-9) -> VerificationReport:
     """Run one invariant suite over its enumerated class.
 
-    n_range must be nonempty and lie within the orders the suite is
-    defined for, and sep must be >= 0; otherwise ParameterError.
+    n_range must be nonempty, repeat no order and lie within the orders
+    the suite is defined for, and sep must be >= 0; else ParameterError.
     """
     check_sep(sep)
     if name not in _LEMMA_SUITES:
@@ -531,6 +526,8 @@ def check_lemma(name: str, n_range=None, sep: float = 1e-9) -> VerificationRepor
             f"lemma suite {name!r} needs orders in {domain.start}..{domain.stop - 1}, "
             f"got {n_range}"
         )
+    if len(set(n_range)) < len(n_range):
+        raise ParameterError(f"lemma suite {name!r} got a repeated order in {n_range}")
     return _timed(lambda: runner(n_range, sep))
 
 

@@ -5,9 +5,10 @@ exactly as stated and raises PreconditionError (naming the first failed
 clause) otherwise, except that add_edge_move raises EdgeStateError for a
 loop or an existing edge. When they hold, the rewritten graph has strictly
 larger Q-index. The lemma suites of `harness` and greedy_ascent apply the
-moves only through the generators of MOVES, which build each rewrite
-themselves; the suites certify each by its exact Rayleigh quotient on the
-original's Perron vector and solve only what that leaves open.
+moves only through the generators of MOVES, which yield each rewrite as
+an edge edit, one dropped edge (or none) and one added; the suites
+certify each by its exact Rayleigh quotient on the original's Perron
+vector and build (by rewrite) and solve only the edits it leaves open.
 """
 
 from __future__ import annotations
@@ -40,11 +41,16 @@ def _require(cond: bool, clause: str) -> None:
         raise PreconditionError(clause)
 
 
+def rewrite(g: Graph, drop: tuple[int, int] | None, add: tuple[int, int]) -> Graph:
+    """g less the edge drop (if any) plus the edge add; EdgeStateError if not."""
+    return (g if drop is None else g.remove_edge(*drop)).add_edge(*add)
+
+
 def add_edge_move(g: Graph, u: int, v: int) -> Graph:
     _require(g.is_connected(), "graph must be connected")
     if u == v or g.has_edge(u, v):
         raise EdgeStateError(f"cannot add edge {u}-{v}")
-    return g.add_edge(u, v)
+    return rewrite(g, None, (u, v))
 
 
 def perron_rotate(g: Graph, u: int, v: int, w: int) -> Graph:
@@ -60,7 +66,7 @@ def perron_rotate(g: Graph, u: int, v: int, w: int) -> Graph:
     failed = _perron_failure(q_index(g).vector, u, v)
     if failed is not None:
         raise PreconditionError(failed)
-    return g.remove_edge(v, w).add_edge(u, w)
+    return rewrite(g, (v, w), (u, w))
 
 
 def _perron_failure(x, u: int, v: int) -> str | None:
@@ -90,7 +96,7 @@ def leaf_reattach(g: Graph, u: int, v: int, w: int) -> Graph:
             (g.adj[z] & ~(1 << v)) & ~allowed == 0,
             "every z in N(v) \\ N[u] must satisfy N(z)\\{v} within N(v)\\N(u)",
         )
-    return g.remove_edge(v, w).add_edge(u, w)
+    return rewrite(g, (v, w), (u, w))
 
 
 def pendant_pull(g: Graph, u: int, w1: int, w2: int) -> Graph:
@@ -105,7 +111,7 @@ def pendant_pull(g: Graph, u: int, w1: int, w2: int) -> Graph:
         "N(w2)\\{w1} must lie inside N(u)",
     )
     _require(g.degree(u) >= g.degree(w2) + 1, "d(u) >= d(w2) + 1")
-    return g.remove_edge(w1, w2).add_edge(u, w1)
+    return rewrite(g, (w1, w2), (u, w1))
 
 
 def chord_swap(g: Graph, u: int, w: int, v1: int, v2: int) -> Graph:
@@ -123,7 +129,7 @@ def chord_swap(g: Graph, u: int, w: int, v1: int, v2: int) -> Graph:
             g.adj[vi] & ~closed_u & ~(1 << w) == 0,
             "N(v_i) outside N[u] and {w} must be empty",
         )
-    return g.remove_edge(v1, v2).add_edge(u, w)
+    return rewrite(g, (v1, v2), (u, w))
 
 
 def path_shift(h: Graph, u: int, t: int, s: int) -> Graph:
@@ -137,9 +143,9 @@ def path_shift(h: Graph, u: int, t: int, s: int) -> Graph:
 #
 # Generators are called only on connected graphs (move_results yields
 # nothing on a disconnected one); each tests every other clause of its
-# move and yields (vertices, rewritten graph) for exactly the tuples at
-# which the move applies, in lexicographic order, rewriting by the same
-# edge edit as the move's guarded function above.
+# move and yields (vertices, drop, add) for exactly the tuples at which
+# the move applies, in lexicographic order: the edge edit that the move's
+# guarded function above applies through rewrite, drop None for AddEdge.
 
 
 def _add_edge_candidates(g: Graph):
@@ -147,7 +153,7 @@ def _add_edge_candidates(g: Graph):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if not g.has_edge(u, v):
-                yield (u, v), g.add_edge(u, v)
+                yield (u, v), None, (u, v)
 
 
 def _perron_rotate_candidates(g: Graph):
@@ -160,7 +166,7 @@ def _perron_rotate_candidates(g: Graph):
             outside = g.adj[v] & ~closed_u
             if outside and _perron_failure(x, u, v) is None:
                 for w in bits(outside):
-                    yield (u, v, w), g.remove_edge(v, w).add_edge(u, w)
+                    yield (u, v, w), (v, w), (u, w)
 
 
 def _leaf_reattach_candidates(g: Graph):
@@ -175,7 +181,7 @@ def _leaf_reattach_candidates(g: Graph):
             allowed = g.adj[v] & ~g.adj[u]
             if all(g.adj[z] & ~(1 << v) & ~allowed == 0 for z in bits(outside)):
                 for w in bits(outside):
-                    yield (u, v, w), g.remove_edge(v, w).add_edge(u, w)
+                    yield (u, v, w), (v, w), (u, w)
 
 
 def _pendant_pull_candidates(g: Graph):
@@ -190,7 +196,7 @@ def _pendant_pull_candidates(g: Graph):
             w2 = g.adj[w1].bit_length() - 1
             if (g.adj[w2] & ~(1 << w1) & ~g.adj[u] == 0
                     and g.degree(u) >= g.degree(w2) + 1):
-                yield (u, w1, w2), g.remove_edge(w1, w2).add_edge(u, w1)
+                yield (u, w1, w2), (w1, w2), (u, w1)
 
 
 def _chord_swap_candidates(g: Graph):
@@ -213,7 +219,7 @@ def _chord_swap_candidates(g: Graph):
             if paths is None:
                 paths = recognition.neighborhood_is_paths(g, u)
             if paths:
-                yield (u, w, v1, v2), g.remove_edge(v1, v2).add_edge(u, w)
+                yield (u, w, v1, v2), (v1, v2), (u, w)
 
 
 # The single definition of the vertex moves, kind -> generator, in
@@ -228,9 +234,9 @@ MOVES = {
 
 
 def move_results(g: Graph, kind: str):
-    """Yield (vertices, rewritten graph) for every vertex tuple at which the
+    """Yield (vertices, drop, add) for every vertex tuple at which the
     move `kind` of MOVES applies to g, in lexicographic order: its
-    generator's output, and nothing on a disconnected g."""
+    generator's edge edits, none on a disconnected g; rewrite builds their graphs."""
     if g.is_connected():
         yield from MOVES[kind](g)
 
@@ -240,14 +246,11 @@ def move_results(g: Graph, kind: str):
 
 def _first_move(g: Graph, pattern: recognition.ForbiddenPattern | None):
     for kind in MOVES:
-        for vertices, candidate in move_results(g, kind):
-            if not candidate.is_connected():
-                continue
-            if not recognition.is_outerplanar(candidate):
-                continue
-            if pattern is not None and not recognition.is_f_free(candidate, pattern):
-                continue
-            return TransformMove(kind, vertices), candidate
+        for vertices, drop, add in move_results(g, kind):
+            candidate = rewrite(g, drop, add)
+            if (candidate.is_connected() and recognition.is_outerplanar(candidate)
+                    and (pattern is None or recognition.is_f_free(candidate, pattern))):
+                return TransformMove(kind, vertices), candidate
     return None
 
 

@@ -9,7 +9,7 @@ import pytest
 from qouter import harness, spectral, transforms
 from qouter.canon import canonical_code
 from qouter.cli import main
-from qouter.constructions import cycle_extremal, path_extremal
+from qouter.constructions import cycle_extremal, h_gadget, path_extremal
 from qouter.enumeration import connected_graphs
 from qouter.errors import ConfigError, ParameterError
 from qouter.graph6 import graph6_decode, graph6_encode
@@ -29,7 +29,7 @@ from qouter.harness import (
 )
 from qouter.recognition import ForbiddenPattern
 from qouter.spectral import Ordering, SpectralResult, compare_results
-from qouter.transforms import greedy_ascent
+from qouter.transforms import greedy_ascent, path_shift
 from .oracles import rayleigh_quotient
 
 
@@ -226,6 +226,17 @@ def test_check_lemma_rejects_ranges_outside_domain(name, n_range):
         check_lemma(name, n_range)
 
 
+def test_check_lemma_rejects_a_repeated_order():
+    """A repeated order would count its instances twice (perron at
+    [5, 5] would report 72 against 36 at [5]): every suite refuses it
+    before running."""
+    assert check_lemma("perron", [5]).notes == ["instances checked: 36"]
+    for name in harness.LEMMA_NAMES:
+        n = harness._LEMMA_SUITES[name][1][0]
+        with pytest.raises(ParameterError, match=fr"repeated order in \[{n}, {n + 1}, {n}\]"):
+            check_lemma(name, [n, n + 1, n])
+
+
 def test_check_lemma_rejects_orders_outside_domain():
     # claim41 is stated for 6 <= n <= 40, qmu needs an edge
     for name, n_range in [("claim41", range(2, 5)), ("claim41", range(6, 42)),
@@ -383,13 +394,14 @@ MOVE_SUITES = [("addedges", "AddEdge", range(2, 7)), ("perron", "PerronRotate", 
 
 @pytest.mark.parametrize("name, kind, n_range", MOVE_SUITES, ids=[m[0] for m in MOVE_SUITES])
 def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
-    """For every instance, the scaled vector, the threshold and the after's
-    numerator are those of an exact Fraction computation entry by entry
-    of Q; an after is certified exactly when its quotient clears q +
-    radius + sep of its before, and then q(after) is at least that
-    quotient. The report's margin is the least of the certified bounds
-    and the solved rises, at most the least rise solved the old way and
-    widened by both radii."""
+    """For every instance, the scaled vector, the threshold and the edit's
+    numerator (before's, plus the added edge's term, less the dropped
+    one's) are those of an exact Fraction computation entry by entry of
+    Q on the after that the edit builds; an after is certified exactly
+    when its quotient clears q + radius + sep of its before, and then
+    q(after) is at least that quotient. The report's margin is the least
+    of the certified bounds and the solved rises, at most the least rise
+    solved the old way and widened by both radii."""
     sep = 1e-9
     least_bound = least_rise = math.inf
     opened = 0
@@ -405,9 +417,12 @@ def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
             for other in (0, Fraction(1, 3), Fraction(1, 10**9 + 7)):
                 hi_other = Fraction(base.q) + Fraction(base.radius) + other
                 assert harness._rayleigh_setup(before, base, other)[2] == math.floor(hi_other * den)
-            for _, after in transforms.move_results(before, kind):
+            for _, drop, add in transforms.move_results(before, kind):
+                after = transforms.rewrite(before, drop, add)
                 bound = rayleigh_quotient(after, xs)
-                after_num = harness._rayleigh_num(before, after, xs, num)
+                after_num = num + (xs[add[0]] + xs[add[1]]) ** 2
+                if drop is not None:
+                    after_num -= (xs[drop[0]] + xs[drop[1]]) ** 2
                 assert Fraction(after_num, den) == bound
                 assert (after_num > threshold) == (bound > hi)
                 res = spectral.q_index(after)
@@ -461,13 +476,53 @@ def test_q_raising_suites_solve_only_the_afters_left_open(monkeypatch):
         assert solved == [len(befores), fresh], name
 
 
+def test_q_raising_suites_build_no_certified_after(monkeypatch):
+    """Run alone on an empty cache, each q-raising suite builds a graph
+    (transforms.rewrite) for exactly the edits its certificate leaves
+    open, and for no certified one."""
+    built = []
+    rewrite = transforms.rewrite
+    monkeypatch.setattr(transforms, "rewrite",
+                        lambda g, drop, add: built.append(1) or rewrite(g, drop, add))
+    for name, (count, _) in OPEN_AFTERS.items():
+        monkeypatch.setattr(spectral, "_cache", {})
+        built.clear()
+        report = check_lemma(name)
+        assert report.notes == PINNED_LEMMAS[name][1], name
+        assert len(built) == count, name
+
+
+def test_edgeshift_edits_rewrite_to_the_path_shifts(monkeypatch):
+    """Each of the 144 default shifts reaches the certificate as one edge
+    edit of its gadget, h_gadget(h, u, t, s), that rewrites it row for
+    row to path_shift(h, u, t, s): an added edge for s = 1, and a dropped
+    one besides for s >= 2."""
+    fed = []
+    raises_q = harness._raises_q
+
+    def record(name, params, befores, sep, describe):
+        fed.extend((before, res, list(instances)) for before, res, instances in befores)
+        return raises_q(name, params, iter(fed), sep, describe)
+
+    monkeypatch.setattr(harness, "_raises_q", record)
+    report = check_lemma("edgeshift")
+    assert (report.status, report.notes) == (CONFIRMED, PINNED_LEMMAS["edgeshift"][1])
+    shifts = [(h, u, t, s) for k in (1, 2, 3) for h in connected_graphs(k) for u in range(h.n)
+              for s in range(1, 5) for t in range(s, 9 - s)]
+    assert len(fed) == len(shifts) == 144
+    for (before, _, [((t, s), drop, add)]), (h, u, *ts) in zip(fed, shifts):
+        assert [t, s] == ts and before == h_gadget(h, u, t, s)
+        assert (drop is None) == (s == 1)
+        assert transforms.rewrite(before, drop, add).adj == path_shift(h, u, t, s).adj
+
+
 def test_raises_q_leaves_what_it_cannot_certify_open(monkeypatch):
     """An unbracketed before (radius inf, a vector not positive) has no
-    threshold, an after of another order has no quotient on the before's
-    vector, and an infinite sep clears nothing: each such instance is
-    solved instead of raising, and the unbracketed one and every one
-    under sep = inf is a violation there, as a solved comparison gives
-    it."""
+    threshold, and an infinite sep clears nothing: each such instance is
+    rewritten and solved instead of raising, and the unbracketed one and
+    every one under sep = inf is a violation there, as a solved
+    comparison gives it. The same edit at a bracketed before is
+    certified unbuilt."""
     batches = []
     solve = harness.q_indices
     monkeypatch.setattr(harness, "q_indices",
@@ -475,12 +530,13 @@ def test_raises_q_leaves_what_it_cannot_certify_open(monkeypatch):
     before = path(3)
     base = spectral.q_index(before)
     unbracketed = SpectralResult(base.q, np.array([0.5, -0.5, 0.5 ** 0.5]), math.inf)
-    befores = [(before, unbracketed, [("a", complete(3))]),
-               (before, base, [("b", star(4)), ("c", complete(3))])]
+    # P_3 plus the edge 02 is K_3
+    befores = [(before, unbracketed, [("a", None, (0, 2))]),
+               (before, base, [("c", None, (0, 2))])]
     report = harness._raises_q("t", {}, iter(befores), 1e-9, str)
-    assert batches == [[complete(3), star(4)]]
+    assert batches == [[complete(3)]]
     assert report.status == REFUTED
-    assert report.notes == ["instances checked: 3", "a did not raise q"]
+    assert report.notes == ["instances checked: 2", "a did not raise q"]
     assert report.witness_graphs == [graph6_encode(before)]
     assert 0 < report.margin < 1
     batches.clear()

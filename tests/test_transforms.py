@@ -22,6 +22,7 @@ from qouter.transforms import (
     path_shift,
     pendant_pull,
     perron_rotate,
+    rewrite,
 )
 
 from .oracles import eig_q
@@ -123,6 +124,19 @@ def test_path_shift():
         path_shift(h, 0, 3, 0)  # nothing to shift
 
 
+def test_rewrite_drops_at_most_one_edge_and_adds_one():
+    g = path(4)
+    assert rewrite(g, None, (0, 3)) == cycle(4)
+    assert rewrite(g, (2, 3), (1, 3)) == star(4).permuted([1, 0, 2, 3])
+    assert g == path(4)  # copy on write
+    with pytest.raises(EdgeStateError):
+        rewrite(g, (0, 2), (0, 3))  # drop is no edge
+    with pytest.raises(EdgeStateError):
+        rewrite(g, (2, 3), (0, 1))  # add is an edge
+    with pytest.raises(EdgeStateError):
+        rewrite(g, None, (2, 2))
+
+
 def test_greedy_ascent_reaches_extremal():
     seed = path(6)
     pattern = ForbiddenPattern.cycle(4)
@@ -188,11 +202,12 @@ def _outcomes(g, kind):
 
 
 def _assert_table_matches(g, digest):
-    """Assert move_results gives exactly the rewrites that the exhaustive
-    scan accepts on g, in its order; on a connected g, that each raw
-    generator yields exactly their tuples and rows, and on a disconnected
-    g, that every guard refuses. Add every tuple's outcome to digest and
-    return the kinds that apply somewhere."""
+    """Assert move_results gives exactly the edits whose rewrites the
+    exhaustive scan accepts on g, in its order; on a connected g, that
+    each raw generator yields exactly their tuples and, through rewrite,
+    their rows, and on a disconnected g, that every guard refuses. Add
+    every tuple's outcome to digest and return the kinds that apply
+    somewhere."""
     kinds = set()
     for kind in MOVES:
         outcomes = _outcomes(g, kind)
@@ -201,11 +216,13 @@ def _assert_table_matches(g, digest):
             digest.update(repr((kind, g.adj, vertices, out)).encode())
         expected = [(vertices, out) for vertices, out in outcomes if isinstance(out, Graph)]
         if g.is_connected():
-            assert [(vertices, after.adj) for vertices, after in MOVES[kind](g)] == [
+            assert [(vertices, rewrite(g, drop, add).adj)
+                    for vertices, drop, add in MOVES[kind](g)] == [
                 (vertices, after.adj) for vertices, after in expected], (kind, g)
         else:
             assert not expected, (kind, g)
-        assert list(move_results(g, kind)) == expected, (kind, g)
+        assert [(vertices, rewrite(g, drop, add))
+                for vertices, drop, add in move_results(g, kind)] == expected, (kind, g)
         if expected:
             kinds.add(kind)
     return kinds
@@ -280,17 +297,18 @@ def test_greedy_ascent_trace_is_pinned():
 
 
 def test_move_results_agree_with_the_guards_at_the_suite_ranges():
-    """Every (vertices, after) that move_results yields on the connected
-    graphs of each move suite's default orders is, row for row, what the
-    move's guarded function gives at those vertices; all 20,114 of them,
-    as many as the suites' pinned reports count."""
+    """Every (vertices, drop, add) that move_results yields on the
+    connected graphs of each move suite's default orders rewrites g, row
+    for row, to what the move's guarded function gives at those vertices;
+    all 20,114 of them, as many as the suites' pinned reports count."""
     total = 0
     for name, kind, _ in MOVE_SUITES:
         apply = _SHAPES[kind][0]
         count = 0
         for n in harness._LEMMA_SUITES[name][1]:
             for g in connected_graphs(n):
-                for vertices, after in move_results(g, kind):
+                for vertices, drop, add in move_results(g, kind):
+                    after = rewrite(g, drop, add)
                     assert apply(g, *vertices).adj == after.adj, (kind, g, vertices)
                     count += 1
         assert PINNED_LEMMAS[name][1] == [f"instances checked: {count}"], name
