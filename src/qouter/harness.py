@@ -546,6 +546,7 @@ class CampaignConfig:
 def parse_campaign_config(path) -> CampaignConfig:
     cfg = CampaignConfig(checks=[])
     known = {"checks", "n_min", "n_max", "sep", "out"}
+    seen = set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -556,6 +557,9 @@ def parse_campaign_config(path) -> CampaignConfig:
         key, value = key.strip(), value.strip()
         if key not in known:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
+        if key in seen:
+            raise ConfigError(f"key {key!r} given twice", line=lineno)
+        seen.add(key)
         try:
             if key == "checks":
                 cfg.checks = [tok.strip() for tok in value.split(",") if tok.strip()]
@@ -574,7 +578,8 @@ def parse_campaign_config(path) -> CampaignConfig:
 
 
 def _campaign_tasks(cfg: CampaignConfig) -> list[tuple[str, Callable[[], VerificationReport]]]:
-    """Every (check id, task) of the campaign, in order, before any runs."""
+    """Every (check id, task) of the campaign, in order, before any runs;
+    ConfigError if a check id comes twice, as its report would."""
     if not cfg.checks:
         raise ConfigError("no checks to run: give at least one in 'checks = ...'")
     tasks = []
@@ -595,6 +600,11 @@ def _campaign_tasks(cfg: CampaignConfig) -> list[tuple[str, Callable[[], Verific
                 tasks.append((f"lemma:{name}", lambda name=name: check_lemma(name, sep=cfg.sep)))
         else:
             raise ConfigError(f"unknown check token {token!r}")
+    seen = set()
+    for check_id, _ in tasks:
+        if check_id in seen:
+            raise ConfigError(f"check {check_id!r} is listed twice in 'checks = ...'")
+        seen.add(check_id)
     return tasks
 
 

@@ -382,8 +382,21 @@ def _count_f_free(monkeypatch):
 
 def test_argmax_tests_pattern_on_few_members(monkeypatch):
     calls = _count_f_free(monkeypatch)
+    enumeration._q_sorted.cache_clear()
     extremal_argmax(EnumerationClass(8, ForbiddenPattern.cycle(4)))
     assert 0 < len(calls) < len(connected_outerplanar(8))
+
+
+def test_argmax_is_kept_per_pattern_and_sep(monkeypatch):
+    """A repeated call returns the kept result without a scan; it is
+    frozen, so a caller cannot change what the next one reads."""
+    cls = EnumerationClass(7, ForbiddenPattern.cycle(4))
+    first = extremal_argmax(cls)
+    calls = _count_f_free(monkeypatch)
+    assert extremal_argmax(cls) is first and not calls
+    assert extremal_argmax(cls, 0.5) is not first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.margin = 0.0
 
 
 def test_argmax_with_an_infinite_radius(monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qouter import harness, spectral, transforms
+from qouter import enumeration, harness, spectral, transforms
 from qouter.canon import canonical_code
 from qouter.cli import main
 from qouter.constructions import cycle_extremal, h_gadget, path_extremal
@@ -31,6 +31,7 @@ from qouter.recognition import ForbiddenPattern
 from qouter.spectral import Ordering, SpectralResult, compare_results
 from qouter.transforms import greedy_ascent, path_shift
 from .oracles import rayleigh_quotient
+from .test_enumeration import _count_f_free
 
 
 def test_report_json_roundtrip():
@@ -113,6 +114,35 @@ def test_structural_check():
     assert report.status == CONFIRMED
     with pytest.raises(ParameterError):
         structural_check(6, ForbiddenPattern.cycle(8))
+
+
+@pytest.mark.parametrize("kind, n, pattern", [
+    ("cycle", 7, ForbiddenPattern.cycle(4)),
+    ("cycle", 8, ForbiddenPattern.cycle(5)),
+    ("path", 8, ForbiddenPattern.paths(2, 3)),
+    ("path", 7, ForbiddenPattern.paths(1, 5)),
+])
+def test_structural_cell_reads_its_siblings_argmax(monkeypatch, kind, n, pattern):
+    """After its cycle or path sibling, a structural cell tests the
+    pattern on no member: the argmax kept in the view of order n answers
+    it, with the same winners, q and margin."""
+    enumeration._q_sorted.cache_clear()
+    sibling = harness.THEOREMS[kind].entry(n, pattern, 1e-9)
+    calls = _count_f_free(monkeypatch)
+    report = structural_check(n, pattern)
+    assert not calls
+    assert sibling.status == report.status == CONFIRMED
+    assert report.witness_graphs == sibling.witness_graphs
+    assert (report.q_values[0], report.margin) == (sibling.q_values[0], sibling.margin)
+
+
+def test_structural_cells_are_the_cycle_and_path_cells():
+    """Every structural cell has a cycle or path sibling, so a campaign
+    of all three kinds scans no structural argmax of its own."""
+    def cells(kind):
+        return {(n, p) for n in range(1, 11) for p in harness.THEOREMS[kind].cells(n)}
+
+    assert cells("structural") == cells("cycle") | cells("path")
 
 
 def test_pair_disjointness_needs_adjacency():
@@ -676,6 +706,21 @@ def test_campaign_config_errors(tmp_path):
     bad.write_text("checks = lemma:nope\n")
     with pytest.raises(ConfigError, match="unknown lemma suite 'nope'"):
         run_campaign(bad)
+    # a key given twice used to let its last line win
+    bad.write_text("checks = cycle\nn_min = 5\nn_max = 5\nchecks = path\n")
+    with pytest.raises(ConfigError, match="line 4: key 'checks' given twice"):
+        parse_campaign_config(bad)
+    # a repeated check used to run twice, overwrite its report and add a
+    # second summary row; it is refused before anything is written
+    out = tmp_path / "reports"
+    for checks, repeated in [("cycle, cycle, lemma:delta, lemma:delta", "cycle:n=5,ell=3"),
+                             ("lemma:delta, lemma:delta", "lemma:delta"),
+                             ("lemma, lemma:delta", "lemma:delta"),
+                             ("structural, cycle, structural", "structural:n=5,pattern=C3")]:
+        bad.write_text(f"checks = {checks}\nn_min = 5\nn_max = 5\nout = {out}\n")
+        with pytest.raises(ConfigError, match=f"check '{repeated}' is listed twice"):
+            run_campaign(bad)
+        assert not out.exists()
 
 
 def test_run_campaign(tmp_path):
