@@ -35,13 +35,22 @@ child is decided by z and its rivals, the eligible vertices still tied
 with z. (1) The first two rounds are read off the parent's neighbour
 lists and the mask, before the child is built: an eligible vertex of
 larger degree than z, or of z's degree with larger sorted neighbour
-degrees, rejects the child. (2) A z with two neighbours is tested by
-`recognition.is_outerplanar`; a leaf z adds no cycle to its outerplanar
-parent and needs no test. (3) With rivals left, refinement stops at the
-first round in which one outranks z (rejected) or none shares z's colour
-(z is v*). (4) Only if a rival still has z's colour in the stable
-colouring does the canonical search run, on those colours; z is kept
-iff v* is in z's orbit under the generators it finds.
+degrees, rejects the child. (2) A leaf z adds no cycle. z joined to u
+and w keeps the parent P outerplanar iff u, the cut vertices separating
+u from w, and w follow each other along outer edges: bridges, or edges
+on their block's Hamiltonian cycle, unique by Sysło (1979). For z's
+block of the child is the blocks B on that route plus u-z-w; its
+Hamiltonian cycle crosses each B by a Hamiltonian path between B's entry
+and exit, and one exists iff they are consecutive on B's cycle, else B
+plus the edge entry-exit, a minor of the child, would have two. uv is a
+chord iff two components of P - u - v meet N(u) and N(v). Only
+consecutive route members are adjacent, so the route holds one outer
+edge fewer than members. The rule takes all of an Aut(P) orbit of masks
+or none, so it runs first, before the orbit walk. (3) With rivals left,
+refinement stops at the first round in which one outranks z (rejected)
+or none shares z's colour (z is v*). (4) Only if a rival still has z's
+colour in the stable colouring does the canonical search run, on those
+colours; z is kept iff v* is in z's orbit under the generators it finds.
 Without a rival z is v*, and the child is kept unsearched.
 
 Freeness of a forbidden pattern is closed under subgraphs (containing
@@ -131,15 +140,34 @@ def _orbit(mask: int, images: list[list[int]]) -> set[int]:
     return orbit
 
 
+def _admissible(parent: Graph, degree: list[int], split: list[list[int]]) -> Callable[[int], bool]:
+    """Rule (2) for a connected outerplanar parent, as a test of a mask of
+    one or two vertices: whether z joined to it keeps the parent outerplanar."""
+    cuts = [(c, parts) for c, parts in enumerate(split) if len(parts) > 1]
+    outer = list(parent.adj)  # rows of the outer edges
+    for u, v in parent.edges():
+        if degree[u] > 2 < degree[v] and sum(1 for p in parent.components(~(1 << u | 1 << v))
+                                             if p & parent.adj[u] and p & parent.adj[v]) > 1:
+            outer[u] ^= 1 << v
+            outer[v] ^= 1 << u
+
+    def admits(mask: int) -> bool:
+        route = mask | sum(1 << c for c, parts in cuts
+                           if not mask >> c & 1 and all(mask & p != mask for p in parts))
+        return sum((outer[v] & route).bit_count() for v in bits(route)) == 2 * route.bit_count() - 2
+    return admits
+
+
 def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
     z = parent.n
     nbrs = [list(bits(row)) for row in parent.adj]
     degree = [len(nv) for nv in nbrs]
     split = [parent.components(~(1 << v)) for v in range(z)]
+    admits = _admissible(parent, degree, split) if outerplanar else None
     images = [[1 << w for w in sigma] for sigma in _search(parent, _refine(parent))[2]]
     tried: set[int] = set()
     for mask in _masks(z, outerplanar):
-        if mask in tried:
+        if mask in tried or outerplanar and not admits(mask):
             continue
         if images:
             tried |= _orbit(mask, images)
@@ -147,8 +175,6 @@ def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
         if rivals is None:
             continue
         child = parent.with_new_vertex(mask)
-        if outerplanar and mask.bit_count() == 2 and not recognition.is_outerplanar(child):
-            continue
         if rivals:
             child_nbrs = [nv + [z] if mask >> v & 1 else nv for v, nv in enumerate(nbrs)]
             child_nbrs.append(list(bits(mask)))

@@ -179,8 +179,12 @@ class Graph:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    if not 1 <= n <= MAX_VERTICES:
+        raise CapacityError(f"order {n} outside 1..{MAX_VERTICES}")
     rows = [0] * n
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))

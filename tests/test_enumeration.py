@@ -16,7 +16,7 @@ from qouter.enumeration import (
     extremal_argmax,
 )
 from qouter.errors import CapacityError
-from qouter.graphs import bits, path, star
+from qouter.graphs import bits, from_edges, path, star
 from qouter.harness import PATH_THEOREM_CELLS
 from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
 from qouter.spectral import q_index
@@ -29,6 +29,7 @@ from .oracles import (
     labeled_connected,
     labeled_connected_outerplanar,
     least_of_mask_orbits,
+    outerplanar_minor_oracle,
 )
 
 # https://oeis.org/A001349 (connected graphs up to isomorphism)
@@ -176,7 +177,9 @@ def test_early_exit_refinement(monkeypatch, generator, connected, outerplanar, t
 ])
 def test_children_try_one_mask_per_orbit(monkeypatch, generator, outerplanar, top):
     """`_children` decides exactly one mask per Aut(parent) orbit, the
-    least, with Aut(parent) listed by networkx VF2."""
+    least, with Aut(parent) listed by networkx VF2. The outerplanar class
+    rejects a mask whose child is not outerplanar before its orbit is
+    walked, so such orbits never reach `_rivals`."""
     tried = []
     rivals = enumeration._rivals
     monkeypatch.setattr(enumeration, "_rivals",
@@ -185,7 +188,60 @@ def test_children_try_one_mask_per_orbit(monkeypatch, generator, outerplanar, to
         for parent in generator(n):
             tried.clear()
             list(enumeration._children(parent, outerplanar))
-            assert tried == least_of_mask_orbits(parent, enumeration._masks(n, outerplanar)), parent.adj
+            admitted = [m for m in enumeration._masks(n, outerplanar) if not outerplanar
+                        or m.bit_count() == 1 or is_outerplanar(parent.with_new_vertex(m))]
+            assert tried == least_of_mask_orbits(parent, admitted), parent.adj
+
+
+def _admits(parent):
+    """The parent's rule (2), from the degrees and `split` that `_children` passes."""
+    split = [parent.components(~(1 << v)) for v in range(parent.n)]
+    return enumeration._admissible(parent, [row.bit_count() for row in parent.adj], split)
+
+
+def _random_outerplanar(rng, n):
+    """A random tree on n vertices, then up to 2n random edges, each kept
+    only if the graph stays outerplanar, under a random labelling."""
+    g = from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        if not g.has_edge(u, v):
+            h = g.add_edge(u, v)
+            g = h if is_outerplanar(h) else g
+    return g.permuted(rng.sample(range(n), n))
+
+
+def test_outer_edge_rule_matches_is_outerplanar():
+    """Rule (2) against `is_outerplanar` of the child, for every pair
+    {u, w} of every connected outerplanar parent of order <= 8 and of 50
+    seeded random ones of order 10..40."""
+    parents = [g for n in range(2, 9) for g in connected_outerplanar(n)]
+    pairs = sum(g.n * (g.n - 1) // 2 for g in parents)
+    rng = random.Random(27)
+    parents += [_random_outerplanar(rng, rng.randint(10, 40)) for _ in range(50)]
+    verdicts = set()
+    for parent in parents:
+        admits = _admits(parent)
+        for u in range(parent.n):
+            for w in range(u):
+                mask = 1 << u | 1 << w
+                expected = is_outerplanar(parent.with_new_vertex(mask))
+                assert admits(mask) == expected, (parent.adj, u, w)
+                verdicts.add(expected)
+    assert pairs == 26225 and verdicts == {True, False}
+
+
+def test_outer_edge_rule_matches_minor_oracle():
+    """Rule (2) against the K_4 / K_{2,3} minor oracle, for every pair of
+    every connected outerplanar parent of order <= 6."""
+    for n in range(2, 7):
+        for parent in connected_outerplanar(n):
+            admits = _admits(parent)
+            for u in range(n):
+                for w in range(u):
+                    mask = 1 << u | 1 << w
+                    expected = outerplanar_minor_oracle(parent.with_new_vertex(mask))
+                    assert admits(mask) == expected, (parent.adj, u, w)
 
 
 def test_rivals_match_induced_connectivity():

@@ -53,6 +53,25 @@ def test_validation_rejects_bad_rows():
         Graph(65, (0,) * 65)
 
 
+def test_from_edges_rejects_endpoints_and_orders_out_of_range():
+    """An endpoint outside 0..n-1 names its edge; an order outside 1..64 is
+    refused before any edge is read."""
+    for edge in ((0, 5), (0, -1), (3, 1)):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
+            from_edges(3, [(0, 1), edge])
+
+    def unread():
+        raise AssertionError("edges read")
+        yield
+
+    for n in (0, -1, 65):
+        with pytest.raises(CapacityError, match=f"order {n} outside 1..64"):
+            from_edges(n, unread())
+    with pytest.raises(ValueError, match="self-loop"):
+        from_edges(3, [(1, 1)])
+    assert from_edges(1, []).adj == (0,)
+
+
 def test_standard_builders():
     p = path(5)
     assert p.m == 4 and degrees(p) == [2, 2, 2, 1, 1]
