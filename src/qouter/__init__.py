@@ -37,16 +37,7 @@ from .constructions import (
     path_extremal,
     path_join,
 )
-from .transforms import (
-    TransformMove,
-    add_edge_move,
-    chord_swap,
-    greedy_ascent,
-    leaf_reattach,
-    path_shift,
-    pendant_pull,
-    perron_rotate,
-)
+from .transforms import TransformMove, greedy_ascent
 from .enumeration import (
     ArgmaxResult,
     EnumerationClass,

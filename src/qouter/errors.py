@@ -17,17 +17,6 @@ class ParameterError(ValueError):
     """Construction or check parameters outside their domain."""
 
 
-class PreconditionError(ValueError):
-    """A transform's structural hypothesis is not satisfied.
-
-    `clause` names the first failed hypothesis.
-    """
-
-    def __init__(self, clause, message=None):
-        super().__init__(message or clause)
-        self.clause = clause
-
-
 class EtaUndefinedError(ValueError):
     """eta(u) requested for an isolated vertex."""
 

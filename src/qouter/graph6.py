@@ -29,6 +29,14 @@ def graph6_encode(g: Graph) -> str:
     return head + "".join(body)
 
 
+def _sextet(c: str) -> int:
+    """The 6-bit value of one graph6 byte; ValueError outside 63..126."""
+    val = ord(c) - 63
+    if not 0 <= val < 64:
+        raise ValueError(f"invalid graph6 character {c!r}")
+    return val
+
+
 def graph6_decode(text: str) -> Graph:
     text = text.strip()
     if text.startswith(">>graph6<<"):
@@ -40,10 +48,10 @@ def graph6_decode(text: str) -> Graph:
             raise ValueError("unsupported graph6 size record")
         n = 0
         for c in text[1:4]:
-            n = (n << 6) | (ord(c) - 63)
+            n = (n << 6) | _sextet(c)
         rest = text[4:]
     else:
-        n = ord(text[0]) - 63
+        n = _sextet(text[0])
         rest = text[1:]
     if not 1 <= n <= MAX_VERTICES:
         raise CapacityError(f"graph6 order {n} outside 1..{MAX_VERTICES}")
@@ -52,9 +60,7 @@ def graph6_decode(text: str) -> Graph:
         raise ValueError(f"graph6 body has {len(rest)} chars, expected {need}")
     bitstream = []
     for c in rest:
-        val = ord(c) - 63
-        if not 0 <= val < 64:
-            raise ValueError(f"invalid graph6 character {c!r}")
+        val = _sextet(c)
         bitstream.extend((val >> shift) & 1 for shift in range(5, -1, -1))
     edges = []
     k = 0

@@ -8,7 +8,10 @@ quotients (entry by entry of Q) in exact fractions. Memo keys are raw
 labeled adjacency, so nothing here depends on the package's canonical
 labeling. The exceptions are the package's earlier algorithms, kept as
 references for the paths that replaced them: `perron_oracle`,
-`argmax_oracle`, `children_oracle` and `outerplanar_minor_oracle`.
+`argmax_oracle`, `children_oracle` and `outerplanar_minor_oracle`; and
+the guarded moves (`add_edge_move`, ..., `path_shift`), which state each
+rewrite lemma's clauses at one vertex tuple and are the reference that
+the generators of `transforms.MOVES` are held to.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ import networkx as nx
 import numpy as np
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from qouter import transforms
 from qouter.canon import _refine, canonical_code, canonical_labeling
+from qouter.constructions import h_gadget
 from qouter.enumeration import enumerate_class
-from qouter.errors import CapacityError, EtaUndefinedError
+from qouter.errors import CapacityError, EdgeStateError, EtaUndefinedError
 from qouter.graphs import Graph, bits, from_edges
-from qouter.recognition import is_outerplanar
+from qouter.recognition import is_outerplanar, neighborhood_is_paths
 from qouter.spectral import SpectralResult, q_index
 
 
@@ -463,6 +468,124 @@ def children_oracle(parent: Graph, connected: bool, outerplanar: bool):
             continue
         seen.add(code)
         yield child
+
+
+# -- guarded moves ---------------------------------------------------
+#
+# Each checks its move's hypotheses at one vertex tuple exactly as
+# stated and raises PreconditionError naming the first failed clause,
+# except that add_edge_move raises EdgeStateError for a loop or an
+# existing edge. When they hold, the rewritten graph has strictly larger
+# Q-index.
+
+
+class PreconditionError(ValueError):
+    """A move's structural hypothesis is not satisfied.
+
+    `clause` names the first failed hypothesis.
+    """
+
+    def __init__(self, clause, message=None):
+        super().__init__(message or clause)
+        self.clause = clause
+
+
+def _require(cond: bool, clause: str) -> None:
+    if not cond:
+        raise PreconditionError(clause)
+
+
+def add_edge_move(g: Graph, u: int, v: int) -> Graph:
+    _require(g.is_connected(), "graph must be connected")
+    if u == v or g.has_edge(u, v):
+        raise EdgeStateError(f"cannot add edge {u}-{v}")
+    return g.add_edge(u, v)
+
+
+def perron_rotate(g: Graph, u: int, v: int, w: int) -> Graph:
+    """Rewire vw to uw when the Perron vector satisfies x_u >= x_v.
+
+    The vector hypothesis is accepted only with a numerical margin;
+    borderline cases are rejected.
+    """
+    _require(g.is_connected(), "graph must be connected")
+    _require(len({u, v, w}) == 3, "u, v, w must be distinct")
+    _require(not g.has_edge(u, w), "uw must not be an edge")
+    _require(g.has_edge(v, w), "vw must be an edge")
+    failed = _perron_failure(q_index(g).vector, u, v)
+    if failed is not None:
+        raise PreconditionError(failed)
+    return g.remove_edge(v, w).add_edge(u, w)
+
+
+def _perron_failure(x, u: int, v: int) -> str | None:
+    """The failed clause x_u >= x_v of perron_rotate for a Perron vector x,
+    or None when it holds by more than transforms.PERRON_MARGIN."""
+    diff = float(x[u] - x[v])
+    if diff > transforms.PERRON_MARGIN:
+        return None
+    if diff < -transforms.PERRON_MARGIN:
+        return "perron entries satisfy x_u < x_v"
+    return "x_u vs x_v margin indistinguishable"
+
+
+def leaf_reattach(g: Graph, u: int, v: int, w: int) -> Graph:
+    """Move the outside-neighbor edge vw to uw when v is a low-degree
+    neighbor of u whose outside neighborhood is pendant-like."""
+    _require(g.is_connected(), "graph must be connected")
+    _require(g.has_edge(u, v), "v must be a neighbor of u")
+    _require(g.degree(v) <= g.degree(u) - 2, "d(v) <= d(u) - 2")
+    closed_u = g.adj[u] | (1 << u)
+    outside = g.adj[v] & ~closed_u
+    _require((outside >> w) & 1, "w must lie in N(v) minus N[u]")
+    _require(outside.bit_count() in (1, 2), "|N(v) \\ N[u]| must be 1 or 2")
+    allowed = g.adj[v] & ~g.adj[u]
+    for z in bits(outside):
+        _require(
+            (g.adj[z] & ~(1 << v)) & ~allowed == 0,
+            "every z in N(v) \\ N[u] must satisfy N(z)\\{v} within N(v)\\N(u)",
+        )
+    return g.remove_edge(v, w).add_edge(u, w)
+
+
+def pendant_pull(g: Graph, u: int, w1: int, w2: int) -> Graph:
+    """Reattach a pendant w1 hanging off w2 directly to the hub u."""
+    _require(g.is_connected(), "graph must be connected")
+    closed_u = g.adj[u] | (1 << u)
+    _require(not (closed_u >> w1) & 1, "w1 must avoid N[u]")
+    _require(not (closed_u >> w2) & 1, "w2 must avoid N[u]")
+    _require(g.adj[w1] == (1 << w2), "N(w1) must equal {w2}")
+    _require(
+        g.adj[w2] & ~(1 << w1) & ~g.adj[u] == 0,
+        "N(w2)\\{w1} must lie inside N(u)",
+    )
+    _require(g.degree(u) >= g.degree(w2) + 1, "d(u) >= d(w2) + 1")
+    return g.remove_edge(w1, w2).add_edge(u, w1)
+
+
+def chord_swap(g: Graph, u: int, w: int, v1: int, v2: int) -> Graph:
+    """Trade the chord v1v2 inside N(u) for the edge uw."""
+    _require(g.is_connected(), "graph must be connected")
+    _require(neighborhood_is_paths(g, u), "G[N(u)] must consist of paths")
+    _require(g.degree(u) >= 5, "d(u) >= 5")
+    closed_u = g.adj[u] | (1 << u)
+    _require(not (closed_u >> w) & 1, "w must avoid N[u]")
+    _require(g.adj[w] == (1 << v1) | (1 << v2), "N(w) must equal {v1, v2}")
+    _require((g.adj[u] >> v1) & 1 and (g.adj[u] >> v2) & 1, "v1, v2 must be neighbors of u")
+    _require(g.has_edge(v1, v2), "v1v2 must be an edge")
+    for vi in (v1, v2):
+        _require(
+            g.adj[vi] & ~closed_u & ~(1 << w) == 0,
+            "N(v_i) outside N[u] and {w} must be empty",
+        )
+    return g.remove_edge(v1, v2).add_edge(u, w)
+
+
+def path_shift(h: Graph, u: int, t: int, s: int) -> Graph:
+    """Shift one vertex of the shorter attached path onto the longer one:
+    the gadget on (t, s) becomes the gadget on (t+1, s-1)."""
+    _require(t >= s >= 1, "need t >= s >= 1")
+    return h_gadget(h, u, t + 1, s - 1)
 
 
 # -- labeled counts ---------------------------------------------------

@@ -245,6 +245,17 @@ def test_graph6_order_outside_1_to_64_exits_with_one_line(tmp_path, capsys, line
     assert err == f"qouter: error: {source} line 2: {line!r}: graph6 order {order} outside 1..64\n"
 
 
+@pytest.mark.parametrize("line, byte", [(chr(127) + "?" * 336, chr(127)), ("!", "!"),
+                                        ("~?" + chr(127) + "@", chr(127))],
+                         ids=["del", "bang", "long-form-del"])
+def test_graph6_size_byte_outside_the_alphabet_exits_with_one_line(tmp_path, capsys, line, byte):
+    source = tmp_path / "sizes.g6"
+    source.write_text(graph6_encode(path(4)) + "\n" + line + "\n")
+    code, out, err = run(capsys, "spectral", "--graph6", str(source))
+    assert code == 2 and out == ""
+    assert err == f"qouter: error: {source} line 2: {line!r}: invalid graph6 character {byte!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["spectral", "--graph6", "{missing}/nope.g6"],
     ["ascend", "--graph6", "{missing}/nope.g6"],

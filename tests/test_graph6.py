@@ -59,6 +59,12 @@ def test_decode_errors():
         graph6_decode("Dhcc")  # overlong body
     with pytest.raises(ValueError):
         graph6_decode("A" + chr(200))  # byte outside graph6 alphabet
+    # size bytes outside the alphabet: DEL would read as order 64, "!" as
+    # order -30, and each long-form byte likewise
+    for text in (chr(127) + "?" * 336, "!", ">?", "~" + chr(127) + "?@" + "?" * 336,
+                 "~?" + chr(62) + "@", "~??" + chr(200) + "?" * 336):
+        with pytest.raises(ValueError, match="invalid graph6 character"):
+            graph6_decode(text)
     with pytest.raises(ValueError):
         graph6_decode("B" + chr(63 + 1))  # nonzero padding for n=3
     with pytest.raises(ValueError, match="unsupported graph6 size record"):

@@ -29,8 +29,8 @@ from qouter.harness import (
 )
 from qouter.recognition import ForbiddenPattern
 from qouter.spectral import Ordering, SpectralResult, compare_results
-from qouter.transforms import greedy_ascent, path_shift
-from .oracles import rayleigh_quotient
+from qouter.transforms import greedy_ascent
+from .oracles import path_shift, rayleigh_quotient
 from .test_enumeration import _count_f_free
 
 

@@ -1,31 +1,34 @@
+import ast
 import hashlib
+import importlib
+import inspect
+import pkgutil
 import random
 from itertools import permutations
 
 import pytest
 
+import qouter
 from qouter import harness, transforms
 from qouter.canon import canonical_code
 from qouter.constructions import cycle_extremal, h_gadget
 from qouter.enumeration import connected_graphs
-from qouter.errors import EdgeStateError, ParameterError, PreconditionError
+from qouter.errors import EdgeStateError, ParameterError
 from qouter.graph6 import graph6_decode
 from qouter.graphs import Graph, cycle, disjoint_union, from_edges, path, star
 from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
-from qouter.transforms import (
-    MOVES,
+from qouter.transforms import MOVES, greedy_ascent, move_results, rewrite
+
+from .oracles import (
+    PreconditionError,
     add_edge_move,
     chord_swap,
-    greedy_ascent,
+    eig_q,
     leaf_reattach,
-    move_results,
     path_shift,
     pendant_pull,
     perron_rotate,
-    rewrite,
 )
-
-from .oracles import eig_q
 from .test_harness import MOVE_SUITES, PINNED_LEMMAS
 
 
@@ -171,9 +174,10 @@ def test_greedy_ascent_rejects_negative_max_steps():
         greedy_ascent(path(6), ForbiddenPattern.cycle(4), max_steps=-3)
 
 
-# The guarded function of each move, its arity, and the positions of the
-# one unordered pair in its tuple (the edge uv of AddEdge, the chord v1v2
-# of ChordSwap), which the scan lists once, smaller vertex first.
+# The oracles' guarded function of each move, its arity, and the
+# positions of the one unordered pair in its tuple (the edge uv of
+# AddEdge, the chord v1v2 of ChordSwap), which the scan lists once,
+# smaller vertex first.
 _SHAPES = {
     "AddEdge": (add_edge_move, 2, (0, 1)),
     "PerronRotate": (perron_rotate, 3, None),
@@ -316,21 +320,23 @@ def test_move_results_agree_with_the_guards_at_the_suite_ranges():
     assert total == 20114
 
 
-def test_suites_and_ascent_run_without_the_guards(monkeypatch):
-    """With every guarded move function replaced by one that raises, each
-    move suite still gives its pinned report at its default range, and
-    greedy_ascent its pinned trace: the generators alone build the
-    rewrites."""
+# Names that only tests/oracles.py binds: the guarded moves, their
+# helpers and their refusal.
+_ORACLE_ONLY = ("add_edge_move", "perron_rotate", "leaf_reattach", "pendant_pull",
+                "chord_swap", "path_shift", "_require", "_perron_failure",
+                "PreconditionError")
 
-    def refuse(*args):
-        raise AssertionError("guarded move function called")
 
-    for apply, _, _ in _SHAPES.values():
-        monkeypatch.setattr(transforms, apply.__name__, refuse)
-    for name, _, _ in MOVE_SUITES:
-        report = harness.check_lemma(name)
-        parameters, notes, margin = PINNED_LEMMAS[name]
-        assert (report.status, report.parameters, report.notes) == (harness.CONFIRMED,
-                                                                    parameters, notes), name
-        assert report.margin == pytest.approx(margin, rel=0, abs=1e-12), name
-    assert _ascent_moves() == ASCENT_TRACE
+def test_package_binds_none_of_the_guards():
+    """No module of qouter defines, imports or exports a guarded move
+    function, their helpers or PreconditionError: MOVES and rewrite are
+    the one code path of every move. transforms does not import
+    constructions."""
+    modules = [importlib.import_module(f"qouter.{info.name}")
+               for info in pkgutil.iter_modules(qouter.__path__)]
+    assert {"qouter.errors", "qouter.transforms"} <= {mod.__name__ for mod in modules}
+    for mod in [qouter] + modules:
+        assert not set(_ORACLE_ONLY) & set(vars(mod)), mod.__name__
+    imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(transforms)))
+                if isinstance(node, ast.ImportFrom)}
+    assert "constructions" not in imported and "qouter.constructions" not in imported
