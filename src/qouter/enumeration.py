@@ -46,12 +46,16 @@ plus the edge entry-exit, a minor of the child, would have two. uv is a
 chord iff two components of P - u - v meet N(u) and N(v). Only
 consecutive route members are adjacent, so the route holds one outer
 edge fewer than members. The rule takes all of an Aut(P) orbit of masks
-or none, so it runs first, before the orbit walk. (3) With rivals left,
-refinement stops at the first round in which one outranks z (rejected)
-or none shares z's colour (z is v*). (4) Only if a rival still has z's
-colour in the stable colouring does the canonical search run, on those
-colours; z is kept iff v* is in z's orbit under the generators it finds.
-Without a rival z is v*, and the child is kept unsearched.
+or none, so it runs first, before the orbit walk. (3) A rival v is a
+twin of z iff its parent row is the mask less v. A child whose rivals
+are all twins of z, or that has none, is kept with neither refinement
+nor search: the eligible vertices that are not rivals are already
+below z, twins keep z's colour, so v* is z or a twin of z, and swapping
+z with a twin is an automorphism. (4) Otherwise refinement stops at the first round in which
+a rival outranks z (rejected) or none shares z's colour (z is v*). Only
+if a rival still has z's colour in the stable colouring does the
+canonical search run, on those colours; z is kept iff v* is in z's
+orbit under the generators it finds.
 
 Freeness of a forbidden pattern is closed under subgraphs (containing
 `C_l` or `tP_l` is a subgraph property), so it could prune the levels;
@@ -132,8 +136,11 @@ def _orbit(mask: int, images: list[list[int]]) -> set[int]:
         m = stack.pop()
         for image in images:
             m2 = 0
-            for v in bits(m):
-                m2 |= image[v]
+            rest = m
+            while rest:
+                low = rest & -rest
+                m2 |= image[low.bit_length() - 1]
+                rest ^= low
             if m2 not in orbit:
                 orbit.add(m2)
                 stack.append(m2)
@@ -175,7 +182,7 @@ def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
         if rivals is None:
             continue
         child = parent.with_new_vertex(mask)
-        if rivals:
+        if any(parent.adj[v] != mask & ~(1 << v) for v in bits(rivals)):
             child_nbrs = [nv + [z] if mask >> v & 1 else nv for v, nv in enumerate(nbrs)]
             child_nbrs.append(list(bits(mask)))
             color = _refine(child, z, rivals, child_nbrs)

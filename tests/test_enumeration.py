@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from qouter import enumeration, recognition
-from qouter.canon import _refine, canonical_code
+from qouter.canon import _refine, canonical_code, is_transposition_automorphism
 from qouter.enumeration import (
     ArgmaxResult,
     EnumerationClass,
@@ -33,7 +33,7 @@ from .oracles import (
 )
 
 # https://oeis.org/A001349 (connected graphs up to isomorphism)
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 CONNECTED_OUTERPLANAR_COUNTS = {
     1: 1, 2: 1, 3: 2, 4: 5, 5: 13, 6: 46, 7: 172, 8: 777, 9: 3783
 }
@@ -113,12 +113,14 @@ def test_early_exit_refinement(monkeypatch, generator, connected, outerplanar, t
     outranks z, and returns colours in which a rival shares z's colour
     only if they are the full ones. `_children` rejects a child iff an
     eligible vertex outranks z (or it is not outerplanar), and searches
-    it iff an eligible vertex other than z ends with z's colour."""
+    it iff an eligible vertex other than z ends with z's colour and a
+    rival is not a twin of z. A child whose rivals are all twins of z is
+    kept unsearched: swapping z with a twin is an automorphism."""
     searched = []
     search = enumeration._search
     monkeypatch.setattr(enumeration, "_search",
                         lambda g, color: searched.append(g) or search(g, color))
-    seen = {"round 2": 0, "rivals": 0, "refine": 0, "separated": 0, "search": 0}
+    seen = {"round 2": 0, "rivals": 0, "refine": 0, "separated": 0, "search": 0, "twins": 0}
     for n in range(1, top + 1):
         for parent in generator(n):
             nbrs = [list(bits(row)) for row in parent.adj]
@@ -165,10 +167,80 @@ def test_early_exit_refinement(monkeypatch, generator, connected, outerplanar, t
                 if outranked:
                     assert child not in kept and child not in searched_children, child.adj
                 else:
-                    seen["search"] += bool(tied)
-                    assert (child in searched_children) == bool(tied), child.adj
-                    assert tied or child in kept, child.adj
+                    twins = all(is_transposition_automorphism(child, v, n) for v in bits(rivals))
+                    searches = bool(tied) and not twins
+                    seen["search"] += searches
+                    seen["twins"] += bool(rivals) and twins
+                    assert (child in searched_children) == searches, child.adj
+                    assert searches or child in kept, child.adj
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("generator, outerplanar, top, refined, searched", [
+    (connected_outerplanar, True, 8, 458, 231),  # 648 and 421 without the twin rule
+    (connected_graphs, False, 7, 246, 173),  # 548 and 475 without it
+])
+def test_child_refinements_and_searches_are_pinned(monkeypatch, generator, outerplanar, top,
+                                                    refined, searched):
+    """The children refined and the children searched in building levels
+    2..top. Early decisions change no generated row, only this work, so
+    the pin shows an early decision lost, the twin rule's among them."""
+    parents = [g for n in range(1, top) for g in generator(n)]
+    calls = {"refine": 0, "search": 0}
+    refine, search = enumeration._refine, enumeration._search
+
+    def count(kind, call):
+        def counted(g, *args):
+            calls[kind] += g.n > parent.n
+            return call(g, *args)
+        return counted
+
+    monkeypatch.setattr(enumeration, "_refine", count("refine", refine))
+    monkeypatch.setattr(enumeration, "_search", count("search", search))
+    for parent in parents:
+        list(enumeration._children(parent, outerplanar))
+    assert calls == {"refine": refined, "search": searched}
+
+
+def _random_tree(rng, n):
+    """A random recursive tree: the parent of vertex v is uniform in [0, v)."""
+    return from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _with_twins(rng, n):
+    """A random connected graph on 5 vertices, grown to order n by adding
+    twins (a copy of a random vertex's row, adjacent to it or not)."""
+    g = _random_tree(rng, 5)
+    for _ in range(rng.randint(0, 5)):
+        u, v = rng.sample(range(5), 2)
+        g = g if g.has_edge(u, v) else g.add_edge(u, v)
+    while g.n < n:
+        v = rng.randrange(g.n)
+        g = g.with_new_vertex(g.adj[v] | rng.randint(0, 1) << v)
+    return g
+
+
+@pytest.mark.parametrize("outerplanar", [True, False])
+def test_children_match_oracle_beyond_the_levels(outerplanar):
+    """`_children` against the oracle, as an equal sequence, on seeded
+    twin-rich parents above the generated levels, under random labellings:
+    random recursive trees and fans of order 10..14 for the outerplanar
+    class, and connected graphs of order 8 grown by twins for the other.
+    Many of their children have a twin of z, the case the twin rule decides."""
+    rng = random.Random(29)
+    if outerplanar:
+        parents = [_random_tree(rng, rng.randint(10, 14)) for _ in range(12)]
+        parents += [path(k - 1).with_new_vertex((1 << k - 1) - 1) for k in range(10, 15)]
+    else:
+        parents = [_with_twins(rng, 8) for _ in range(6)]
+    with_twin = 0
+    for parent in parents:
+        parent = parent.permuted(rng.sample(range(parent.n), parent.n))
+        expected = tuple(children_oracle(parent, True, outerplanar))
+        assert tuple(enumeration._children(parent, outerplanar)) == expected, parent.adj
+        with_twin += sum(any(is_transposition_automorphism(child, v, parent.n)
+                             for v in range(parent.n)) for child in expected)
+    assert with_twin > len(parents), with_twin
 
 
 @pytest.mark.parametrize("generator, outerplanar, top", [
@@ -202,7 +274,7 @@ def _admits(parent):
 def _random_outerplanar(rng, n):
     """A random tree on n vertices, then up to 2n random edges, each kept
     only if the graph stays outerplanar, under a random labelling."""
-    g = from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+    g = _random_tree(rng, n)
     for _ in range(rng.randint(0, 2 * n)):
         u, v = rng.sample(range(n), 2)
         if not g.has_edge(u, v):
