@@ -61,9 +61,7 @@ def _search(g: Graph, color: list[int]) -> tuple[
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(color[v], []).append(v)
-    pos_color: list[int] = []
-    for c in sorted(by_color):
-        pos_color.extend([c] * len(by_color[c]))
+    pos_color = sorted(color)
     lower = [0] * n
     generators: list[tuple[int, ...]] = []  # swap of each vertex with its least twin
     for members in by_color.values():

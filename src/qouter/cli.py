@@ -158,9 +158,8 @@ def _emit_report(report, out) -> int:
 
 
 def _cmd_verify(args) -> int:
-    theorem, pattern = harness.THEOREMS[args.kind], ForbiddenPattern.parse(args.pattern)
-    theorem.require_cell(args.n, pattern)  # the entry reads only its kind's fields
-    return _emit_report(theorem.entry(args.n, pattern, args.sep), args.out)
+    report = harness._run_cell(args.kind, args.n, ForbiddenPattern.parse(args.pattern), args.sep)
+    return _emit_report(report, args.out)
 
 
 def _cmd_lemma(args) -> int:

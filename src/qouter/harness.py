@@ -87,13 +87,14 @@ def _timed(fn):
 class Theorem:
     """A theorem checked one cell (n, pattern) at a time, n in
     1..EXHAUSTIVE_CAP: `has_cell` says which patterns an order has, `rule`
-    says so in words, and `entry` runs a cell through the kind's public
-    check, looked up by name at call time. `candidate(n, pattern, sep)`
-    gives the paper's graph (or None), the report's parameters and extra
-    q values. `miss(result, code)` gives the status, witnesses and
-    note when that graph, of canonical code `code`, is not the sole winner
-    by more than sep;
-    without a candidate it is the whole rule, and None means Confirmed."""
+    says what a cell needs in words, and `entry` runs a cell through the
+    kind's public check, looked up by name at call time.
+    `candidate(n, pattern, sep)` gives the paper's graph (or None), the
+    report's parameters and extra q values. The cell is Confirmed when
+    that graph is the argmax's unique winner (`ArgmaxResult.unique`);
+    else `miss(result, code)`, code being the graph's canonical code,
+    gives the status, witnesses and note. Without a candidate `miss` is
+    the whole rule, and None means Confirmed."""
 
     check_id: str
     has_cell: Callable[[int, ForbiddenPattern], bool]
@@ -108,12 +109,6 @@ class Theorem:
         patterns += [ForbiddenPattern.paths(t, ell) for t, ell in PATH_THEOREM_CELLS]
         return [p for p in patterns if self.has_cell(n, p)]
 
-    def require_cell(self, n: int, pattern: ForbiddenPattern) -> None:
-        """ParameterError unless (n, pattern) is a cell."""
-        if not (1 <= n <= EXHAUSTIVE_CAP and self.has_cell(n, pattern)):
-            raise ParameterError(f"{self.rule} and 1 <= n <= {EXHAUSTIVE_CAP}, "
-                                 f"got n={n}, pattern={pattern}")
-
 
 def _cycle_candidate(n, pattern, sep):
     expected, alpha, r = cycle_extremal(n, pattern.ell)
@@ -126,10 +121,11 @@ def _path_candidate(n, pattern, sep):
                       "sep": sep}, [q_index(expected).q]
 
 
-def _cycle_miss(result, expected_code):
-    if expected_code in result.codes:
+def _candidate_miss(status, note, result, code):
+    """Tie if the candidate is among the winners, else `status`."""
+    if code in result.codes:
         return TIE, result.graphs, "candidate is co-maximal but not separated"
-    return REFUTED, result.graphs, "argmax winner differs from the candidate graph"
+    return status, result.graphs, note
 
 
 def _hub_rule(result, code):
@@ -139,24 +135,26 @@ def _hub_rule(result, code):
     return (REFUTED, bad, "winner lacks a universal vertex with path neighborhood") if bad else None
 
 
+_CYCLE = Theorem(
+    "cycle:n={n},ell={p.ell}", lambda n, p: p.kind == "cycle" and p.ell <= n,
+    "a C<ell> pattern with 3 <= ell <= n",
+    lambda n, p, sep: verify_cycle_theorem(n, p.ell, sep), _cycle_candidate,
+    partial(_candidate_miss, REFUTED, "argmax winner differs from the candidate graph"))
+# a path cell below the theorem's order threshold may legitimately miss
+_PATH = Theorem(
+    "path:n={n},t={p.t},ell={p.ell}",
+    lambda n, p: p.kind == "paths" and (p.t >= 2 or p.ell >= 4) and p.t * p.ell <= n - 1,
+    "a <t>P<ell> pattern with t >= 2 or ell >= 4, and t*ell <= n - 1",
+    lambda n, p, sep: verify_path_theorem(n, p.t, p.ell, sep), _path_candidate,
+    partial(_candidate_miss, OUT_OF_SCOPE, "argmax differs from candidate at sub-threshold "
+            "order; theorem hypotheses demand larger n"))
 THEOREMS = {
-    "cycle": Theorem(
-        "cycle:n={n},ell={p.ell}", lambda n, p: p.kind == "cycle" and p.ell <= n,
-        "cycle check needs a C<ell> pattern with 3 <= ell <= n",
-        lambda n, p, sep: verify_cycle_theorem(n, p.ell, sep), _cycle_candidate, _cycle_miss),
-    # a path cell below the theorem's order threshold may legitimately miss
-    "path": Theorem(
-        "path:n={n},t={p.t},ell={p.ell}",
-        lambda n, p: p.kind == "paths" and (p.t >= 2 or p.ell >= 4) and p.t * p.ell <= n - 1,
-        "path check needs a <t>P<ell> pattern with t >= 2 or ell >= 4, and t*ell <= n - 1",
-        lambda n, p, sep: verify_path_theorem(n, p.t, p.ell, sep), _path_candidate,
-        lambda result, *_: (OUT_OF_SCOPE, result.graphs, "argmax differs from candidate at "
-                            "sub-threshold order; theorem hypotheses demand larger n")),
+    "cycle": _CYCLE,
+    "path": _PATH,
     "structural": Theorem(
         "structural:n={n},pattern={p}",
-        lambda n, p: p.ell <= n if p.kind == "cycle" else 4 <= p.t * p.ell <= n - 1,
-        "structural check needs a C<ell> pattern with 3 <= ell <= n "
-        "or a <t>P<ell> pattern with 4 <= t*ell <= n - 1",
+        lambda n, p: _CYCLE.has_cell(n, p) or _PATH.has_cell(n, p),
+        f"{_CYCLE.rule}, or {_PATH.rule}",
         lambda n, p, sep: structural_check(n, p, sep),
         lambda n, p, sep: (None, {"n": n, "pattern": str(p), "sep": sep}, []), _hub_rule),
 }
@@ -165,15 +163,15 @@ THEOREMS = {
 def _run_cell(kind: str, n: int, pattern: ForbiddenPattern, sep: float) -> VerificationReport:
     """The class argmax of one cell, judged by the kind's candidate and rule."""
     theorem = THEOREMS[kind]
-    theorem.require_cell(n, pattern)
+    if not (1 <= n <= EXHAUSTIVE_CAP and theorem.has_cell(n, pattern)):
+        raise ParameterError(f"{kind} check needs {theorem.rule} and 1 <= n <= "
+                             f"{EXHAUSTIVE_CAP}, got n={n}, pattern={pattern}")
 
     def run():
         expected, parameters, q_values = theorem.candidate(n, pattern, sep)
         result = extremal_argmax(EnumerationClass(n, pattern), sep)
         code = None if expected is None else canonical_code(expected)
-        # the winners are pairwise non-isomorphic
-        hit = (code is not None and len(result.graphs) == 1 and result.margin > sep
-               and result.codes[0] == code)
+        hit = result.unique and result.codes[0] == code
         miss = None if hit else theorem.miss(result, code)
         status, witnesses, note = miss or (CONFIRMED, result.graphs, None)
         return VerificationReport(
@@ -459,8 +457,10 @@ def _random_partition(rng, total):
 def _check_claim41(n_range, sep):
     """1/q + sep < x_v/x_hub < 1/q + 30/q^2 - sep on each spec's join, solved
     by path_join_ratios once per distinct spec; no bracket is a violation,
-    named once per distinct join."""
+    named once per distinct join. The orders must be consecutive."""
     n_min, n_max = min(n_range), max(n_range)
+    if n_max - n_min + 1 != len(n_range):
+        raise ParameterError(f"lemma suite 'claim41' needs consecutive orders, got {n_range}")
     violations = []
     slack = math.inf
     count = 0
@@ -514,7 +514,8 @@ def check_lemma(name: str, n_range=None, sep: float = 1e-9) -> VerificationRepor
     """Run one invariant suite over its enumerated class.
 
     n_range must be nonempty, repeat no order and lie within the orders
-    the suite is defined for, and sep must be >= 0; else ParameterError.
+    the suite is defined for (claim41's also consecutive), and sep must
+    be >= 0; else ParameterError.
     """
     check_sep(sep)
     if name not in _LEMMA_SUITES:

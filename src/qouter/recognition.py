@@ -3,10 +3,10 @@
 Outerplanarity is decided by one series reduction: vertices of degree
 <= 1 are deleted and vertices of degree 2 smoothed, while each edge
 counts how many sides of it are already filled. It runs on the whole
-graph, whatever its components; the ascent and the constructions' class
-checks call it, and generation reads it off each parent. Both forbidden
-patterns are decided by one path search, `_paths_from`: a C_l is a path
-on l vertices that ends next to its start, and tP_l is t disjoint paths.
+graph, whatever its components; only the ascent calls it, and generation
+reads it off each parent. Both forbidden patterns are decided by one
+path search, `_paths_from`: a C_l is a path on l vertices that ends next
+to its start, and tP_l is t disjoint paths.
 """
 
 from __future__ import annotations

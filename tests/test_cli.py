@@ -153,6 +153,17 @@ def test_verify_structural_stdout(capsys):
     assert json.loads(out)["status"] == "Confirmed"
 
 
+@pytest.mark.parametrize("n, pattern, status", [(8, "P4", "Confirmed"), (7, "P5", "Tie")])
+def test_verify_at_infinite_sep(capsys, n, pattern, status):
+    """An infinite sep separates nothing: the star, the only P4-free
+    member, is still the unique winner, and the co-maximal P5 candidate
+    is a Tie. Neither exits 1."""
+    code, out, _ = run(capsys, "verify", "path", "--n", str(n), "--pattern", pattern,
+                       "--sep", "inf")
+    assert code == 0
+    assert json.loads(out)["status"] == status
+
+
 def test_lemma_subcommand(capsys):
     code, out, _ = run(capsys, "lemma", "delta", "--n-min", "2", "--n-max", "5")
     assert code == 0

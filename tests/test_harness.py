@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from qouter import enumeration, harness, spectral, transforms
 from qouter.canon import canonical_code
 from qouter.cli import main
 from qouter.constructions import cycle_extremal, h_gadget, path_extremal
-from qouter.enumeration import connected_graphs
+from qouter.enumeration import EnumerationClass, connected_graphs, extremal_argmax
 from qouter.errors import ConfigError, ParameterError
 from qouter.graph6 import graph6_decode, graph6_encode
 from qouter.graphs import complete, from_edges, path, star
@@ -19,6 +20,7 @@ from qouter.harness import (
     ERROR,
     OUT_OF_SCOPE,
     REFUTED,
+    TIE,
     VerificationReport,
     check_lemma,
     parse_campaign_config,
@@ -145,6 +147,70 @@ def test_structural_cells_are_the_cycle_and_path_cells():
     assert cells("structural") == cells("cycle") | cells("path")
 
 
+def test_structural_rule_is_the_cycle_and_path_rules():
+    """For every C_ell and tP_ell up to order 12, not only the patterns
+    of `cells`, the structural kind has a cell iff the cycle or the path
+    kind has it: ell <= n for a cycle and 4 <= t*ell <= n - 1 for paths,
+    since t*ell >= 4 iff t >= 2 or ell >= 4 when ell >= 2."""
+    cycle, paths, structural = (harness.THEOREMS[k] for k in ("cycle", "path", "structural"))
+    patterns = [ForbiddenPattern.cycle(ell) for ell in range(3, 14)]
+    patterns += [ForbiddenPattern.paths(t, ell) for t in range(1, 13) for ell in range(2, 14)]
+    for n in range(1, 13):
+        for p in patterns:
+            stated = p.ell <= n if p.kind == "cycle" else 4 <= p.t * p.ell <= n - 1
+            union = cycle.has_cell(n, p) or paths.has_cell(n, p)
+            assert structural.has_cell(n, p) == union == stated, (n, p)
+
+
+def test_structural_parameter_error_is_pinned():
+    with pytest.raises(ParameterError) as info:
+        structural_check(6, ForbiddenPattern.paths(1, 3))
+    assert str(info.value) == (
+        "structural check needs a C<ell> pattern with 3 <= ell <= n, or a <t>P<ell> "
+        "pattern with t >= 2 or ell >= 4, and t*ell <= n - 1 and 1 <= n <= 10, "
+        "got n=6, pattern=P3")
+
+
+# (kind, status) -> count over the cycle and path cells of orders 1..10
+FINITE_SEP_VERDICTS = {("cycle", CONFIRMED): 35, ("cycle", TIE): 1, ("path", CONFIRMED): 25}
+INFINITE_SEP_VERDICTS = {("cycle", CONFIRMED): 1, ("cycle", TIE): 35,
+                         ("path", CONFIRMED): 12, ("path", TIE): 13}
+
+
+@pytest.mark.parametrize("sep, tally", [(0.0, FINITE_SEP_VERDICTS),
+                                        (1e-9, FINITE_SEP_VERDICTS),
+                                        (math.inf, INFINITE_SEP_VERDICTS)],
+                         ids=["0", "1e-9", "inf"])
+def test_candidate_verdict_reads_the_argmax(sep, tally):
+    """A cycle or path cell is Confirmed iff its argmax is unique
+    (`ArgmaxResult.unique`) and is the candidate, Tie iff the candidate is
+    among two or more winners, and else the kind's miss status. An
+    infinite sep separates nothing, so every cell is a Tie but those
+    whose class has one member: C3 at n = 3, and P4 and 2P2 at n >= 5,
+    where the star is the only member."""
+    seen = Counter()
+    confirmed = set()
+    for kind, miss, build in (("cycle", REFUTED, lambda n, p: cycle_extremal(n, p.ell)),
+                              ("path", OUT_OF_SCOPE, lambda n, p: path_extremal(n, p.t, p.ell))):
+        theorem = harness.THEOREMS[kind]
+        for n in range(1, 11):
+            for p in theorem.cells(n):
+                report = theorem.entry(n, p, sep)
+                result = extremal_argmax(EnumerationClass(n, p), sep)
+                code = canonical_code(build(n, p)[0])
+                assert (report.status == CONFIRMED) == (
+                    result.unique and result.codes[0] == code), report.check_id
+                assert (report.status == TIE) == (
+                    code in result.codes and len(result.codes) >= 2), report.check_id
+                assert report.status in (CONFIRMED, TIE, miss), report.check_id
+                seen[kind, report.status] += 1
+                if report.status == CONFIRMED:
+                    confirmed.add((n, str(p)))
+    assert seen == tally
+    if sep == math.inf:
+        assert confirmed == {(3, "C3")} | {(n, p) for n in range(5, 11) for p in ("P4", "2P2")}
+
+
 def test_pair_disjointness_needs_adjacency():
     """Finding: the common-neighbor-pair disjointness statement is false
     without an edge between the two vertices. C6 = 0-1-3-5-4-2-0 plus the
@@ -265,6 +331,17 @@ def test_check_lemma_rejects_a_repeated_order():
         n = harness._LEMMA_SUITES[name][1][0]
         with pytest.raises(ParameterError, match=fr"repeated order in \[{n}, {n + 1}, {n}\]"):
             check_lemma(name, [n, n + 1, n])
+
+
+def test_claim41_refuses_orders_with_a_gap():
+    """claim41 checks every order from the least to the largest it is
+    given, so orders with a gap ([6, 9] would check 7 and 8 too) are
+    refused; consecutive ones, in any order, are not."""
+    with pytest.raises(ParameterError, match=r"needs consecutive orders, got \[6, 9\]"):
+        check_lemma("claim41", [6, 9])
+    report = check_lemma("claim41", [7, 6])
+    assert report.parameters == {"n_min": 6, "n_max": 7, "sep": 1e-9}
+    assert report.notes == ["specs checked: 18"]
 
 
 def test_check_lemma_rejects_orders_outside_domain():
