@@ -201,6 +201,8 @@ def _generate(n: int, generator: Callable[[int], tuple[Graph, ...]],
               outerplanar: bool) -> tuple[Graph, ...]:
     """Level n of a class from `generator(n - 1)`, its cached level below."""
     cap = EXHAUSTIVE_CAP if outerplanar else CONNECTED_CAP
+    if type(n) is not int:  # 5.0 or True would cache a second chain of levels
+        raise CapacityError(f"exhaustive enumeration needs an int order, got {n!r}")
     if not 1 <= n <= cap:
         raise CapacityError(f"exhaustive enumeration needs 1 <= n <= {cap}, got {n}")
     if n == 1:

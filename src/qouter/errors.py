@@ -42,5 +42,7 @@ def check_sep(sep: float) -> None:
 
 
 def check_max_steps(max_steps: int) -> None:
+    if type(max_steps) is not int:  # a bool is no step count
+        raise ParameterError(f"max_steps must be an int, got {max_steps!r}")
     if max_steps < 0:
         raise ParameterError(f"max_steps must be >= 0, got {max_steps}")

@@ -11,7 +11,7 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, groupby
 from pathlib import Path
 from typing import Callable
@@ -285,11 +285,17 @@ def _check_obv(n_range, sep):
     return _report("obv", {"n_range": list(n_range)}, violations, 0.0, notes=notes)
 
 
+@lru_cache(maxsize=None)
+def _solved_level(n):
+    """(g, its q_indices result) for every connected graph of order n, solved
+    as one batch once and shared by the suites; at most CONNECTED_CAP levels."""
+    graphs = connected_graphs(n)
+    return tuple(zip(graphs, q_indices(graphs)))
+
+
 def _solved(n_range):
-    """(g, its q_indices result) for every connected graph of each order
-    in n_range, solved as one batch."""
-    graphs = [g for n in n_range for g in connected_graphs(n)]
-    return zip(graphs, q_indices(graphs))
+    """(g, its q_indices result) for every connected graph of the orders in n_range."""
+    return (pair for n in n_range for pair in _solved_level(n))
 
 
 def _check_delta(n_range, sep):
@@ -397,11 +403,12 @@ def _move_suite(name, kind, n_range, sep):
     """Every application of the move `kind` of transforms.MOVES to a
     connected graph of each order must raise q. The move's generator
     yields only the tuples at which it applies, each with its edge edit,
-    so each is an instance. The graphs come from the solved-class walk,
-    so the PerronRotate generator finds each one's vector solved, and
-    _raises_q certifies each edit by the Rayleigh quotient on that
-    vector; it builds and solves only the afters the quotient leaves open."""
-    befores = ((g, res, transforms.move_results(g, kind)) for g, res in _solved(n_range))
+    so each is an instance. Each graph's solve comes from the solved
+    levels, and its vector serves both the generator and _raises_q,
+    which certifies each edit by the Rayleigh quotient on that vector;
+    it builds and solves only the afters the quotient leaves open."""
+    befores = ((g, res, transforms.move_results(g, kind, res.vector))
+               for g, res in _solved(n_range))
     return _raises_q(name, {"n_range": list(n_range), "sep": sep}, befores, sep,
                      lambda vertices: f"{kind} {vertices}")
 
@@ -513,16 +520,16 @@ LEMMA_NAMES = tuple(_LEMMA_SUITES)
 def check_lemma(name: str, n_range=None, sep: float = 1e-9) -> VerificationReport:
     """Run one invariant suite over its enumerated class.
 
-    n_range must be nonempty, repeat no order and lie within the orders
-    the suite is defined for (claim41's also consecutive), and sep must
-    be >= 0; else ParameterError.
+    n_range must be nonempty, hold only ints (not bools), repeat no
+    order and lie within the orders the suite is defined for (claim41's
+    also consecutive), and sep must be >= 0; else ParameterError.
     """
     check_sep(sep)
     if name not in _LEMMA_SUITES:
         raise ParameterError(f"unknown lemma suite {name!r}; options: {LEMMA_NAMES}")
     runner, default_range, domain = _LEMMA_SUITES[name]
     n_range = list(n_range if n_range is not None else default_range)
-    if not n_range or any(n not in domain for n in n_range):
+    if not n_range or any(type(n) is not int or n not in domain for n in n_range):
         raise ParameterError(
             f"lemma suite {name!r} needs orders in {domain.start}..{domain.stop - 1}, "
             f"got {n_range}"

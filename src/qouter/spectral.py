@@ -9,25 +9,23 @@ distance from the computed q to the far end of that bracket is reported
 as `radius`; `compare_results` counts a gap only beyond the radii.
 
 `q_indices` is the one solver for general graphs. A disconnected graph is
-the best of its components, each looked up or solved as a graph of its own.
-The connected graphs it has not solved before are grouped by order and
-each group is solved with stacked `eigh` calls of at most
+the best of its components, each solved as a graph of its own. The
+distinct connected graphs of one call, components included, are grouped
+by order and each group is solved with stacked `eigh` calls of at most
 `_STACK_ENTRIES` matrix entries each; the sign fix, the positivity test
 and the bracket are computed per stack, as array operations. LAPACK
 solves every matrix of a stack on its own, so a result does not depend
-on the batch it came from. The lemma suites pass each connected class,
-the H-gadgets and the rewrites that no Rayleigh quotient certifies to
-it as one batch each. Results live in one dict keyed by graph, bounded
-at `_CACHE_SIZE` entries; `q_index` reads it and solves a miss as a
-batch of one. Joins K_1 v (P_{a_1} u ... u P_{a_s}) have their structured
-solver, `path_join_ratios`: one secular equation each, and no matrix.
+on the batch it came from. Nothing is kept between calls: a caller that
+reads a result again keeps it. Joins K_1 v (P_{a_1} u ... u P_{a_s})
+have their structured solver, `path_join_ratios`: one secular equation
+each, and no matrix.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -35,13 +33,10 @@ import numpy as np
 from .errors import EtaUndefinedError, ParameterError, check_sep
 from .graphs import Graph, bits
 
-_CACHE_SIZE = 1 << 18
 # 2^15 float64 entries (256 KiB) per stacked eigh call: hundreds of
 # matrices per call at n <= 9, and the stack with its eigenvectors stays
 # under 1 MB at any order.
 _STACK_ENTRIES = 1 << 15
-
-_cache: dict[Graph, "SpectralResult"] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,36 +114,23 @@ def q_indices(graphs: Iterable[Graph]) -> list[SpectralResult]:
     for each g in graphs, in order.
 
     For a disconnected graph the result is the maximum over components,
-    with the vector supported on an extremal component. Results are
-    cached and shared, so their vectors are read-only; a graph solved
-    before is looked up, and the others are solved together, the
-    components of the disconnected ones among them (these are cached as
-    graphs of their own too).
+    with the vector supported on an extremal component. Each distinct
+    graph and each distinct component is solved once, all in one batch;
+    equal graphs share one result, and its vector is read-only, so a
+    caller that keeps a result cannot change it for another.
     """
     graphs = list(graphs)
-    found = {g: _cache.get(g) for g in graphs}
-    split = {g: _parts(g) for g, res in found.items() if res is None and not g.is_connected()}
-    for parts in split.values():
-        for _, part in parts:
-            if part not in found:
-                found[part] = _cache.get(part)
-    solved = _solve([g for g, res in found.items() if res is None and g not in split])
-    found.update(solved)
+    split = {g: _parts(g) for g in dict.fromkeys(graphs) if not g.is_connected()}
+    components = [part for parts in split.values() for _, part in parts]
+    found = _solve(list(dict.fromkeys([g for g in graphs if g not in split] + components)))
     for g, parts in split.items():
-        solved[g] = found[g] = _best_part(g, parts, [found[part] for _, part in parts])
-    for g, res in solved.items():
-        if len(_cache) >= _CACHE_SIZE:
-            # drop the older half at once, so eviction stays O(1) per entry
-            for old in list(islice(_cache, _CACHE_SIZE // 2)):
-                del _cache[old]
-        _cache[g] = res
+        found[g] = _best_part(g, parts, [found[part] for _, part in parts])
     return [found[g] for g in graphs]
 
 
 def q_index(g: Graph) -> SpectralResult:
     """The q_indices result of one graph."""
-    res = _cache.get(g)
-    return res if res is not None else q_indices((g,))[0]
+    return q_indices((g,))[0]
 
 
 def path_join_ratios(parts_list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,14 +1,15 @@
 """Q-increasing rewrites as edge edits, and a deterministic greedy ascent.
 
-MOVES maps each vertex move to its generator, which yields every vertex
-tuple at which the move's hypotheses hold, with its rewrite as an edge
-edit: one dropped edge (or none) and one added. When they hold, the
-rewritten graph has strictly larger Q-index. The lemma suites of
-`harness` and greedy_ascent apply the moves only through MOVES; the
-suites certify each edit by its exact Rayleigh quotient on the
-original's Perron vector and build (by rewrite) and solve only the
-edits it leaves open. `tests/oracles.py` states each move's clauses at
-one vertex tuple, and the tests hold every generated edit to it.
+MOVES maps each vertex move to its generator, which takes a graph and
+its Perron vector and yields every vertex tuple at which the move's
+hypotheses hold, with its rewrite as an edge edit: one dropped edge (or
+none) and one added. When they hold, the rewritten graph has strictly
+larger Q-index. The lemma suites of `harness` and greedy_ascent apply
+the moves only through MOVES, passing the vector they solved; the suites
+certify each edit by its exact Rayleigh quotient on that vector and
+build (by rewrite) and solve only the edits it leaves open.
+`tests/oracles.py` states each move's clauses at one vertex tuple, and
+the tests hold every generated edit to it.
 """
 
 from __future__ import annotations
@@ -42,14 +43,15 @@ def rewrite(g: Graph, drop: tuple[int, int] | None, add: tuple[int, int]) -> Gra
 
 # -- the move table ---------------------------------------------------
 #
-# Generators are called only on connected graphs (move_results yields
-# nothing on a disconnected one); each tests every other clause of its
-# move and yields (vertices, drop, add) for exactly the tuples at which
-# the move applies, in lexicographic order: the move's edge edit at that
-# tuple, drop None for AddEdge.
+# Generators take (g, x), x being g's Perron vector, and are called only
+# on connected graphs (move_results yields nothing on a disconnected
+# one); each tests every other clause of its move and yields (vertices,
+# drop, add) for exactly the tuples at which the move applies, in
+# lexicographic order: the move's edge edit at that tuple, drop None for
+# AddEdge. Only PerronRotate reads x.
 
 
-def _add_edge_candidates(g: Graph):
+def _add_edge_candidates(g: Graph, x):
     """Non-edges u < v."""
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -57,11 +59,10 @@ def _add_edge_candidates(g: Graph):
                 yield (u, v), None, (u, v)
 
 
-def _perron_rotate_candidates(g: Graph):
+def _perron_rotate_candidates(g: Graph, x):
     """v with the Perron clause x_u >= x_v, held by more than
-    PERRON_MARGIN, then w in N(v) minus N[u] (empty for v = u). The
-    Perron vector is read once per graph."""
-    x = q_index(g).vector.tolist()
+    PERRON_MARGIN, then w in N(v) minus N[u] (empty for v = u)."""
+    x = x.tolist()
     for u in range(g.n):
         closed_u = g.adj[u] | (1 << u)
         for v in range(g.n):
@@ -71,7 +72,7 @@ def _perron_rotate_candidates(g: Graph):
                     yield (u, v, w), (v, w), (u, w)
 
 
-def _leaf_reattach_candidates(g: Graph):
+def _leaf_reattach_candidates(g: Graph, x):
     """v in N(u) with d(v) <= d(u) - 2 and one or two neighbors z outside
     N[u], each with N(z) minus v inside N(v) minus N(u); then w among them."""
     for u in range(g.n):
@@ -86,7 +87,7 @@ def _leaf_reattach_candidates(g: Graph):
                     yield (u, v, w), (v, w), (u, w)
 
 
-def _pendant_pull_candidates(g: Graph):
+def _pendant_pull_candidates(g: Graph, x):
     """A leaf w1 outside N[u] whose one neighbor w2 lies outside N[u],
     has every other neighbor in N(u), and has degree below d(u)."""
     full = (1 << g.n) - 1
@@ -101,7 +102,7 @@ def _pendant_pull_candidates(g: Graph):
                 yield (u, w1, w2), (w1, w2), (u, w1)
 
 
-def _chord_swap_candidates(g: Graph):
+def _chord_swap_candidates(g: Graph, x):
     """u of degree >= 5 whose neighborhood induces paths, and w outside
     N[u] with N(w) = {v1 < v2} an edge inside N(u) whose ends have no
     neighbor outside N[u] but w. The neighborhood test runs at most once
@@ -135,20 +136,21 @@ MOVES = {
 }
 
 
-def move_results(g: Graph, kind: str):
+def move_results(g: Graph, kind: str, x):
     """Yield (vertices, drop, add) for every vertex tuple at which the
-    move `kind` of MOVES applies to g, in lexicographic order: its
-    generator's edge edits, none on a disconnected g; rewrite builds their graphs."""
+    move `kind` of MOVES applies to g, x being g's Perron vector, in
+    lexicographic order: its generator's edge edits, none on a
+    disconnected g; rewrite builds their graphs."""
     if g.is_connected():
-        yield from MOVES[kind](g)
+        yield from MOVES[kind](g, x)
 
 
 # -- greedy ascent ----------------------------------------------------
 
 
-def _first_move(g: Graph, pattern: recognition.ForbiddenPattern | None):
+def _first_move(g: Graph, x, pattern: recognition.ForbiddenPattern | None):
     for kind in MOVES:
-        for vertices, drop, add in move_results(g, kind):
+        for vertices, drop, add in move_results(g, kind, x):
             candidate = rewrite(g, drop, add)
             if (candidate.is_connected() and recognition.is_outerplanar(candidate)
                     and (pattern is None or recognition.is_f_free(candidate, pattern))):
@@ -167,15 +169,17 @@ def greedy_ascent(
     is taken, scanning kinds in table order and each kind's vertex tuples
     in its generator's lexicographic order; a move is applicable when its
     hypotheses hold and the result stays connected, outerplanar, and
-    pattern-free. A negative max_steps raises ParameterError.
+    pattern-free. The seed and each accepted graph are solved once, and the
+    scan reads that vector. max_steps must be an int >= 0, else ParameterError.
     """
     check_max_steps(max_steps)
     trace: list[TraceStep] = []
-    current = g
+    current, res = g, q_index(g)
     for _ in range(max_steps):
-        step = _first_move(current, pattern)
+        step = _first_move(current, res.vector, pattern)
         if step is None:
             break
         move, current = step
-        trace.append(TraceStep(move, q_index(current).q))
+        res = q_index(current)
+        trace.append(TraceStep(move, res.q))
     return current, trace

@@ -512,10 +512,17 @@ def perron_rotate(g: Graph, u: int, v: int, w: int) -> Graph:
     _require(len({u, v, w}) == 3, "u, v, w must be distinct")
     _require(not g.has_edge(u, w), "uw must not be an edge")
     _require(g.has_edge(v, w), "vw must be an edge")
-    failed = _perron_failure(q_index(g).vector, u, v)
+    failed = _perron_failure(_perron_vector(g), u, v)
     if failed is not None:
         raise PreconditionError(failed)
     return g.remove_edge(v, w).add_edge(u, w)
+
+
+@lru_cache(maxsize=None)
+def _perron_vector(g: Graph) -> np.ndarray:
+    """q_index(g).vector, solved once per graph: the table tests call
+    perron_rotate at every vertex triple of each graph they sweep."""
+    return q_index(g).vector
 
 
 def _perron_failure(x, u: int, v: int) -> str | None:

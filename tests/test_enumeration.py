@@ -392,6 +392,21 @@ def test_capacity_cap():
             list(enumerate_class(EnumerationClass(n)))
 
 
+@pytest.mark.parametrize("generator", [connected_outerplanar, connected_graphs])
+def test_orders_must_be_ints(generator):
+    """5.0 and True equal the orders 5 and 1 but would key a second chain
+    of cached levels: each is refused, and caches nothing."""
+    generator.cache_clear()
+    generator(5)
+    before = generator.cache_info()
+    for n in (5.0, True, 1.0, "5"):
+        with pytest.raises(CapacityError, match=f"needs an int order, got {n!r}"):
+            generator(n)
+        with pytest.raises(CapacityError):
+            list(enumerate_class(EnumerationClass(n)))
+    assert generator.cache_info().currsize == before.currsize == 5
+
+
 def test_connected_outerplanar_has_deletable_vertex():
     """The deletion rule behind 1-2 neighbour masks: a non-cut vertex of
     degree <= 2 exists in every connected outerplanar graph with n >= 2."""

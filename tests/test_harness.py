@@ -352,6 +352,15 @@ def test_check_lemma_rejects_orders_outside_domain():
             check_lemma(name, n_range)
 
 
+@pytest.mark.parametrize("n_range", [[3.0], [4.0, 5.0], [6.0, 7.0], [True, 3], [6, 7.5]])
+@pytest.mark.parametrize("name", ["perron", "edgeshift", "claim41", "delta"])
+def test_check_lemma_rejects_orders_that_are_not_ints(name, n_range):
+    """An order equal to an int (3.0, True == 1) is refused as well, before
+    any suite runs; a bool counts as no int."""
+    with pytest.raises(ParameterError, match="needs orders in"):
+        check_lemma(name, n_range)
+
+
 @pytest.mark.parametrize("name", ["obv", "delta"])
 def test_edge_suites_reject_order_one(name):
     """K_1 has no edge: the max-degree bound and the common-neighbour
@@ -403,7 +412,7 @@ def test_move_suite_report_does_not_depend_on_the_stack_size(monkeypatch):
     reports = []
     for entries in (16 * 7 * 7, spectral._STACK_ENTRIES):
         monkeypatch.setattr(spectral, "_STACK_ENTRIES", entries)
-        monkeypatch.setattr(spectral, "_cache", {})
+        harness._solved_level.cache_clear()
         calls.clear()
         report = check_lemma("perron", range(3, 8))
         stacks = sum(-(-len(connected_graphs(n)) // (entries // (n * n))) for n in range(3, 8))
@@ -412,6 +421,21 @@ def test_move_suite_report_does_not_depend_on_the_stack_size(monkeypatch):
     assert small == default
     assert (small_calls, default_calls) == (small_stacks, default_stacks)
     assert small_calls > len(connected_graphs(7)) // 16 > 5 * default_calls
+
+
+def test_suites_over_the_same_orders_solve_each_level_once(monkeypatch):
+    """perron solves each connected level of its orders once, one stack
+    row per graph; edgemove2 over the same orders reads those levels and,
+    leaving no after open, makes no eigh stack at all."""
+    rows = []
+    bracket = spectral._bracket
+    monkeypatch.setattr(spectral, "_bracket", lambda mats: rows.append(len(mats)) or bracket(mats))
+    harness._solved_level.cache_clear()
+    assert check_lemma("perron", range(3, 8)).notes == PINNED_LEMMAS["perron"][1]
+    assert sum(rows) == sum(len(connected_graphs(n)) for n in range(3, 8))
+    rows.clear()
+    assert check_lemma("edgemove2", range(3, 8)).notes == PINNED_LEMMAS["edgemove2"][1]
+    assert rows == []
 
 
 # Every lemma suite at its default range: status Confirmed, no witnesses
@@ -451,9 +475,10 @@ def test_lemma_reports_are_pinned():
 
 
 def test_suites_take_each_q_from_the_stream_that_solved_it(monkeypatch):
-    """Run alone on an empty cache, with no q_index lookup allowed, every
-    suite that reads q still gives its pinned report: it solves each
-    graph it reads, and no suite relies on one that ran before it."""
+    """Run alone with no level solved, and with no q_index lookup
+    allowed, every suite that reads q still gives its pinned report: it
+    solves each graph it reads, and no suite relies on one that ran
+    before it."""
 
     def forbidden(*args):
         raise AssertionError("q_index called")
@@ -461,7 +486,7 @@ def test_suites_take_each_q_from_the_stream_that_solved_it(monkeypatch):
     monkeypatch.setattr(harness, "q_index", forbidden)
     for name in ("perron", "edgemove2", "edgemove3", "edgemove", "addedges", "edgeshift",
                  "delta", "qmu"):
-        monkeypatch.setattr(spectral, "_cache", {})
+        harness._solved_level.cache_clear()
         report = check_lemma(name)
         parameters, notes, margin = PINNED_LEMMAS[name]
         assert (report.status, report.parameters, report.notes) == (CONFIRMED, parameters,
@@ -524,7 +549,7 @@ def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
             for other in (0, Fraction(1, 3), Fraction(1, 10**9 + 7)):
                 hi_other = Fraction(base.q) + Fraction(base.radius) + other
                 assert harness._rayleigh_setup(before, base, other)[2] == math.floor(hi_other * den)
-            for _, drop, add in transforms.move_results(before, kind):
+            for _, drop, add in transforms.move_results(before, kind, base.vector):
                 after = transforms.rewrite(before, drop, add)
                 bound = rayleigh_quotient(after, xs)
                 after_num = num + (xs[add[0]] + xs[add[1]]) ** 2
@@ -551,16 +576,17 @@ def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
 # Afters that the Rayleigh certificate leaves open at the default ranges,
 # and how many of those reach the solver; every other after is certified
 # unsolved. Each open after of edgeshift, the gadget on (t+1, s-1) with
-# s >= 2, is the before of another shift, so it is a cache lookup.
+# s >= 2, is the before of another shift; it is solved again, in the
+# batch of open afters.
 OPEN_AFTERS = {"addedges": (0, 0), "perron": (0, 0), "edgemove2": (0, 0), "edgemove3": (0, 0),
-               "edgemove": (2, 2), "edgeshift": (45, 0)}
+               "edgemove": (2, 2), "edgeshift": (45, 45)}
 
 
 def test_q_raising_suites_solve_only_the_afters_left_open(monkeypatch):
-    """Run alone on an empty cache, each q-raising suite solves its
-    befores once, in full, and then only the afters its certificate
-    leaves open and no batch has solved yet; its notes name every
-    instance, open or not."""
+    """Run alone with no level solved, each q-raising suite solves its
+    befores once, in full (a move suite one batch per order), and then
+    only the afters its certificate leaves open, as one batch; its notes
+    name every instance, open or not."""
     batches = []
     solved = []
     solve = harness.q_indices
@@ -570,29 +596,28 @@ def test_q_raising_suites_solve_only_the_afters_left_open(monkeypatch):
     monkeypatch.setattr(spectral, "_solve",
                         lambda graphs: solved.append(len(graphs)) or dense(graphs))
     for name, (count, fresh) in OPEN_AFTERS.items():
-        monkeypatch.setattr(spectral, "_cache", {})
+        harness._solved_level.cache_clear()
         batches.clear()
         solved.clear()
         report = check_lemma(name)
         assert report.notes == PINNED_LEMMAS[name][1], name
-        befores, afters = batches
+        *befores, afters = batches
         n_range = PINNED_LEMMAS[name][0].get("n_range", [])
-        assert len(befores) == (144 if name == "edgeshift" else
-                                sum(1 for n in n_range for _ in connected_graphs(n))), name
+        assert [len(batch) for batch in befores] == (
+            [144] if name == "edgeshift" else [len(connected_graphs(n)) for n in n_range]), name
         assert len(afters) == count, name
-        assert solved == [len(befores), fresh], name
+        assert solved == [len(batch) for batch in befores] + [fresh], name
 
 
 def test_q_raising_suites_build_no_certified_after(monkeypatch):
-    """Run alone on an empty cache, each q-raising suite builds a graph
-    (transforms.rewrite) for exactly the edits its certificate leaves
-    open, and for no certified one."""
+    """Each q-raising suite builds a graph (transforms.rewrite) for
+    exactly the edits its certificate leaves open, and for no certified
+    one."""
     built = []
     rewrite = transforms.rewrite
     monkeypatch.setattr(transforms, "rewrite",
                         lambda g, drop, add: built.append(1) or rewrite(g, drop, add))
     for name, (count, _) in OPEN_AFTERS.items():
-        monkeypatch.setattr(spectral, "_cache", {})
         built.clear()
         report = check_lemma(name)
         assert report.notes == PINNED_LEMMAS[name][1], name
@@ -647,6 +672,7 @@ def test_raises_q_leaves_what_it_cannot_certify_open(monkeypatch):
     assert report.witness_graphs == [graph6_encode(before)]
     assert 0 < report.margin < 1
     batches.clear()
+    harness._solved_level.cache_clear()
     report = check_lemma("edgemove2", [6], sep=math.inf)
     assert report.status == REFUTED and report.margin == math.inf
     assert report.notes[0] == "instances checked: 4" and len(report.notes) == 5
@@ -720,7 +746,7 @@ def test_claim41_sep_widens_the_interval():
 
 def test_claim41_builds_no_join_and_no_dense_solve(monkeypatch):
     """A clean default run solves its joins by path_join_ratios alone: no
-    eigh call, no join Graph, nothing added to the q_indices cache."""
+    eigh call, no join Graph, no q_indices call."""
 
     def forbidden(*args):
         raise AssertionError("called")
@@ -728,10 +754,8 @@ def test_claim41_builds_no_join_and_no_dense_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(harness, "path_join", forbidden)
     monkeypatch.setattr(harness, "q_indices", forbidden)
-    monkeypatch.setattr(spectral, "_cache", {})
     report = check_lemma("claim41")
     assert report.status == CONFIRMED and report.notes == ["specs checked: 2983"]
-    assert spectral._cache == {}
 
 
 def test_campaign_config_parsing(tmp_path):

@@ -193,7 +193,7 @@ def _join_gate_specs():
     return sorted(set(specs), key=lambda spec: spec.order)
 
 
-def test_path_join_ratios_match_the_dense_solve(cold_cache):
+def test_path_join_ratios_match_the_dense_solve():
     """Per order, q within 1e-12 q of eigh's, each ratio x_v/x_hub within
     1e-12 of the dense vector's, and a radius at most 1e-11 that encloses
     the dense q. A group's rows are bit for bit the joins solved alone."""
@@ -228,12 +228,6 @@ def test_path_join_ratios_reject_orders_below_five(parts):
 # -- the batch solver -------------------------------------------------
 
 
-@pytest.fixture
-def cold_cache(monkeypatch):
-    """An empty result cache, so that every graph is solved in the batch."""
-    monkeypatch.setattr(spectral, "_cache", {})
-
-
 def _pendant_path_star():
     """K_{1,20} with a 20-vertex pendant path: no positive computed vector."""
     edges = [(0, i) for i in range(1, 21)] + [(i, i + 1) for i in range(20, 40)]
@@ -249,7 +243,7 @@ def _assert_bitwise(results, graphs):
         assert res.radius.hex() == ref.radius.hex(), g
 
 
-def test_q_indices_matches_oracle_in_one_mixed_call(cold_cache):
+def test_q_indices_matches_oracle_in_one_mixed_call():
     graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
     # disconnected graphs, among them equal components in both orders
     parts = [g for n in range(1, 6) for g in connected_outerplanar(n)]
@@ -266,7 +260,7 @@ def test_q_indices_matches_oracle_in_one_mixed_call(cold_cache):
         assert first.setdefault(g, res) is res
 
 
-def test_q_indices_stacks_of_64_vertices(cold_cache):
+def test_q_indices_stacks_of_64_vertices():
     """star(64) needs bit 63 of its centre's row; eight 64-vertex matrices
     fill a stack, so twenty relabellings span three stacks."""
     rnd = random.Random(5)
@@ -295,16 +289,15 @@ def test_q_indices_stacks_of_64_vertices(cold_cache):
     ],
     ids=["C5+K13", "C6+K13", "K13+C6", "n1", "2K1", "star64", "pendant-path"],
 )
-def test_q_indices_matches_oracle_alone_and_in_any_group_order(monkeypatch, graph):
+def test_q_indices_matches_oracle_alone_and_in_any_group_order(graph):
     """Alone, and after graphs whose components come in other orders, so
     that the groups are solved in another order."""
     others = [path(k) for k in sorted({mask.bit_count() for mask in graph.components()})]
     for batch in ([graph], others + [graph], others[::-1] + [graph]):
-        monkeypatch.setattr(spectral, "_cache", {})
         _assert_bitwise(q_indices(batch), batch)
 
 
-def test_q_indices_tie_keeps_the_first_component(cold_cache):
+def test_q_indices_tie_keeps_the_first_component():
     assert q_index(cycle(6)).q == q_index(star(4)).q
     res = q_indices([path(4), disjoint_union([star(4), cycle(6)]),
                      disjoint_union([cycle(6), star(4)])])
@@ -312,29 +305,25 @@ def test_q_indices_tie_keeps_the_first_component(cold_cache):
     assert np.all(res[2].vector[:6] > 0) and not res[2].vector[6:].any()
 
 
-def test_q_indices_empty_cached_and_read_only(cold_cache):
+def test_q_indices_empty_cached_and_read_only():
+    """Nothing is kept between calls; within one call, equal graphs (and a
+    graph equal to another's component) share one result, read-only."""
     assert q_indices([]) == []
     graphs = [path(3), cycle(5), disjoint_union([path(2), star(4)])]
-    first = q_indices(graphs)
-    second = q_indices(iter(graphs))
-    assert all(a is b for a, b in zip(first, second))
-    assert all(q_index(g) is res for g, res in zip(graphs, first))
+    first = q_indices(iter(graphs + graphs + [star(4)]))
+    assert all(a is b for a, b in zip(first[:3], first[3:6]))
+    # star(4) is the extremal component of the third graph
+    assert first[6].q == first[2].q
+    assert first[6].vector.tobytes() == first[2].vector[2:].tobytes()
+    _assert_bitwise(first, graphs + graphs + [star(4)])
+    assert all(a is not b for a, b in zip(q_indices(graphs), first))
     for res in first:
         assert not res.vector.flags.writeable
         with pytest.raises(ValueError):
             res.vector[0] = 1.0
 
 
-def test_q_indices_cache_stays_bounded(cold_cache, monkeypatch):
-    monkeypatch.setattr(spectral, "_CACHE_SIZE", 4)
-    graphs = [path(k) for k in range(1, 11)]
-    _assert_bitwise(q_indices(graphs), graphs)
-    assert len(spectral._cache) <= 4
-    _assert_bitwise([q_index(g) for g in graphs], graphs)
-    assert len(spectral._cache) <= 4
-
-
-def test_unbracketed_vector_leaves_its_stack_neighbours_alone(cold_cache):
+def test_unbracketed_vector_leaves_its_stack_neighbours_alone():
     """The pendant-path star has no positive computed vector (radius inf);
     solved in one stack with other 41-vertex graphs, every member still
     matches its own solve bit for bit."""
@@ -352,11 +341,8 @@ def test_unbracketed_vector_leaves_its_stack_neighbours_alone(cold_cache):
     assert math.inf in radii and any(r < 1e-9 for r in radii)
 
 
-def test_components_are_solved_as_graphs_of_their_own(cold_cache):
+def test_components_are_solved_as_graphs_of_their_own():
     g = disjoint_union([path(3), cycle(5)])
     res = q_index(g)
     _assert_bitwise([res], [g])
-    # both components were solved, and each is now a cache hit
-    assert path(3) in spectral._cache and cycle(5) in spectral._cache
-    assert spectral._cache[cycle(5)].q == res.q
     _assert_bitwise([q_index(path(3)), q_index(cycle(5))], [path(3), cycle(5)])

@@ -17,6 +17,7 @@ from qouter.errors import EdgeStateError, ParameterError
 from qouter.graph6 import graph6_decode
 from qouter.graphs import Graph, cycle, disjoint_union, from_edges, path, star
 from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
+from qouter.spectral import q_index
 from qouter.transforms import MOVES, greedy_ascent, move_results, rewrite
 
 from .oracles import (
@@ -174,6 +175,12 @@ def test_greedy_ascent_rejects_negative_max_steps():
         greedy_ascent(path(6), ForbiddenPattern.cycle(4), max_steps=-3)
 
 
+@pytest.mark.parametrize("max_steps", [2.5, float("nan"), 3.0, True, "3", None])
+def test_greedy_ascent_rejects_max_steps_that_is_not_an_int(max_steps):
+    with pytest.raises(ParameterError, match=f"max_steps must be an int, got {max_steps!r}"):
+        greedy_ascent(path(4), None, max_steps)
+
+
 # The oracles' guarded function of each move, its arity, and the
 # positions of the one unordered pair in its tuple (the edge uv of
 # AddEdge, the chord v1v2 of ChordSwap), which the scan lists once,
@@ -213,6 +220,7 @@ def _assert_table_matches(g, digest):
     every tuple's outcome to digest and return the kinds that apply
     somewhere."""
     kinds = set()
+    x = q_index(g).vector
     for kind in MOVES:
         outcomes = _outcomes(g, kind)
         for vertices, out in outcomes:
@@ -221,12 +229,12 @@ def _assert_table_matches(g, digest):
         expected = [(vertices, out) for vertices, out in outcomes if isinstance(out, Graph)]
         if g.is_connected():
             assert [(vertices, rewrite(g, drop, add).adj)
-                    for vertices, drop, add in MOVES[kind](g)] == [
+                    for vertices, drop, add in MOVES[kind](g, x)] == [
                 (vertices, after.adj) for vertices, after in expected], (kind, g)
         else:
             assert not expected, (kind, g)
         assert [(vertices, rewrite(g, drop, add))
-                for vertices, drop, add in move_results(g, kind)] == expected, (kind, g)
+                for vertices, drop, add in move_results(g, kind, x)] == expected, (kind, g)
         if expected:
             kinds.add(kind)
     return kinds
@@ -311,7 +319,7 @@ def test_move_results_agree_with_the_guards_at_the_suite_ranges():
         count = 0
         for n in harness._LEMMA_SUITES[name][1]:
             for g in connected_graphs(n):
-                for vertices, drop, add in move_results(g, kind):
+                for vertices, drop, add in move_results(g, kind, q_index(g).vector):
                     after = rewrite(g, drop, add)
                     assert apply(g, *vertices).adj == after.adj, (kind, g, vertices)
                     count += 1
@@ -323,7 +331,7 @@ def test_move_results_agree_with_the_guards_at_the_suite_ranges():
 # Names that only tests/oracles.py binds: the guarded moves, their
 # helpers and their refusal.
 _ORACLE_ONLY = ("add_edge_move", "perron_rotate", "leaf_reattach", "pendant_pull",
-                "chord_swap", "path_shift", "_require", "_perron_failure",
+                "chord_swap", "path_shift", "_require", "_perron_failure", "_perron_vector",
                 "PreconditionError")
 
 
