@@ -137,7 +137,7 @@ def _cmd_ascend(args) -> int:
             {
                 "seed": graph6_encode(g),
                 "final": graph6_encode(final),
-                "q_final": q_index(final).q,
+                "q_final": trace[-1].q if trace else q_index(final).q,
                 "trace": [
                     {"kind": step.move.kind, "vertices": list(step.move.vertices), "q": step.q}
                     for step in trace

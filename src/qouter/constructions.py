@@ -80,6 +80,8 @@ def _join_candidate(n: int, head: tuple[int, ...], part: int,
 def cycle_extremal(n: int, ell: int) -> tuple[Graph, int, int]:
     """The candidate maximizer among connected outerplanar C_ell-free graphs:
     K_1 v (alpha P_{ell-2} u P_r)."""
+    if any(type(k) is not int for k in (n, ell)):  # a bool is no order
+        raise ParameterError(f"need int n and ell, got n={n!r}, ell={ell!r}")
     if not 3 <= ell <= n:
         raise ParameterError(f"need 3 <= ell <= n, got ell={ell}, n={n}")
     return _join_candidate(n, (), ell - 2, recognition.ForbiddenPattern.cycle(ell))
@@ -90,6 +92,8 @@ def path_extremal(n: int, t: int, ell: int) -> tuple[Graph, int, int]:
     K_1 v (P_{a_1} u alpha P_part u P_r), with a_1 = ceil((ell-2)/2) and
     part = floor((ell-2)/2) for t = 1, and a_1 = t*ell - ell - 1 and
     part = ell - 1 for t >= 2."""
+    if any(type(k) is not int for k in (n, t, ell)):  # a bool is no order
+        raise ParameterError(f"need int n, t and ell, got n={n!r}, t={t!r}, ell={ell!r}")
     if t == 1:
         if ell < 4:
             raise ParameterError("single-path pattern needs ell >= 4")

@@ -62,9 +62,10 @@ Freeness of a forbidden pattern is closed under subgraphs (containing
 it does not, because each level is generated once and shared by every
 pattern. `enumerate_class` tests the pattern on every member, and
 `extremal_argmax` only on the members its descending-q scan reaches. The
-scan runs once per (order, pattern, sep): its result is kept in the
-cached per-order view it reads, so the theorem checks of one cell share
-it, and clearing that view clears it too.
+scan runs once per (class, sep): its own `lru_cache` keeps each frozen
+result, so the theorem checks of one cell share it. It reads the cached
+per-order view `_q_sorted`, which holds the solved members and is never
+changed once built.
 """
 
 from __future__ import annotations
@@ -234,15 +235,12 @@ def enumerate_class(cls: EnumerationClass) -> Iterator[Graph]:
 
 
 @lru_cache(maxsize=None)
-def _q_sorted(n: int) -> tuple[tuple[tuple[SpectralResult, Graph], ...], float,
-                                dict[tuple, ArgmaxResult]]:
+def _q_sorted(n: int) -> tuple[tuple[tuple[SpectralResult, Graph], ...], float]:
     """Every member of the unfiltered class with its solve, in descending
-    q (stable, so ties keep enumeration order), the largest radius, and
-    the argmax of each (pattern, sep) that `extremal_argmax` has found
-    over them, empty at first."""
+    q (stable, so ties keep enumeration order), and the largest radius."""
     base = connected_outerplanar(n)
     solved = sorted(zip(q_indices(base), base), key=lambda rg: -rg[0].q)
-    return tuple(solved), max(res.radius for res, _ in solved), {}
+    return tuple(solved), max(res.radius for res, _ in solved)
 
 
 @dataclass(frozen=True)
@@ -272,21 +270,18 @@ def extremal_argmax(cls: EnumerationClass, sep: float = 1e-9) -> ArgmaxResult:
     largest radius in the class: it and every later member would be
     excluded. With an infinite radius the scan covers the whole class.
 
-    The result is kept per (pattern, sep) in the cached view of order n
-    (`_q_sorted`), so a repeated call returns the same frozen result
-    without a scan; a call that raises keeps nothing.
+    The scan's `lru_cache` keeps the result per (class, sep), so a
+    repeated call returns the same frozen result without a scan; a call
+    that raises keeps nothing.
     """
     check_sep(sep)
-    solved, r_max, argmaxes = _q_sorted(cls.n)
-    key = (cls.pattern, sep)
-    if key not in argmaxes:
-        argmaxes[key] = _scan(solved, r_max, cls, sep)
-    return argmaxes[key]
+    return _scan(cls, sep)
 
 
-def _scan(solved: tuple[tuple[SpectralResult, Graph], ...], r_max: float,
-          cls: EnumerationClass, sep: float) -> ArgmaxResult:
+@lru_cache(maxsize=None)
+def _scan(cls: EnumerationClass, sep: float) -> ArgmaxResult:
     """The argmax of `extremal_argmax`, from the view of order `cls.n`."""
+    solved, r_max = _q_sorted(cls.n)
     top = excluded = None
     winners = []
     for res, g in solved:

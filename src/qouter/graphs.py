@@ -10,7 +10,7 @@ outputs are valid by construction once their own arguments are checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, EdgeStateError
 
@@ -31,8 +31,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    # not a field, so eq and hash ignore it; is_connected stores it once
-    _connected: ClassVar[bool | None] = None
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_VERTICES:
@@ -158,9 +156,7 @@ class Graph:
         return seen
 
     def is_connected(self) -> bool:
-        if self._connected is None:
-            object.__setattr__(self, "_connected", self.reachable_mask(0) == (1 << self.n) - 1)
-        return self._connected
+        return self.reachable_mask(0) == (1 << self.n) - 1
 
     def components(self, within: int = -1) -> list[int]:
         """Vertex bitmasks of the components of G[within], all of G by

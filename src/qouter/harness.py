@@ -38,6 +38,9 @@ TIE = "Tie"
 OUT_OF_SCOPE = "OutOfScope"
 ERROR = "Error"
 
+# (t, ell) of the path cells a campaign runs. With them a cycle, path and
+# structural campaign at n = 5..8 has 66 cells, the op count that
+# perfbench's campaign workload expects (`OPS` in perfbench/run.py).
 PATH_THEOREM_CELLS = ((1, 4), (1, 5), (1, 6), (2, 2), (2, 3))
 
 
@@ -88,7 +91,9 @@ class Theorem:
     """A theorem checked one cell (n, pattern) at a time, n in
     1..EXHAUSTIVE_CAP: `has_cell` says which patterns an order has, `rule`
     says what a cell needs in words, and `entry` runs a cell through the
-    kind's public check, looked up by name at call time.
+    kind's public check, looked up by name at call time: perfbench's
+    campaign workload replaces the three public check names in this
+    module with timed wrappers, to time each cell as one op.
     `candidate(n, pattern, sep)` gives the paper's graph (or None), the
     report's parameters and extra q values. The cell is Confirmed when
     that graph is the argmax's unique winner (`ArgmaxResult.unique`);
@@ -163,7 +168,7 @@ THEOREMS = {
 def _run_cell(kind: str, n: int, pattern: ForbiddenPattern, sep: float) -> VerificationReport:
     """The class argmax of one cell, judged by the kind's candidate and rule."""
     theorem = THEOREMS[kind]
-    if not (1 <= n <= EXHAUSTIVE_CAP and theorem.has_cell(n, pattern)):
+    if not (type(n) is int and 1 <= n <= EXHAUSTIVE_CAP and theorem.has_cell(n, pattern)):
         raise ParameterError(f"{kind} check needs {theorem.rule} and 1 <= n <= "
                              f"{EXHAUSTIVE_CAP}, got n={n}, pattern={pattern}")
 
@@ -407,8 +412,7 @@ def _move_suite(name, kind, n_range, sep):
     levels, and its vector serves both the generator and _raises_q,
     which certifies each edit by the Rayleigh quotient on that vector;
     it builds and solves only the afters the quotient leaves open."""
-    befores = ((g, res, transforms.move_results(g, kind, res.vector))
-               for g, res in _solved(n_range))
+    befores = ((g, res, transforms.MOVES[kind](g, res.vector)) for g, res in _solved(n_range))
     return _raises_q(name, {"n_range": list(n_range), "sep": sep}, befores, sep,
                      lambda vertices: f"{kind} {vertices}")
 

@@ -27,6 +27,8 @@ class ForbiddenPattern:
     t: int = 1
 
     def __post_init__(self):
+        if type(self.ell) is not int or type(self.t) is not int:  # a bool is no length
+            raise PatternError(f"pattern needs int ell and t, got ell={self.ell!r}, t={self.t!r}")
         if self.kind == "cycle":
             if self.ell < 3 or self.t != 1:
                 raise PatternError(f"cycle pattern needs ell >= 3, t = 1")

@@ -1,13 +1,15 @@
 """Q-increasing rewrites as edge edits, and a deterministic greedy ascent.
 
-MOVES maps each vertex move to its generator, which takes a graph and
-its Perron vector and yields every vertex tuple at which the move's
-hypotheses hold, with its rewrite as an edge edit: one dropped edge (or
-none) and one added. When they hold, the rewritten graph has strictly
-larger Q-index. The lemma suites of `harness` and greedy_ascent apply
-the moves only through MOVES, passing the vector they solved; the suites
-certify each edit by its exact Rayleigh quotient on that vector and
-build (by rewrite) and solve only the edits it leaves open.
+MOVES maps each vertex move to its generator, which takes a connected
+graph and its Perron vector and yields every vertex tuple at which the
+move's hypotheses hold, with its rewrite as an edge edit: one dropped
+edge (or none) and one added. When they hold, the rewritten graph has
+strictly larger Q-index. The lemma suites of `harness` and greedy_ascent
+call the generators of MOVES directly, only on connected graphs (members
+of a connected level; the ascent's connected seed and accepted graphs),
+passing the vector they solved; the suites certify each edit by its
+exact Rayleigh quotient on that vector and build (by rewrite) and solve
+only the edits it leaves open.
 `tests/oracles.py` states each move's clauses at one vertex tuple, and
 the tests hold every generated edit to it.
 """
@@ -43,12 +45,12 @@ def rewrite(g: Graph, drop: tuple[int, int] | None, add: tuple[int, int]) -> Gra
 
 # -- the move table ---------------------------------------------------
 #
-# Generators take (g, x), x being g's Perron vector, and are called only
-# on connected graphs (move_results yields nothing on a disconnected
-# one); each tests every other clause of its move and yields (vertices,
-# drop, add) for exactly the tuples at which the move applies, in
-# lexicographic order: the move's edge edit at that tuple, drop None for
-# AddEdge. Only PerronRotate reads x.
+# Generators take (g, x), x being g's Perron vector, and their callers
+# call them only on connected graphs, so none tests connectivity; each
+# tests every other clause of its move and yields (vertices, drop, add)
+# for exactly the tuples at which the move applies, in lexicographic
+# order: the move's edge edit at that tuple, drop None for AddEdge. Only
+# PerronRotate reads x.
 
 
 def _add_edge_candidates(g: Graph, x):
@@ -136,21 +138,12 @@ MOVES = {
 }
 
 
-def move_results(g: Graph, kind: str, x):
-    """Yield (vertices, drop, add) for every vertex tuple at which the
-    move `kind` of MOVES applies to g, x being g's Perron vector, in
-    lexicographic order: its generator's edge edits, none on a
-    disconnected g; rewrite builds their graphs."""
-    if g.is_connected():
-        yield from MOVES[kind](g, x)
-
-
 # -- greedy ascent ----------------------------------------------------
 
 
 def _first_move(g: Graph, x, pattern: recognition.ForbiddenPattern | None):
-    for kind in MOVES:
-        for vertices, drop, add in move_results(g, kind, x):
+    for kind, moves in MOVES.items():
+        for vertices, drop, add in moves(g, x):
             candidate = rewrite(g, drop, add)
             if (candidate.is_connected() and recognition.is_outerplanar(candidate)
                     and (pattern is None or recognition.is_f_free(candidate, pattern))):
@@ -170,10 +163,15 @@ def greedy_ascent(
     in its generator's lexicographic order; a move is applicable when its
     hypotheses hold and the result stays connected, outerplanar, and
     pattern-free. The seed and each accepted graph are solved once, and the
-    scan reads that vector. max_steps must be an int >= 0, else ParameterError.
+    scan reads that vector. The moves are defined on connected graphs
+    only, so a disconnected seed is returned unchanged with an empty
+    trace, and is not solved. max_steps must be an int >= 0, else
+    ParameterError.
     """
     check_max_steps(max_steps)
     trace: list[TraceStep] = []
+    if not g.is_connected():
+        return g, trace
     current, res = g, q_index(g)
     for _ in range(max_steps):
         step = _first_move(current, res.vector, pattern)

@@ -495,8 +495,15 @@ def _require(cond: bool, clause: str) -> None:
         raise PreconditionError(clause)
 
 
+@lru_cache(maxsize=None)
+def _connected(g: Graph) -> bool:
+    """g.is_connected(), tested once per graph: the table tests call each
+    guard at every vertex tuple of each graph they sweep."""
+    return g.is_connected()
+
+
 def add_edge_move(g: Graph, u: int, v: int) -> Graph:
-    _require(g.is_connected(), "graph must be connected")
+    _require(_connected(g), "graph must be connected")
     if u == v or g.has_edge(u, v):
         raise EdgeStateError(f"cannot add edge {u}-{v}")
     return g.add_edge(u, v)
@@ -508,7 +515,7 @@ def perron_rotate(g: Graph, u: int, v: int, w: int) -> Graph:
     The vector hypothesis is accepted only with a numerical margin;
     borderline cases are rejected.
     """
-    _require(g.is_connected(), "graph must be connected")
+    _require(_connected(g), "graph must be connected")
     _require(len({u, v, w}) == 3, "u, v, w must be distinct")
     _require(not g.has_edge(u, w), "uw must not be an edge")
     _require(g.has_edge(v, w), "vw must be an edge")
@@ -539,7 +546,7 @@ def _perron_failure(x, u: int, v: int) -> str | None:
 def leaf_reattach(g: Graph, u: int, v: int, w: int) -> Graph:
     """Move the outside-neighbor edge vw to uw when v is a low-degree
     neighbor of u whose outside neighborhood is pendant-like."""
-    _require(g.is_connected(), "graph must be connected")
+    _require(_connected(g), "graph must be connected")
     _require(g.has_edge(u, v), "v must be a neighbor of u")
     _require(g.degree(v) <= g.degree(u) - 2, "d(v) <= d(u) - 2")
     closed_u = g.adj[u] | (1 << u)
@@ -557,7 +564,7 @@ def leaf_reattach(g: Graph, u: int, v: int, w: int) -> Graph:
 
 def pendant_pull(g: Graph, u: int, w1: int, w2: int) -> Graph:
     """Reattach a pendant w1 hanging off w2 directly to the hub u."""
-    _require(g.is_connected(), "graph must be connected")
+    _require(_connected(g), "graph must be connected")
     closed_u = g.adj[u] | (1 << u)
     _require(not (closed_u >> w1) & 1, "w1 must avoid N[u]")
     _require(not (closed_u >> w2) & 1, "w2 must avoid N[u]")
@@ -572,7 +579,7 @@ def pendant_pull(g: Graph, u: int, w1: int, w2: int) -> Graph:
 
 def chord_swap(g: Graph, u: int, w: int, v1: int, v2: int) -> Graph:
     """Trade the chord v1v2 inside N(u) for the edge uw."""
-    _require(g.is_connected(), "graph must be connected")
+    _require(_connected(g), "graph must be connected")
     _require(neighborhood_is_paths(g, u), "G[N(u)] must consist of paths")
     _require(g.degree(u) >= 5, "d(u) >= 5")
     closed_u = g.adj[u] | (1 << u)

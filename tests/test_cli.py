@@ -107,7 +107,7 @@ def test_ascend(tmp_path, capsys):
     assert record["trace"], "ascent from a path should improve"
     qs = [step["q"] for step in record["trace"]]
     assert qs == sorted(qs)
-    assert record["q_final"] == pytest.approx(qs[-1], abs=1e-9)
+    assert record["q_final"] == qs[-1]
 
 
 def test_verify_to_file(tmp_path, capsys):

@@ -516,6 +516,12 @@ def test_argmax_matches_filter_then_max(sep):
     assert empty == 7  # P2 on connected n = 2..8
 
 
+def _clear_argmax_views():
+    """Drop the solved per-order views and the argmaxes scanned over them."""
+    enumeration._q_sorted.cache_clear()
+    enumeration._scan.cache_clear()
+
+
 def _count_f_free(monkeypatch):
     calls = []
     test = recognition.is_f_free
@@ -525,7 +531,7 @@ def _count_f_free(monkeypatch):
 
 def test_argmax_tests_pattern_on_few_members(monkeypatch):
     calls = _count_f_free(monkeypatch)
-    enumeration._q_sorted.cache_clear()
+    _clear_argmax_views()
     extremal_argmax(EnumerationClass(8, ForbiddenPattern.cycle(4)))
     assert 0 < len(calls) < len(connected_outerplanar(8))
 
@@ -554,11 +560,11 @@ def test_argmax_with_an_infinite_radius(monkeypatch):
 
     monkeypatch.setattr(enumeration, "q_indices", lambda graphs: [solve(g) for g in graphs])
     calls = _count_f_free(monkeypatch)
-    enumeration._q_sorted.cache_clear()
+    _clear_argmax_views()
     try:
         result = extremal_argmax(cls)
     finally:
-        enumeration._q_sorted.cache_clear()
+        _clear_argmax_views()
     assert len(calls) == len(connected_outerplanar(8))
     assert canonical_code(last) in {canonical_code(g) for g in result.graphs}
     assert not result.unique
@@ -582,9 +588,9 @@ def test_argmax_matches_oracle_under_any_radii(monkeypatch, seed):
     for cls in (EnumerationClass(7, ForbiddenPattern.cycle(4)),
                 EnumerationClass(8, ForbiddenPattern.cycle(5)),
                 EnumerationClass(8, ForbiddenPattern.paths(2, 3))):
-        enumeration._q_sorted.cache_clear()
+        _clear_argmax_views()
         try:
             result = extremal_argmax(cls, 1e-9)
         finally:
-            enumeration._q_sorted.cache_clear()
+            _clear_argmax_views()
         assert _as_oracle(result) == argmax_oracle(cls, 1e-9, solve), cls

@@ -161,17 +161,11 @@ def test_reachable_mask_matches_networkx(g, data):
     assert g.is_connected() == nx.is_connected(ref)
 
 
-def test_connectivity_is_computed_once_per_graph(monkeypatch):
-    calls = []
-    reach = Graph.reachable_mask
-    monkeypatch.setattr(Graph, "reachable_mask", lambda g, v: calls.append(v) or reach(g, v))
-    g = disjoint_union([path(2), cycle(3)])
-    assert not g.is_connected() and not g.is_connected()
-    assert len(calls) == 1
-    # the stored answer is no field: equality and hashing are unchanged
-    fresh = Graph(g.n, g.adj)
-    assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)
-    assert g.add_edge(1, 2).is_connected() and len(calls) == 2
+def test_connectivity_leaves_no_state_on_the_graph():
+    """is_connected stores nothing: a graph holds its two fields only."""
+    for g in (path(4), disjoint_union([path(2), cycle(3)])):
+        g.is_connected()
+        assert vars(g) == {"n": g.n, "adj": g.adj}
 
 
 def test_disjoint_union_empty_raises():

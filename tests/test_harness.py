@@ -12,7 +12,7 @@ from qouter.canon import canonical_code
 from qouter.cli import main
 from qouter.constructions import cycle_extremal, h_gadget, path_extremal
 from qouter.enumeration import EnumerationClass, connected_graphs, extremal_argmax
-from qouter.errors import ConfigError, ParameterError
+from qouter.errors import ConfigError, ParameterError, PatternError
 from qouter.graph6 import graph6_decode, graph6_encode
 from qouter.graphs import complete, from_edges, path, star
 from qouter.harness import (
@@ -33,7 +33,7 @@ from qouter.recognition import ForbiddenPattern
 from qouter.spectral import Ordering, SpectralResult, compare_results
 from qouter.transforms import greedy_ascent
 from .oracles import path_shift, rayleigh_quotient
-from .test_enumeration import _count_f_free
+from .test_enumeration import _clear_argmax_views, _count_f_free
 
 
 def test_report_json_roundtrip():
@@ -118,6 +118,28 @@ def test_structural_check():
         structural_check(6, ForbiddenPattern.cycle(8))
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: verify_cycle_theorem(5.0, 4), ParameterError),
+    (lambda: verify_path_theorem(7.0, 2, 3), ParameterError),
+    (lambda: verify_cycle_theorem(5, 4.0), PatternError),
+    (lambda: verify_path_theorem(6, 1, 4.0), PatternError),
+    (lambda: verify_path_theorem(7, True, 4), PatternError),
+    (lambda: structural_check(5.0, ForbiddenPattern.cycle(4)), ParameterError),
+    (lambda: cycle_extremal(6.0, 4), ParameterError),
+    (lambda: path_extremal(7, True, 4), ParameterError),
+    (lambda: path_extremal(7, 2, 3.0), ParameterError),
+    (lambda: path_extremal(7, 1.0, 4), ParameterError),
+], ids=["cycle-n", "path-n", "cycle-ell", "path-ell", "path-t-bool", "structural-n",
+        "cycle_extremal-n", "path_extremal-t-bool", "path_extremal-ell", "path_extremal-t"])
+def test_orders_and_lengths_must_be_ints(call, error):
+    """A float or bool order, path count or length is refused as such,
+    even when it equals an int; a bool counts as no int. The checks
+    refuse a non-int n, the pattern a non-int t or ell, and the
+    candidate constructions any of them."""
+    with pytest.raises(error):
+        call()
+
+
 @pytest.mark.parametrize("kind, n, pattern", [
     ("cycle", 7, ForbiddenPattern.cycle(4)),
     ("cycle", 8, ForbiddenPattern.cycle(5)),
@@ -126,13 +148,17 @@ def test_structural_check():
 ])
 def test_structural_cell_reads_its_siblings_argmax(monkeypatch, kind, n, pattern):
     """After its cycle or path sibling, a structural cell tests the
-    pattern on no member: the argmax kept in the view of order n answers
-    it, with the same winners, q and margin."""
-    enumeration._q_sorted.cache_clear()
+    pattern on no member: the argmax kept for its class and sep answers
+    it, as exactly one hit of the argmax cache, with the same winners, q
+    and margin."""
+    _clear_argmax_views()
     sibling = harness.THEOREMS[kind].entry(n, pattern, 1e-9)
     calls = _count_f_free(monkeypatch)
+    before = enumeration._scan.cache_info()
     report = structural_check(n, pattern)
+    after = enumeration._scan.cache_info()
     assert not calls
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert sibling.status == report.status == CONFIRMED
     assert report.witness_graphs == sibling.witness_graphs
     assert (report.q_values[0], report.margin) == (sibling.q_values[0], sibling.margin)
@@ -549,7 +575,7 @@ def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
             for other in (0, Fraction(1, 3), Fraction(1, 10**9 + 7)):
                 hi_other = Fraction(base.q) + Fraction(base.radius) + other
                 assert harness._rayleigh_setup(before, base, other)[2] == math.floor(hi_other * den)
-            for _, drop, add in transforms.move_results(before, kind, base.vector):
+            for _, drop, add in transforms.MOVES[kind](before, base.vector):
                 after = transforms.rewrite(before, drop, add)
                 bound = rayleigh_quotient(after, xs)
                 after_num = num + (xs[add[0]] + xs[add[1]]) ** 2

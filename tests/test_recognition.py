@@ -58,6 +58,11 @@ def test_pattern_validation():
         ForbiddenPattern.parse("X7")
     with pytest.raises(PatternError):
         ForbiddenPattern("wheel", 5)
+    # lengths and counts are ints; a bool is none
+    for bad in (lambda: ForbiddenPattern.cycle(4.5), lambda: ForbiddenPattern.cycle(4.0),
+                lambda: ForbiddenPattern.paths(True, 4), lambda: ForbiddenPattern.paths(2, 3.0)):
+        with pytest.raises(PatternError, match="pattern needs int ell and t"):
+            bad()
 
 
 # -- outerplanarity ----------------------------------------------------

@@ -9,7 +9,7 @@ from itertools import permutations
 import pytest
 
 import qouter
-from qouter import harness, transforms
+from qouter import harness, spectral, transforms
 from qouter.canon import canonical_code
 from qouter.constructions import cycle_extremal, h_gadget
 from qouter.enumeration import connected_graphs
@@ -18,7 +18,7 @@ from qouter.graph6 import graph6_decode
 from qouter.graphs import Graph, cycle, disjoint_union, from_edges, path, star
 from qouter.recognition import ForbiddenPattern, is_f_free, is_outerplanar
 from qouter.spectral import q_index
-from qouter.transforms import MOVES, greedy_ascent, move_results, rewrite
+from qouter.transforms import MOVES, greedy_ascent, rewrite
 
 from .oracles import (
     PreconditionError,
@@ -181,6 +181,17 @@ def test_greedy_ascent_rejects_max_steps_that_is_not_an_int(max_steps):
         greedy_ascent(path(4), None, max_steps)
 
 
+def test_greedy_ascent_returns_a_disconnected_seed_unsolved(monkeypatch):
+    """The moves are defined on connected graphs only: a disconnected
+    seed comes back as it is, with an empty trace and without a solve."""
+    calls = []
+    bracket = spectral._bracket
+    monkeypatch.setattr(spectral, "_bracket", lambda mats: calls.append(1) or bracket(mats))
+    seed = disjoint_union([path(3), star(4)])
+    final, trace = greedy_ascent(seed, None)
+    assert final is seed and trace == [] and not calls
+
+
 # The oracles' guarded function of each move, its arity, and the
 # positions of the one unordered pair in its tuple (the edge uv of
 # AddEdge, the chord v1v2 of ChordSwap), which the scan lists once,
@@ -213,12 +224,11 @@ def _outcomes(g, kind):
 
 
 def _assert_table_matches(g, digest):
-    """Assert move_results gives exactly the edits whose rewrites the
-    exhaustive scan accepts on g, in its order; on a connected g, that
-    each raw generator yields exactly their tuples and, through rewrite,
-    their rows, and on a disconnected g, that every guard refuses. Add
-    every tuple's outcome to digest and return the kinds that apply
-    somewhere."""
+    """Assert that on a connected g each generator of MOVES yields
+    exactly the tuples that the exhaustive scan accepts, in its order,
+    and through rewrite their rows, and that on a disconnected g, on
+    which no generator is called, every guard refuses. Add every tuple's
+    outcome to digest and return the kinds that apply somewhere."""
     kinds = set()
     x = q_index(g).vector
     for kind in MOVES:
@@ -233,8 +243,6 @@ def _assert_table_matches(g, digest):
                 (vertices, after.adj) for vertices, after in expected], (kind, g)
         else:
             assert not expected, (kind, g)
-        assert [(vertices, rewrite(g, drop, add))
-                for vertices, drop, add in move_results(g, kind, x)] == expected, (kind, g)
         if expected:
             kinds.add(kind)
     return kinds
@@ -308,8 +316,8 @@ def test_greedy_ascent_trace_is_pinned():
     assert _ascent_moves() == ASCENT_TRACE
 
 
-def test_move_results_agree_with_the_guards_at_the_suite_ranges():
-    """Every (vertices, drop, add) that move_results yields on the
+def test_move_generators_agree_with_the_guards_at_the_suite_ranges():
+    """Every (vertices, drop, add) that MOVES yields on the
     connected graphs of each move suite's default orders rewrites g, row
     for row, to what the move's guarded function gives at those vertices;
     all 20,114 of them, as many as the suites' pinned reports count."""
@@ -319,7 +327,7 @@ def test_move_results_agree_with_the_guards_at_the_suite_ranges():
         count = 0
         for n in harness._LEMMA_SUITES[name][1]:
             for g in connected_graphs(n):
-                for vertices, drop, add in move_results(g, kind, q_index(g).vector):
+                for vertices, drop, add in MOVES[kind](g, q_index(g).vector):
                     after = rewrite(g, drop, add)
                     assert apply(g, *vertices).adj == after.adj, (kind, g, vertices)
                     count += 1
@@ -331,8 +339,8 @@ def test_move_results_agree_with_the_guards_at_the_suite_ranges():
 # Names that only tests/oracles.py binds: the guarded moves, their
 # helpers and their refusal.
 _ORACLE_ONLY = ("add_edge_move", "perron_rotate", "leaf_reattach", "pendant_pull",
-                "chord_swap", "path_shift", "_require", "_perron_failure", "_perron_vector",
-                "PreconditionError")
+                "chord_swap", "path_shift", "_require", "_connected", "_perron_failure",
+                "_perron_vector", "PreconditionError")
 
 
 def test_package_binds_none_of_the_guards():
