@@ -25,6 +25,8 @@ class PathJoinSpec:
     parts: tuple[int, ...]
 
     def __post_init__(self):
+        if any(type(p) is not int for p in self.parts):  # a bool is no order
+            raise ParameterError(f"path orders must be ints, got {self.parts}")
         cleaned = tuple(sorted((p for p in self.parts if p != 0), reverse=True))
         if any(p < 0 for p in cleaned):
             raise ParameterError(f"negative path order in {self.parts}")

@@ -46,7 +46,12 @@ plus the edge entry-exit, a minor of the child, would have two. uv is a
 chord iff two components of P - u - v meet N(u) and N(v). Only
 consecutive route members are adjacent, so the route holds one outer
 edge fewer than members. The rule takes all of an Aut(P) orbit of masks
-or none, so it runs first, before the orbit walk. (3) A rival v is a
+or none, so it lists the masks the orbit walk takes: every single
+vertex, and each pair {u, w} reached by a walk from u along outer edges
+that goes on through v only if v separates the vertex before it from
+the one after. Each such step crosses the cut vertex v into another
+block, so the walk follows a path of the block-cut tree, ends, and meets
+exactly the cut vertices separating u from w. (3) A rival v is a
 twin of z iff its parent row is the mask less v. A child whose rivals
 are all twins of z, or that has none, is kept with neither refinement
 nor search: the eligible vertices that are not rivals are already
@@ -90,14 +95,6 @@ class EnumerationClass:
 
     n: int
     pattern: recognition.ForbiddenPattern | None = None
-
-
-@lru_cache(maxsize=None)
-def _masks(order: int, outerplanar: bool) -> tuple[int, ...]:
-    """Neighbourhoods of the new vertex, ascending: nonempty, and at most
-    two vertices if outerplanar."""
-    high = 2 if outerplanar else order
-    return tuple(m for m in range(1, 1 << order) if m.bit_count() <= high)
 
 
 def _rivals(degree: list[int], nbrs: list[list[int]], split: list[list[int]],
@@ -148,22 +145,27 @@ def _orbit(mask: int, images: list[list[int]]) -> set[int]:
     return orbit
 
 
-def _admissible(parent: Graph, degree: list[int], split: list[list[int]]) -> Callable[[int], bool]:
-    """Rule (2) for a connected outerplanar parent, as a test of a mask of
-    one or two vertices: whether z joined to it keeps the parent outerplanar."""
-    cuts = [(c, parts) for c, parts in enumerate(split) if len(parts) > 1]
+def _admissible(parent: Graph, degree: list[int], split: list[list[int]]) -> list[int]:
+    """Rule (2) for a connected outerplanar parent: the masks of one or two
+    vertices whose z keeps the parent outerplanar, ascending. The walk goes
+    on through v only into a part of `split[v]` other than the one it left."""
     outer = list(parent.adj)  # rows of the outer edges
     for u, v in parent.edges():
         if degree[u] > 2 < degree[v] and sum(1 for p in parent.components(~(1 << u | 1 << v))
                                              if p & parent.adj[u] and p & parent.adj[v]) > 1:
             outer[u] ^= 1 << v
             outer[v] ^= 1 << u
-
-    def admits(mask: int) -> bool:
-        route = mask | sum(1 << c for c, parts in cuts
-                           if not mask >> c & 1 and all(mask & p != mask for p in parts))
-        return sum((outer[v] & route).bit_count() for v in bits(route)) == 2 * route.bit_count() - 2
-    return admits
+    masks = [1 << u for u in range(parent.n)]
+    for u in range(parent.n):
+        stack = [(u, v) for v in bits(outer[u])]
+        while stack:
+            prev, v = stack.pop()
+            if v < u:
+                masks.append(1 << u | 1 << v)
+            if len(split[v]) > 1:  # else its one part is the one the walk came from
+                came = next(p for p in split[v] if p >> prev & 1)
+                stack += [(v, w) for w in bits(outer[v] & ~came)]
+    return sorted(masks)
 
 
 def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
@@ -171,11 +173,10 @@ def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
     nbrs = [list(bits(row)) for row in parent.adj]
     degree = [len(nv) for nv in nbrs]
     split = [parent.components(~(1 << v)) for v in range(z)]
-    admits = _admissible(parent, degree, split) if outerplanar else None
     images = [[1 << w for w in sigma] for sigma in _search(parent, _refine(parent))[2]]
     tried: set[int] = set()
-    for mask in _masks(z, outerplanar):
-        if mask in tried or outerplanar and not admits(mask):
+    for mask in _admissible(parent, degree, split) if outerplanar else range(1, 1 << z):
+        if mask in tried:
             continue
         if images:
             tried |= _orbit(mask, images)

@@ -130,6 +130,8 @@ def _paths_from(g: Graph, s: int, k: int, allowed: int) -> Iterator[tuple[int, i
 def contains_cycle(g: Graph, ell: int) -> bool:
     """True iff g has a cycle on exactly ell vertices as a subgraph: a
     path on ell vertices from its least vertex s that ends next to s."""
+    if type(ell) is not int:  # a bool is no length
+        raise PatternError(f"cycle length must be an int, got {ell!r}")
     if ell < 3:
         raise PatternError(f"cycle length {ell} < 3")
     if ell > g.n:
@@ -141,6 +143,8 @@ def contains_cycle(g: Graph, ell: int) -> bool:
 def contains_disjoint_paths(g: Graph, t: int, ell: int) -> bool:
     """True iff g contains t vertex-disjoint paths, each on exactly ell
     vertices; each grows from its smaller end a, placed in increasing a."""
+    if type(t) is not int or type(ell) is not int:  # a bool is no count or length
+        raise PatternError(f"path union needs int t and ell, got t={t!r}, ell={ell!r}")
     if t < 1 or ell < 2:
         raise PatternError(f"path union needs t >= 1, ell >= 2")
     if t * ell > g.n:

@@ -143,6 +143,8 @@ def path_join_ratios(parts_list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts at q(K_{1,n-1}) = n <= q, right of every pole (1 + q(F) < 5 <= n)
     where f rises and is concave, and stops at the first iterate not rising."""
     parts_list = list(parts_list)
+    if any(type(a) is not int for parts in parts_list for a in parts):  # a bool is no order
+        raise ParameterError(f"path joins need int parts, got {parts_list}")
     k = sum(parts_list[0]) if parts_list else 0
     if k < 4 or any(sum(parts) != k or min(parts) < 1 for parts in parts_list):
         raise ParameterError("path joins need one order n >= 5 and parts >= 1")

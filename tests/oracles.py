@@ -8,7 +8,8 @@ quotients (entry by entry of Q) in exact fractions. Memo keys are raw
 labeled adjacency, so nothing here depends on the package's canonical
 labeling. The exceptions are the package's earlier algorithms, kept as
 references for the paths that replaced them: `perron_oracle`,
-`argmax_oracle`, `children_oracle` and `outerplanar_minor_oracle`; and
+`argmax_oracle`, `children_oracle`, `outerplanar_minor_oracle` and
+`outer_rule_oracle` (whose outer edges come from networkx blocks); and
 the guarded moves (`add_edge_move`, ..., `path_shift`), which state each
 rewrite lemma's clauses at one vertex tuple and are the reference that
 the generators of `transforms.MOVES` are held to.
@@ -468,6 +469,31 @@ def children_oracle(parent: Graph, connected: bool, outerplanar: bool):
             continue
         seen.add(code)
         yield child
+
+
+def outer_rule_oracle(parent: Graph) -> list[int]:
+    """Rule (2) as first written, a route count: the masks of one or two
+    vertices whose new vertex keeps the connected outerplanar `parent`
+    outerplanar, ascending. The route of a mask is the mask plus the cut
+    vertices separating its two vertices, and the mask is admitted iff
+    the route holds exactly |route| - 1 outer edges. An edge is outer iff
+    it is a bridge or its networkx block stays connected without its ends."""
+    h = _nx_graph(parent)
+    outer = [0] * parent.n
+    for block in nx.biconnected_components(h):
+        for u, v in h.subgraph(block).edges():
+            if len(block) == 2 or nx.is_connected(h.subgraph(block - {u, v})):
+                outer[u] |= 1 << v
+                outer[v] |= 1 << u
+    split = [parent.components(~(1 << c)) for c in range(parent.n)]
+    masks = [1 << u for u in range(parent.n)]
+    for u, w in combinations(range(parent.n), 2):
+        mask = 1 << u | 1 << w
+        route = mask | sum(1 << c for c in range(parent.n)
+                           if not mask >> c & 1 and all(mask & p != mask for p in split[c]))
+        if sum((outer[v] & route).bit_count() for v in bits(route)) == 2 * route.bit_count() - 2:
+            masks.append(mask)
+    return sorted(masks)
 
 
 # -- guarded moves ---------------------------------------------------

@@ -22,6 +22,7 @@ from qouter.recognition import (
     is_f_free,
     is_outerplanar,
 )
+from qouter.spectral import path_join_ratios
 
 from .oracles import cycle_oracle, path_pack_oracle
 
@@ -36,6 +37,25 @@ def test_spec_normalization():
         PathJoinSpec((0, 0))
     with pytest.raises(CapacityError):
         PathJoinSpec((64,))
+
+
+@pytest.mark.parametrize("parts", [(2.0, 1), (True, True, 2), (3, 0.0), (4, 1.5), ("2", 1)])
+def test_path_join_orders_must_be_ints(parts):
+    """A spec and a join refuse path orders that are not ints; a bool
+    counts as no int."""
+    with pytest.raises(ParameterError, match="ints, got"):
+        PathJoinSpec(parts)
+    with pytest.raises(ParameterError, match="ints, got"):
+        path_join(parts)
+
+
+@pytest.mark.parametrize("parts", [[(True, 3)], [(2.0, 2)], [(4,), (2.5, 1.5)], [(3, 1), (3, True)],
+                                   [("2", 2)], [(4,), (None,)]])
+def test_path_join_ratios_take_only_int_parts(parts):
+    """The secular solve refuses joins whose parts are not ints, before it
+    sums them; the first four have one order n = 5 and parts >= 1."""
+    with pytest.raises(ParameterError, match="int parts"):
+        path_join_ratios(parts)
 
 
 def test_path_join_structure():

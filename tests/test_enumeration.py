@@ -29,6 +29,7 @@ from .oracles import (
     labeled_connected,
     labeled_connected_outerplanar,
     least_of_mask_orbits,
+    outer_rule_oracle,
     outerplanar_minor_oracle,
 )
 
@@ -129,7 +130,7 @@ def test_early_exit_refinement(monkeypatch, generator, connected, outerplanar, t
             searched.clear()
             kept = set(enumeration._children(parent, outerplanar))
             searched_children = set(searched[1:])  # the first search is the parent's
-            for mask in enumeration._masks(n, outerplanar):
+            for mask in [m for m in range(1, 1 << n) if not outerplanar or m.bit_count() <= 2]:
                 child = parent.with_new_vertex(mask)
                 eligible = [
                     v for v in range(n)
@@ -250,8 +251,8 @@ def test_children_match_oracle_beyond_the_levels(outerplanar):
 def test_children_try_one_mask_per_orbit(monkeypatch, generator, outerplanar, top):
     """`_children` decides exactly one mask per Aut(parent) orbit, the
     least, with Aut(parent) listed by networkx VF2. The outerplanar class
-    rejects a mask whose child is not outerplanar before its orbit is
-    walked, so such orbits never reach `_rivals`."""
+    never lists a mask whose child is not outerplanar, so such orbits
+    never reach `_rivals`."""
     tried = []
     rivals = enumeration._rivals
     monkeypatch.setattr(enumeration, "_rivals",
@@ -260,15 +261,37 @@ def test_children_try_one_mask_per_orbit(monkeypatch, generator, outerplanar, to
         for parent in generator(n):
             tried.clear()
             list(enumeration._children(parent, outerplanar))
-            admitted = [m for m in enumeration._masks(n, outerplanar) if not outerplanar
-                        or m.bit_count() == 1 or is_outerplanar(parent.with_new_vertex(m))]
+            admitted = [m for m in range(1, 1 << n) if not outerplanar or m.bit_count() == 1
+                        or m.bit_count() == 2 and is_outerplanar(parent.with_new_vertex(m))]
             assert tried == least_of_mask_orbits(parent, admitted), parent.adj
 
 
-def _admits(parent):
-    """The parent's rule (2), from the degrees and `split` that `_children` passes."""
+def _admitted(parent):
+    """The parent's rule (2) masks, from the degrees and `split` that
+    `_children` passes; strictly ascending, so each mask is listed once."""
     split = [parent.components(~(1 << v)) for v in range(parent.n)]
-    return enumeration._admissible(parent, [row.bit_count() for row in parent.adj], split)
+    masks = enumeration._admissible(parent, [row.bit_count() for row in parent.adj], split)
+    assert masks == sorted(set(masks)), parent.adj
+    return masks
+
+
+def _assert_rule_lists(parent, outerplanar_child):
+    """Rule (2)'s list and the route-count oracle both equal every single
+    vertex plus the pairs {u, w} whose child `outerplanar_child` accepts.
+    Returns the verdicts on the pairs."""
+    expected = [1 << u for u in range(parent.n)]
+    verdicts = set()
+    for u in range(parent.n):
+        for w in range(u):
+            mask = 1 << u | 1 << w
+            verdict = outerplanar_child(parent.with_new_vertex(mask))
+            if verdict:
+                expected.append(mask)
+            verdicts.add(verdict)
+    expected.sort()
+    assert _admitted(parent) == expected, parent.adj
+    assert outer_rule_oracle(parent) == expected, parent.adj
+    return verdicts
 
 
 def _random_outerplanar(rng, n):
@@ -284,36 +307,28 @@ def _random_outerplanar(rng, n):
 
 
 def test_outer_edge_rule_matches_is_outerplanar():
-    """Rule (2) against `is_outerplanar` of the child, for every pair
-    {u, w} of every connected outerplanar parent of order <= 8 and of 50
-    seeded random ones of order 10..40."""
+    """Rule (2)'s list against `is_outerplanar` of the child, over every
+    pair {u, w} of every connected outerplanar parent of order <= 8 and of
+    50 seeded random ones of order 10..40; the route-count oracle agrees."""
     parents = [g for n in range(2, 9) for g in connected_outerplanar(n)]
     pairs = sum(g.n * (g.n - 1) // 2 for g in parents)
     rng = random.Random(27)
     parents += [_random_outerplanar(rng, rng.randint(10, 40)) for _ in range(50)]
     verdicts = set()
     for parent in parents:
-        admits = _admits(parent)
-        for u in range(parent.n):
-            for w in range(u):
-                mask = 1 << u | 1 << w
-                expected = is_outerplanar(parent.with_new_vertex(mask))
-                assert admits(mask) == expected, (parent.adj, u, w)
-                verdicts.add(expected)
+        verdicts |= _assert_rule_lists(parent, is_outerplanar)
     assert pairs == 26225 and verdicts == {True, False}
 
 
 def test_outer_edge_rule_matches_minor_oracle():
-    """Rule (2) against the K_4 / K_{2,3} minor oracle, for every pair of
-    every connected outerplanar parent of order <= 6."""
+    """Rule (2)'s list against the K_4 / K_{2,3} minor oracle, over every
+    pair of every connected outerplanar parent of order <= 6; the
+    route-count oracle agrees."""
+    verdicts = set()
     for n in range(2, 7):
         for parent in connected_outerplanar(n):
-            admits = _admits(parent)
-            for u in range(n):
-                for w in range(u):
-                    mask = 1 << u | 1 << w
-                    expected = outerplanar_minor_oracle(parent.with_new_vertex(mask))
-                    assert admits(mask) == expected, (parent.adj, u, w)
+            verdicts |= _assert_rule_lists(parent, outerplanar_minor_oracle)
+    assert verdicts == {True, False}
 
 
 def test_rivals_match_induced_connectivity():

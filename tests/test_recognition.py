@@ -181,6 +181,22 @@ def test_contains_cycle_known():
         contains_cycle(path(4), 2)
 
 
+@pytest.mark.parametrize("search, args", [
+    (contains_cycle, (cycle(4), 3.5)),
+    (contains_cycle, (cycle(4), 4.0)),
+    (contains_cycle, (cycle(4), True)),
+    (contains_disjoint_paths, (path(6), 1.5, 2)),
+    (contains_disjoint_paths, (path(6), True, 2)),
+    (contains_disjoint_paths, (path(6), 2, 3.0)),
+    (contains_disjoint_paths, (path(6), 1, False)),
+])
+def test_containment_lengths_must_be_ints(search, args):
+    """A count or length that is not an int is refused, not answered; a
+    bool counts as no int."""
+    with pytest.raises(PatternError, match="int"):
+        search(*args)
+
+
 def test_contains_cycle_matches_oracle():
     for n in range(3, 7):
         for g in all_graphs_upto_iso(n):
