@@ -6,7 +6,9 @@ canonical decomposition). The paper's printed closed forms for the path
 theorem miss the part-sum identity whenever t >= 2, so only the
 canonical decomposition is built; a test pins where the two differ.
 Whether a candidate avoids its pattern is read off its parts
-(`join_is_f_free`) rather than searched for in the graph.
+(`join_is_f_free`) rather than searched for in the graph. The pattern
+checks its own t and ell; `covers` alone states the orders each theorem
+holds at, for the candidates and for the harness's theorem cells.
 """
 
 from __future__ import annotations
@@ -65,11 +67,22 @@ def join_is_f_free(parts, pattern: recognition.ForbiddenPattern) -> bool:
     return sum(a // ell for a in parts) + (top[0] + top[1] >= ell - 1) < pattern.t
 
 
+def covers(n: int, pattern: recognition.ForbiddenPattern) -> bool:
+    """Whether the paper's theorem for pattern holds at order n: ell <= n
+    for C_ell, and t >= 2 or ell >= 4, with t*ell <= n - 1, for tP_ell."""
+    if pattern.kind == "cycle":
+        return pattern.ell <= n
+    return (pattern.t >= 2 or pattern.ell >= 4) and pattern.t * pattern.ell <= n - 1
+
+
 def _join_candidate(n: int, head: tuple[int, ...], part: int,
                     pattern: recognition.ForbiddenPattern) -> tuple[Graph, int, int]:
     """K_1 v (P_h for h in head, alpha P_part, P_r), where alpha, r =
-    divmod(n - 1 - sum(head), part), checked to avoid pattern. A path
-    join is connected and outerplanar by construction."""
+    divmod(n - 1 - sum(head), part), checked to avoid pattern, for an int
+    n that `covers` pattern. A path join is connected and outerplanar by
+    construction."""
+    if type(n) is not int or not covers(n, pattern):  # a bool is no order
+        raise ParameterError(f"the {pattern} theorem does not cover order {n!r}")
     if n > MAX_VERTICES:
         raise CapacityError(f"order {n} exceeds {MAX_VERTICES}")
     alpha, r = divmod(n - 1 - sum(head), part)
@@ -82,11 +95,8 @@ def _join_candidate(n: int, head: tuple[int, ...], part: int,
 def cycle_extremal(n: int, ell: int) -> tuple[Graph, int, int]:
     """The candidate maximizer among connected outerplanar C_ell-free graphs:
     K_1 v (alpha P_{ell-2} u P_r)."""
-    if any(type(k) is not int for k in (n, ell)):  # a bool is no order
-        raise ParameterError(f"need int n and ell, got n={n!r}, ell={ell!r}")
-    if not 3 <= ell <= n:
-        raise ParameterError(f"need 3 <= ell <= n, got ell={ell}, n={n}")
-    return _join_candidate(n, (), ell - 2, recognition.ForbiddenPattern.cycle(ell))
+    pattern = recognition.ForbiddenPattern.cycle(ell)
+    return _join_candidate(n, (), ell - 2, pattern)
 
 
 def path_extremal(n: int, t: int, ell: int) -> tuple[Graph, int, int]:
@@ -94,23 +104,9 @@ def path_extremal(n: int, t: int, ell: int) -> tuple[Graph, int, int]:
     K_1 v (P_{a_1} u alpha P_part u P_r), with a_1 = ceil((ell-2)/2) and
     part = floor((ell-2)/2) for t = 1, and a_1 = t*ell - ell - 1 and
     part = ell - 1 for t >= 2."""
-    if any(type(k) is not int for k in (n, t, ell)):  # a bool is no order
-        raise ParameterError(f"need int n, t and ell, got n={n!r}, t={t!r}, ell={ell!r}")
-    if t == 1:
-        if ell < 4:
-            raise ParameterError("single-path pattern needs ell >= 4")
-        a1 = (ell - 2 + 1) // 2  # ceil((ell-2)/2)
-        part = (ell - 2) // 2
-    elif t >= 2:
-        if ell < 2:
-            raise ParameterError("path union needs ell >= 2")
-        a1 = t * ell - ell - 1
-        part = ell - 1
-    else:
-        raise ParameterError(f"t must be >= 1, got {t}")
-    if t * ell > n - 1:
-        raise ParameterError(f"need t*ell <= n-1, got {t}*{ell} vs n={n}")
-    return _join_candidate(n, (a1,), part, recognition.ForbiddenPattern.paths(t, ell))
+    pattern = recognition.ForbiddenPattern.paths(t, ell)
+    a1, part = ((ell - 1) // 2, (ell - 2) // 2) if t == 1 else (t * ell - ell - 1, ell - 1)
+    return _join_candidate(n, (a1,), part, pattern)
 
 
 def h_gadget(h: Graph, u: int, t: int, s: int) -> Graph:
@@ -119,6 +115,8 @@ def h_gadget(h: Graph, u: int, t: int, s: int) -> Graph:
     Equivalently: identify u with the hub of K_1 v (P_t u P_s); s = 0
     attaches only P_t.
     """
+    if any(type(x) is not int for x in (u, t, s)):  # a bool is no vertex or order
+        raise ParameterError(f"need int u, t and s, got u={u!r}, t={t!r}, s={s!r}")
     if t < 1 or s < 0:
         raise ParameterError(f"need t >= 1, s >= 0, got t={t}, s={s}")
     if not 0 <= u < h.n:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the parameter checks."""
+"""Exception types shared across the package, and the parameter checks.
+A PatternError (a bad t or ell, from any entry point) is a ParameterError."""
 
 
 class CapacityError(ValueError):
@@ -9,12 +10,12 @@ class EdgeStateError(ValueError):
     """Edge operation conflicts with the current edge set."""
 
 
-class PatternError(ValueError):
-    """Malformed or unsupported forbidden pattern."""
-
-
 class ParameterError(ValueError):
     """Construction or check parameters outside their domain."""
+
+
+class PatternError(ParameterError):
+    """Malformed or unsupported forbidden pattern, or its t or ell."""
 
 
 class EtaUndefinedError(ValueError):

@@ -5,6 +5,7 @@ word so neighborhood intersections are single AND operations. `Graph(n,
 adj)` and `from_edges` validate their rows; the mutators and the
 constructions built from valid graphs skip that check, since their
 outputs are valid by construction once their own arguments are checked.
+Every builder given an order checks it with `check_order`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,17 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_order(n: int) -> None:
+    """Refuse an order that is not an int in 1..MAX_VERTICES; a bool is none."""
+    if type(n) is not int or not 1 <= n <= MAX_VERTICES:
+        raise CapacityError(f"order {n!r} outside 1..{MAX_VERTICES}, or not an int")
+
+
+def _check_endpoints(n: int, u: int, v: int) -> None:
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; adj[v] is the neighbor bitmask of v."""
@@ -33,8 +45,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise CapacityError(f"order {self.n} outside 1..{MAX_VERTICES}")
+        check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match order")
         full = (1 << self.n) - 1
@@ -79,6 +90,7 @@ class Graph:
     # -- copy-on-write mutators ---------------------------------------
 
     def add_edge(self, u: int, v: int) -> "Graph":
+        _check_endpoints(self.n, u, v)
         if u == v:
             raise EdgeStateError("cannot add a self-loop")
         if self.has_edge(u, v):
@@ -89,6 +101,7 @@ class Graph:
         return Graph._trusted(self.n, tuple(rows))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
+        _check_endpoints(self.n, u, v)
         if not self.has_edge(u, v):
             raise EdgeStateError(f"edge {u}-{v} not present")
         rows = list(self.adj)
@@ -175,12 +188,10 @@ class Graph:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    if not 1 <= n <= MAX_VERTICES:
-        raise CapacityError(f"order {n} outside 1..{MAX_VERTICES}")
+    check_order(n)
     rows = [0] * n
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        _check_endpoints(n, u, v)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
@@ -188,30 +199,26 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def path(k: int) -> Graph:
     """P_k: k vertices in a line; P_1 is a single vertex."""
-    if not 1 <= k <= MAX_VERTICES:
-        raise CapacityError(f"path order {k} outside 1..{MAX_VERTICES}")
+    check_order(k)
     full = (1 << k) - 1
     return Graph._trusted(k, tuple((1 << i >> 1 | 1 << i + 1) & full for i in range(k)))
 
 
 def cycle(k: int) -> Graph:
+    """C_k: P_k closed by the edge between its ends."""
     if k < 3:
         raise CapacityError(f"cycle needs order >= 3, got {k}")
-    if k > MAX_VERTICES:
-        raise CapacityError(f"cycle order {k} exceeds {MAX_VERTICES}")
-    return from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+    return path(k).add_edge(0, k - 1)
 
 
 def star(k: int) -> Graph:
     """K_{1,k-1} with the center at vertex 0."""
-    if not 1 <= k <= MAX_VERTICES:
-        raise CapacityError(f"star order {k} outside 1..{MAX_VERTICES}")
+    check_order(k)
     return from_edges(k, ((0, i) for i in range(1, k)))
 
 
 def complete(k: int) -> Graph:
-    if not 1 <= k <= MAX_VERTICES:
-        raise CapacityError(f"complete order {k} outside 1..{MAX_VERTICES}")
+    check_order(k)
     return from_edges(k, ((i, j) for i in range(k) for j in range(i + 1, k)))
 
 

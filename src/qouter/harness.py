@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import recognition, transforms
 from .canon import canonical_code
-from .constructions import PathJoinSpec, cycle_extremal, h_gadget, path_extremal, path_join
+from .constructions import PathJoinSpec, covers, cycle_extremal, h_gadget, path_extremal, path_join
 from .enumeration import (
     CONNECTED_CAP,
     EXHAUSTIVE_CAP,
@@ -89,11 +89,12 @@ def _timed(fn):
 @dataclass(frozen=True)
 class Theorem:
     """A theorem checked one cell (n, pattern) at a time, n in
-    1..EXHAUSTIVE_CAP: `has_cell` says which patterns an order has, `rule`
-    says what a cell needs in words, and `entry` runs a cell through the
-    kind's public check, looked up by name at call time: perfbench's
-    campaign workload replaces the three public check names in this
-    module with timed wrappers, to time each cell as one op.
+    1..EXHAUSTIVE_CAP: `has_cell` says which patterns an order has (those
+    of the kind that `constructions.covers`), `rule` says so in words, and
+    `entry` runs a cell through the kind's public check, looked up by name
+    at call time: perfbench's campaign workload replaces the three public
+    check names in this module with timed wrappers, to time each cell as
+    one op.
     `candidate(n, pattern, sep)` gives the paper's graph (or None), the
     report's parameters and extra q values. The cell is Confirmed when
     that graph is the argmax's unique winner (`ArgmaxResult.unique`);
@@ -141,14 +142,14 @@ def _hub_rule(result, code):
 
 
 _CYCLE = Theorem(
-    "cycle:n={n},ell={p.ell}", lambda n, p: p.kind == "cycle" and p.ell <= n,
+    "cycle:n={n},ell={p.ell}", lambda n, p: p.kind == "cycle" and covers(n, p),
     "a C<ell> pattern with 3 <= ell <= n",
     lambda n, p, sep: verify_cycle_theorem(n, p.ell, sep), _cycle_candidate,
     partial(_candidate_miss, REFUTED, "argmax winner differs from the candidate graph"))
 # a path cell below the theorem's order threshold may legitimately miss
 _PATH = Theorem(
     "path:n={n},t={p.t},ell={p.ell}",
-    lambda n, p: p.kind == "paths" and (p.t >= 2 or p.ell >= 4) and p.t * p.ell <= n - 1,
+    lambda n, p: p.kind == "paths" and covers(n, p),
     "a <t>P<ell> pattern with t >= 2 or ell >= 4, and t*ell <= n - 1",
     lambda n, p, sep: verify_path_theorem(n, p.t, p.ell, sep), _path_candidate,
     partial(_candidate_miss, OUT_OF_SCOPE, "argmax differs from candidate at sub-threshold "
@@ -157,8 +158,7 @@ THEOREMS = {
     "cycle": _CYCLE,
     "path": _PATH,
     "structural": Theorem(
-        "structural:n={n},pattern={p}",
-        lambda n, p: _CYCLE.has_cell(n, p) or _PATH.has_cell(n, p),
+        "structural:n={n},pattern={p}", covers,
         f"{_CYCLE.rule}, or {_PATH.rule}",
         lambda n, p, sep: structural_check(n, p, sep),
         lambda n, p, sep: (None, {"n": n, "pattern": str(p), "sep": sep}, []), _hub_rule),

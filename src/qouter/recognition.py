@@ -5,8 +5,10 @@ Outerplanarity is decided by one series reduction: vertices of degree
 counts how many sides of it are already filled. It runs on the whole
 graph, whatever its components; only the ascent calls it, and generation
 reads it off each parent. Both forbidden patterns are decided by one
-path search, `_paths_from`: a C_l is a path on l vertices that ends next
-to its start, and tP_l is t disjoint paths.
+path search, `_paths_from`, held in `is_f_free`: a C_l is a path on l
+vertices that ends next to its start, and tP_l is t disjoint paths.
+`ForbiddenPattern` checks t and l; `contains_cycle` and
+`contains_disjoint_paths` check their arguments by building one.
 """
 
 from __future__ import annotations
@@ -127,28 +129,18 @@ def _paths_from(g: Graph, s: int, k: int, allowed: int) -> Iterator[tuple[int, i
             free ^= 1 << w
 
 
-def contains_cycle(g: Graph, ell: int) -> bool:
-    """True iff g has a cycle on exactly ell vertices as a subgraph: a
-    path on ell vertices from its least vertex s that ends next to s."""
-    if type(ell) is not int:  # a bool is no length
-        raise PatternError(f"cycle length must be an int, got {ell!r}")
-    if ell < 3:
-        raise PatternError(f"cycle length {ell} < 3")
-    if ell > g.n:
-        return False
-    return any((g.adj[end] >> s) & 1  # -(2 << s) masks the vertices above s
-               for s in range(g.n) for end, _ in _paths_from(g, s, ell, -(2 << s)))
-
-
-def contains_disjoint_paths(g: Graph, t: int, ell: int) -> bool:
-    """True iff g contains t vertex-disjoint paths, each on exactly ell
-    vertices; each grows from its smaller end a, placed in increasing a."""
-    if type(t) is not int or type(ell) is not int:  # a bool is no count or length
-        raise PatternError(f"path union needs int t and ell, got t={t!r}, ell={ell!r}")
-    if t < 1 or ell < 2:
-        raise PatternError(f"path union needs t >= 1, ell >= 2")
-    if t * ell > g.n:
-        return False
+def is_f_free(g: Graph, pattern: ForbiddenPattern) -> bool:
+    """True iff g has no subgraph `pattern` (whose type checked its t and
+    ell). A C_ell is a path on ell vertices from its least vertex s that
+    ends next to s; tP_ell is t disjoint paths on ell vertices, each grown
+    from its smaller end a, placed in increasing a."""
+    ell = pattern.ell
+    if pattern.kind == "cycle":
+        return ell > g.n or not any(
+            (g.adj[end] >> s) & 1  # -(2 << s) masks the vertices above s
+            for s in range(g.n) for end, _ in _paths_from(g, s, ell, -(2 << s)))
+    if pattern.t * ell > g.n:
+        return True
 
     def pack(remaining: int, used: int, first: int) -> bool:
         return remaining == 0 or any(
@@ -156,13 +148,17 @@ def contains_disjoint_paths(g: Graph, t: int, ell: int) -> bool:
             for a in range(first, g.n) if not (used >> a) & 1
             for end, mask in _paths_from(g, a, ell, ~used))
 
-    return pack(t, 0, 0)
+    return not pack(pattern.t, 0, 0)
 
 
-def is_f_free(g: Graph, pattern: ForbiddenPattern) -> bool:
-    if pattern.kind == "cycle":
-        return not contains_cycle(g, pattern.ell)
-    return not contains_disjoint_paths(g, pattern.t, pattern.ell)
+def contains_cycle(g: Graph, ell: int) -> bool:
+    """True iff g has a cycle on exactly ell vertices as a subgraph."""
+    return not is_f_free(g, ForbiddenPattern.cycle(ell))
+
+
+def contains_disjoint_paths(g: Graph, t: int, ell: int) -> bool:
+    """True iff g contains t vertex-disjoint paths, each on exactly ell vertices."""
+    return not is_f_free(g, ForbiddenPattern.paths(t, ell))
 
 
 # -- neighborhood structure -------------------------------------------

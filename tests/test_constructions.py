@@ -6,6 +6,7 @@ from qouter import constructions
 from qouter.canon import canonical_code
 from qouter.constructions import (
     PathJoinSpec,
+    covers,
     cycle_extremal,
     h_gadget,
     join_is_f_free,
@@ -14,7 +15,7 @@ from qouter.constructions import (
 )
 from qouter.errors import CapacityError, ParameterError
 from qouter.graphs import Graph, path, star
-from qouter.harness import _partitions
+from qouter.harness import THEOREMS, _partitions
 from qouter.recognition import (
     ForbiddenPattern,
     contains_cycle,
@@ -214,8 +215,38 @@ def test_path_extremal_validation():
         path_extremal(8, 2, 4)  # t*ell > n-1
     with pytest.raises(ParameterError):
         path_extremal(10, 0, 4)
-    with pytest.raises(ParameterError, match="path union needs ell >= 2"):
+    with pytest.raises(ParameterError, match="path pattern needs t >= 1, ell >= 2"):
         path_extremal(10, 2, 1)
+
+
+def test_candidates_exist_exactly_where_their_theorem_covers_the_order():
+    """`covers` is the paper's hypothesis, ell <= n for C_ell and t >= 2 or
+    ell >= 4 with t*ell <= n - 1 for tP_ell; a candidate is built exactly
+    there and is otherwise a ParameterError that is no PatternError. The
+    theorem cells read the same predicate and keep their counts."""
+    cases = [(cycle_extremal, (n, ell), ForbiddenPattern.cycle(ell), ell <= n)
+             for n in range(1, 21) for ell in range(3, 13)]
+    cases += [(path_extremal, (n, t, ell), ForbiddenPattern.paths(t, ell),
+               (t >= 2 or ell >= 4) and t * ell <= n - 1)
+              for n in range(1, 21) for t in range(1, 6) for ell in range(2, 13)]
+    for build, args, pattern, holds in cases:
+        n = args[0]
+        assert covers(n, pattern) == holds, (n, pattern)
+        if holds:
+            assert build(*args)[0].n == n
+        else:
+            with pytest.raises(ParameterError, match="does not cover") as caught:
+                build(*args)
+            assert type(caught.value) is ParameterError, (n, pattern)
+    assert sum(holds for *_, holds in cases) == 394
+    counts = {kind: [len(theorem.cells(n)) for n in range(1, 11)]
+              for kind, theorem in THEOREMS.items()}
+    assert counts == {"cycle": [0, 0, 1, 2, 3, 4, 5, 6, 7, 8],
+                      "path": [0, 0, 0, 0, 2, 3, 5, 5, 5, 5],
+                      "structural": [0, 0, 1, 2, 5, 7, 10, 11, 12, 13]}
+    cells = {kind: theorem.cells(10) for kind, theorem in THEOREMS.items()}
+    assert cells["structural"] == cells["cycle"] + cells["path"]
+    assert [str(p) for p in cells["path"]] == ["P4", "P5", "P6", "2P2", "2P3"]
 
 
 def test_h_gadget():

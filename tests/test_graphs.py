@@ -64,7 +64,7 @@ def test_from_edges_rejects_endpoints_and_orders_out_of_range():
         raise AssertionError("edges read")
         yield
 
-    for n in (0, -1, 65):
+    for n in (0, -1, 65, 3.0, True):
         with pytest.raises(CapacityError, match=f"order {n} outside 1..64"):
             from_edges(n, unread())
     with pytest.raises(ValueError, match="self-loop"):
@@ -174,9 +174,14 @@ def test_disjoint_union_empty_raises():
 
 
 def test_builders_refuse_orders_past_64():
-    for build in (cycle, star, complete):
-        with pytest.raises(CapacityError, match="65"):
-            build(65)
+    """An order must be an int: a float equal to one and a bool are refused."""
+    for build in (path, cycle, star, complete):
+        for k in (65, 4.0, True):
+            with pytest.raises(CapacityError, match=str(k)):
+                build(k)
+    for n, adj in ((2.0, (2, 1)), (True, (0,))):
+        with pytest.raises(CapacityError, match=str(n)):
+            Graph(n, adj)
     with pytest.raises(CapacityError, match="union order 65 exceeds 64"):
         disjoint_union([path(60), cycle(5)])
     with pytest.raises(CapacityError, match="order would exceed 64"):
@@ -234,5 +239,9 @@ def test_mutators_reject_arguments_that_break_the_invariants():
     for vertices in ([], [-1, 1], [2, 4]):
         with pytest.raises(ValueError):
             g.induced(vertices)
+    for edit in (g.add_edge, g.remove_edge):
+        for u, v in ((0, 4), (4, 0), (0, -1), (-1, 2), (5, 5)):
+            with pytest.raises(ValueError, match=rf"edge \({u}, {v}\) has an endpoint outside"):
+                edit(u, v)
     with pytest.raises(CapacityError):
         path(1).induced([])  # its only vertex deleted

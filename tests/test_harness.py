@@ -126,16 +126,22 @@ def test_structural_check():
     (lambda: verify_path_theorem(7, True, 4), PatternError),
     (lambda: structural_check(5.0, ForbiddenPattern.cycle(4)), ParameterError),
     (lambda: cycle_extremal(6.0, 4), ParameterError),
-    (lambda: path_extremal(7, True, 4), ParameterError),
-    (lambda: path_extremal(7, 2, 3.0), ParameterError),
-    (lambda: path_extremal(7, 1.0, 4), ParameterError),
+    (lambda: path_extremal(7, True, 4), PatternError),
+    (lambda: path_extremal(7, 2, 3.0), PatternError),
+    (lambda: path_extremal(7, 1.0, 4), PatternError),
+    (lambda: h_gadget(path(3), 0.0, 1, 0), ParameterError),
+    (lambda: h_gadget(path(3), 0, 1.5, 0), ParameterError),
+    (lambda: h_gadget(path(3), 0, True, 0), ParameterError),
+    (lambda: h_gadget(path(3), 0, 1, 0.0), ParameterError),
 ], ids=["cycle-n", "path-n", "cycle-ell", "path-ell", "path-t-bool", "structural-n",
-        "cycle_extremal-n", "path_extremal-t-bool", "path_extremal-ell", "path_extremal-t"])
+        "cycle_extremal-n", "path_extremal-t-bool", "path_extremal-ell", "path_extremal-t",
+        "h_gadget-u", "h_gadget-t", "h_gadget-t-bool", "h_gadget-s"])
 def test_orders_and_lengths_must_be_ints(call, error):
     """A float or bool order, path count or length is refused as such,
-    even when it equals an int; a bool counts as no int. The checks
-    refuse a non-int n, the pattern a non-int t or ell, and the
-    candidate constructions any of them."""
+    even when it equals an int; a bool counts as no int. The checks and
+    the candidate constructions refuse a non-int n, the pattern a non-int
+    t or ell wherever it is given, and the gadget a non-int vertex or
+    path order."""
     with pytest.raises(error):
         call()
 
