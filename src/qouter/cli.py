@@ -11,7 +11,7 @@ from pathlib import Path
 from . import harness
 from .constructions import cycle_extremal, path_extremal, path_join
 from .enumeration import EnumerationClass, enumerate_class
-from .errors import CapacityError, ConfigError, ParameterError, PatternError, check_max_steps
+from .errors import CapacityError, ConfigError, ParameterError, check_max_steps
 from .graph6 import graph6_decode, graph6_encode
 from .recognition import ForbiddenPattern
 from .spectral import q_index, q_indices
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParameterError, CapacityError, PatternError, ConfigError, OSError) as exc:
+    except (ParameterError, CapacityError, ConfigError, OSError) as exc:
         print(f"qouter: error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,7 +75,7 @@ changed once built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -263,13 +263,12 @@ def extremal_argmax(cls: EnumerationClass, sep: float = 1e-9) -> ArgmaxResult:
     tested only on the members the scan reaches. The first pattern-free
     member is the maximum `top` (the first maximal member in enumeration
     order). A later pattern-free member is excluded when `top` beats it
-    by more than `sep` plus both enclosure radii (`compare_results`);
-    the rest are winners. The margin is the gap between `top`
-    and the first excluded member, the best one (inf when nothing is
-    excluded). Once that member is found, the scan stops at the first
-    member with `top.q - q > sep + r_max + top.radius`, r_max being the
-    largest radius in the class: it and every later member would be
-    excluded. With an infinite radius the scan covers the whole class.
+    by more than `sep` plus both radii (`compare_results`); the rest are
+    winners. The margin is the gap between `top` and the first excluded
+    member, the best one (inf when nothing is excluded). Once that one is
+    found, the scan stops at the first member that `compare_results`
+    finds LESS than `top` at the class's widest radius r_max: it and every
+    later member would be excluded. An infinite radius scans the whole class.
 
     The scan's `lru_cache` keeps the result per (class, sep), so a
     repeated call returns the same frozen result without a scan; a call
@@ -286,7 +285,8 @@ def _scan(cls: EnumerationClass, sep: float) -> ArgmaxResult:
     top = excluded = None
     winners = []
     for res, g in solved:
-        if excluded is not None and top.q - res.q > sep + r_max + top.radius:
+        if excluded is not None and compare_results(
+                replace(res, radius=r_max), top, sep) is Ordering.LESS:
             break
         if cls.pattern is not None and not recognition.is_f_free(g, cls.pattern):
             continue

@@ -5,7 +5,8 @@ word so neighborhood intersections are single AND operations. `Graph(n,
 adj)` and `from_edges` validate their rows; the mutators and the
 constructions built from valid graphs skip that check, since their
 outputs are valid by construction once their own arguments are checked.
-Every builder given an order checks it with `check_order`.
+Every builder given an order checks it with `check_order`. A vertex, mask
+or row argument must be an int, a bool being none; the queries check nothing.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ def check_order(n: int) -> None:
 
 
 def _check_endpoints(n: int, u: int, v: int) -> None:
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+    if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside 0..{n - 1}, or not an int")
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,8 @@ class Graph:
             raise ValueError("adjacency length does not match order")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
+            if type(row) is not int:  # a bool row would read as 0 or 1
+                raise ValueError(f"row {v} is {row!r}, not an int")
             if row & ~full:
                 raise ValueError(f"row {v} references vertices >= {self.n}")
             if (row >> v) & 1:
@@ -111,6 +114,9 @@ class Graph:
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph induced by the given vertices, relabeled in sorted order."""
+        vertices = list(vertices)
+        if any(type(v) is not int for v in vertices):
+            raise ValueError(f"induced vertices {vertices} are not all ints")
         keep = sorted(set(vertices))
         if not keep:
             raise CapacityError("induced subgraph on no vertices")
@@ -128,8 +134,9 @@ class Graph:
         """Append one vertex adjacent to the vertices in neighbor_mask."""
         if self.n + 1 > MAX_VERTICES:
             raise CapacityError("order would exceed 64")
-        if not 0 <= neighbor_mask < 1 << self.n:
-            raise ValueError(f"neighbor mask {neighbor_mask:#x} outside vertices 0..{self.n - 1}")
+        if type(neighbor_mask) is not int or not 0 <= neighbor_mask < 1 << self.n:
+            raise ValueError(f"neighbor mask {neighbor_mask!r} outside vertices "
+                             f"0..{self.n - 1}, or not an int")
         rows = list(self.adj)
         z = self.n
         for u in bits(neighbor_mask):
@@ -140,7 +147,7 @@ class Graph:
     def permuted(self, perm: Iterable[int]) -> "Graph":
         """Relabel: vertex v becomes perm[v]."""
         perm = list(perm)
-        if sorted(perm) != list(range(self.n)):
+        if any(type(v) is not int for v in perm) or sorted(perm) != list(range(self.n)):
             raise ValueError(f"{perm} is not a permutation of 0..{self.n - 1}")
         rows = [0] * self.n
         for v in range(self.n):

@@ -307,18 +307,17 @@ def _check_delta(n_range, sep):
     violations = []
     slack = float("inf")
     for g, res in _solved(n_range):
-        q = res.q
         bound = g.max_degree() + 1
-        tol = sep + res.radius
-        if q < bound - tol:
-            violations.append((g, f"q={q} below max-degree bound {bound}"))
+        order = compare_results(res, bound, sep)
+        if order is Ordering.LESS:
+            violations.append((g, f"q={res.q} below max-degree bound {bound}"))
         is_star = g.m == g.n - 1 and g.max_degree() == g.n - 1
-        if abs(q - bound) <= tol and not is_star:
+        if order is Ordering.INDISTINGUISHABLE and not is_star:
             violations.append((g, "max-degree bound tight on a non-star"))
-        if is_star and abs(q - bound) > tol:
+        if is_star and order is not Ordering.INDISTINGUISHABLE:
             violations.append((g, "max-degree bound not tight on the star"))
         if not is_star:
-            slack = min(slack, q - bound)
+            slack = min(slack, res.q - bound)
     return _report("delta", {"n_range": list(n_range), "sep": sep}, violations, slack)
 
 
@@ -326,11 +325,10 @@ def _check_qmu(n_range, sep):
     violations = []
     slack = float("inf")
     for g, res in _solved(n_range):
-        q = res.q
         bound = eta_max(g)
-        if q > bound + sep + res.radius:
-            violations.append((g, f"q={q} above eta bound {bound}"))
-        slack = min(slack, bound - q)
+        if compare_results(res, bound, sep) is Ordering.GREATER:
+            violations.append((g, f"q={res.q} above eta bound {bound}"))
+        slack = min(slack, bound - res.q)
     return _report("qmu", {"n_range": list(n_range), "sep": sep}, violations, slack)
 
 
@@ -347,7 +345,8 @@ def _rayleigh_setup(before, base, sep):
     of (X_u + X_v)^2 over before's edges. Any nonzero X gives q(G) >=
     X'Q(G)X / X'X for every graph G of before's order, so an after whose
     numerator exceeds threshold = floor((q + radius + sep) * den), that
-    sum formed exactly, has q above the before's bracket by more than sep.
+    sum formed exactly, has q above the before's bracket by more than sep:
+    the exact twin of `compare_results`'s rule, on a lower bound of q.
     """
     if not math.isfinite(base.q + base.radius + sep):
         return None

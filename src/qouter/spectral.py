@@ -191,13 +191,14 @@ class Ordering(enum.Enum):
     INDISTINGUISHABLE = "indistinguishable"
 
 
-def compare_results(a: SpectralResult, b: SpectralResult, sep: float = 1e-9) -> Ordering:
-    """Certified comparison of a.q vs b.q: GREATER/LESS only when the gap
-    exceeds `sep` plus both enclosure radii, so the enclosures widened by
-    `sep` are disjoint (sep = 0 asks only that the enclosures be
-    disjoint); otherwise INDISTINGUISHABLE rather than a guess."""
+def compare_results(a: SpectralResult, b: SpectralResult | float, sep: float = 1e-9) -> Ordering:
+    """Certified comparison of a.q vs b.q, a number b being exact (radius
+    0): GREATER/LESS only when the gap exceeds `sep` plus both radii, so
+    the enclosures widened by `sep` are disjoint (sep = 0 asks only that
+    they be disjoint); otherwise INDISTINGUISHABLE rather than a guess."""
     check_sep(sep)
-    if abs(a.q - b.q) > sep + a.radius + b.radius:
-        return Ordering.GREATER if a.q > b.q else Ordering.LESS
+    b_q, b_radius = (b.q, b.radius) if isinstance(b, SpectralResult) else (b, 0.0)
+    if abs(a.q - b_q) > sep + a.radius + b_radius:
+        return Ordering.GREATER if a.q > b_q else Ordering.LESS
     return Ordering.INDISTINGUISHABLE
 

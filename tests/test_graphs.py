@@ -47,6 +47,9 @@ def test_validation_rejects_bad_rows():
         Graph(2, (0b10, 0b00))  # asymmetric edge
     with pytest.raises(ValueError):
         Graph(2, (0b100, 0b000))  # out-of-range vertex
+    for rows in ((2.0, 1), (True, False), (0b10, True)):  # a bool row is no 0 or 1
+        with pytest.raises(ValueError, match=r"row \d is .*, not an int"):
+            Graph(2, rows)
     with pytest.raises(CapacityError):
         Graph(0, ())
     with pytest.raises(CapacityError):
@@ -56,7 +59,7 @@ def test_validation_rejects_bad_rows():
 def test_from_edges_rejects_endpoints_and_orders_out_of_range():
     """An endpoint outside 0..n-1 names its edge; an order outside 1..64 is
     refused before any edge is read."""
-    for edge in ((0, 5), (0, -1), (3, 1)):
+    for edge in ((0, 5), (0, -1), (3, 1), (True, 2), (0, 2.0)):
         with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
             from_edges(3, [(0, 1), edge])
 
@@ -230,17 +233,18 @@ def test_mutators_build_valid_graphs():
 
 def test_mutators_reject_arguments_that_break_the_invariants():
     g = path(4)
-    for mask in (1 << 4, 0b11 << 3, -1):
+    for mask in (1 << 4, 0b11 << 3, -1, 1.0, True):
         with pytest.raises(ValueError):
             g.with_new_vertex(mask)
-    for perm in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4], [1, 2, 3, 4], [0, 1, 2, 3, 4]):
+    for perm in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4], [1, 2, 3, 4], [0, 1, 2, 3, 4],
+                 [0.0, 1, 2, 3], [True, False, 2, 3]):
         with pytest.raises(ValueError):
             g.permuted(perm)
-    for vertices in ([], [-1, 1], [2, 4]):
+    for vertices in ([], [-1, 1], [2, 4], [0.0, 1], [0, 0.0, 1], [True, 2]):
         with pytest.raises(ValueError):
             g.induced(vertices)
     for edit in (g.add_edge, g.remove_edge):
-        for u, v in ((0, 4), (4, 0), (0, -1), (-1, 2), (5, 5)):
+        for u, v in ((0, 4), (4, 0), (0, -1), (-1, 2), (5, 5), (0, 2.0), (True, 2), (1.0, 0)):
             with pytest.raises(ValueError, match=rf"edge \({u}, {v}\) has an endpoint outside"):
                 edit(u, v)
     with pytest.raises(CapacityError):

@@ -313,8 +313,10 @@ def test_obv_violation_messages_are_pinned(monkeypatch, g, notes):
     ("delta", path(4), 2.5, ["q=2.5 below max-degree bound 3"]),
     ("delta", path(4), 3.0, ["max-degree bound tight on a non-star"]),
     ("delta", star(4), 4.5, ["max-degree bound not tight on the star"]),
+    ("delta", star(4), 3.5, ["q=3.5 below max-degree bound 4",
+                             "max-degree bound not tight on the star"]),
     ("qmu", path(4), 100.0, ["q=100.0 above eta bound 3.5"]),
-], ids=["below", "tight", "star-not-tight", "above-eta"])
+], ids=["below", "tight", "star-not-tight", "star-below", "above-eta"])
 def test_bound_violation_messages_are_pinned(monkeypatch, name, g, q, notes):
     """Each solve reaches a violation branch of delta or qmu that no
     connected graph's true q reaches."""
@@ -345,6 +347,44 @@ def test_bound_suites_honour_sep():
     report = check_lemma("delta", sep=0.06)
     assert report.status == REFUTED
     assert "max-degree bound tight on a non-star" in report.notes
+
+
+def _inline_delta(g, res, sep):
+    """delta's notes and slack for one graph, from the inline float tests
+    that compare_results replaced."""
+    q = res.q
+    bound = g.max_degree() + 1
+    tol = sep + res.radius
+    notes = []
+    if q < bound - tol:
+        notes.append(f"q={q} below max-degree bound {bound}")
+    is_star = g.m == g.n - 1 and g.max_degree() == g.n - 1
+    if abs(q - bound) <= tol and not is_star:
+        notes.append("max-degree bound tight on a non-star")
+    if is_star and abs(q - bound) > tol:
+        notes.append("max-degree bound not tight on the star")
+    return notes, math.inf if is_star else q - bound
+
+
+def _inline_qmu(g, res, sep):
+    q = res.q
+    bound = spectral.eta_max(g)
+    notes = [f"q={q} above eta bound {bound}"] if q > bound + sep + res.radius else []
+    return notes, bound - q
+
+
+@pytest.mark.parametrize("sep", [0.0, 1e-9, 0.5, math.inf])
+def test_bound_suites_decide_as_the_inline_tests_they_replaced(monkeypatch, sep):
+    """delta and qmu decide through compare_results, the bound exact. On
+    every connected graph of order 2..7, run alone, each suite's notes and
+    slack equal those of the inline float tests it replaced."""
+    suites = {"delta": (harness._check_delta, _inline_delta),
+              "qmu": (harness._check_qmu, _inline_qmu)}
+    for g, res in list(harness._solved(range(2, 8))):
+        monkeypatch.setattr(harness, "_solved", lambda n_range: [(g, res)])
+        for name, (suite, inline) in suites.items():
+            report = suite([g.n], sep)
+            assert (report.notes, report.margin) == inline(g, res, sep), (name, g)
 
 
 @pytest.mark.parametrize("name", harness.LEMMA_NAMES)

@@ -173,6 +173,16 @@ def test_q_compare():
     assert compare_results(q_index(g), q_index(h)) is Ordering.INDISTINGUISHABLE
     with pytest.raises(ValueError):
         compare_results(q_index(g), q_index(h), sep=-1.0)
+    # a number b is an exact bound, of radius 0: q(K_{1,4}) = 5 is tied
+    # with 5 even at sep = 0, and an infinite radius separates nothing
+    assert compare_results(q_index(star(5)), 5, sep=0.0) is Ordering.INDISTINGUISHABLE
+    p4 = q_index(path(4))  # q = 2 + sqrt(2)
+    assert compare_results(p4, 4) is Ordering.LESS
+    assert compare_results(p4, 3) is Ordering.GREATER
+    assert compare_results(p4, 3.5, sep=0.0) is Ordering.LESS
+    unbounded = spectral.SpectralResult(p4.q, p4.vector, math.inf)
+    for bound in (0, 3.5, 1e300, math.inf):
+        assert compare_results(unbounded, bound, sep=0.0) is Ordering.INDISTINGUISHABLE
 
 
 def test_q_monotone_under_edge_addition():
