@@ -96,6 +96,9 @@ class EnumerationClass:
     n: int
     pattern: recognition.ForbiddenPattern | None = None
 
+    def __post_init__(self):
+        recognition.check_pattern(self.pattern)
+
 
 def _rivals(degree: list[int], nbrs: list[list[int]], split: list[list[int]],
             mask: int, outerplanar: bool) -> int | None:

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the parameter checks.
 A PatternError (a bad t or ell, from any entry point) is a ParameterError."""
 
+import numbers
+
 
 class CapacityError(ValueError):
     """Vertex count out of the supported range (1..64)."""
@@ -37,9 +39,13 @@ class ConfigError(ValueError):
 
 
 def check_sep(sep: float) -> None:
-    """Reject a separation that is not a number >= 0, NaN included."""
-    if not sep >= 0:
-        raise ParameterError("sep must be nonnegative")
+    """Reject a separation that is not a real number >= 0: NaN, a bool (it
+    would read as 0 or 1) and a non-number are refused; ints, floats and
+    numpy floats pass. A float, the common case, takes one test."""
+    if type(sep) is float and sep >= 0:
+        return
+    if isinstance(sep, bool) or not isinstance(sep, numbers.Real) or not sep >= 0:
+        raise ParameterError(f"sep must be nonnegative and a number (not a bool), got {sep!r}")
 
 
 def check_max_steps(max_steps: int) -> None:

@@ -47,6 +47,8 @@ class Graph:
 
     def __post_init__(self):
         check_order(self.n)
+        if type(self.adj) is not tuple:  # a list would make the graph unhashable
+            raise ValueError(f"adj must be a tuple of rows, got {type(self.adj).__name__}")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match order")
         full = (1 << self.n) - 1

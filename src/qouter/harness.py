@@ -168,7 +168,8 @@ THEOREMS = {
 def _run_cell(kind: str, n: int, pattern: ForbiddenPattern, sep: float) -> VerificationReport:
     """The class argmax of one cell, judged by the kind's candidate and rule."""
     theorem = THEOREMS[kind]
-    if not (type(n) is int and 1 <= n <= EXHAUSTIVE_CAP and theorem.has_cell(n, pattern)):
+    if not (type(n) is int and 1 <= n <= EXHAUSTIVE_CAP and isinstance(pattern, ForbiddenPattern)
+            and theorem.has_cell(n, pattern)):
         raise ParameterError(f"{kind} check needs {theorem.rule} and 1 <= n <= "
                              f"{EXHAUSTIVE_CAP}, got n={n}, pattern={pattern}")
 
@@ -418,30 +419,32 @@ def _move_suite(name, kind, n_range, sep):
 
 def _check_edgeshift(n_range, sep):
     """Every path shift of an H-gadget on a seed of at most 3 vertices,
-    with t + s at most max(n_range), must raise q. The shift (t, s) is an
-    edge edit of the gadget: P_s's head k = h.n + t leaves its successor
-    (if s >= 2) and becomes P_t's tail, giving the gadget on (t+1, s-1)."""
+    with t + s in n_range, must raise q. The shift (t, s) is an edge edit
+    of the gadget: P_s's head k = h.n + t leaves its successor (if s >= 2)
+    and becomes P_t's tail, giving the gadget on (t+1, s-1)."""
+    orders = set(n_range)
     total_cap = max(n_range)
     seeds = [g for k in (1, 2, 3) for g in connected_graphs(k)]
     shifts = [(h_gadget(h, u, t, s), t, s, h.n + t)
               for h in seeds
               for u in range(h.n)
               for s in range(1, total_cap // 2 + 1)
-              for t in range(s, total_cap - s + 1)]
+              for t in range(s, total_cap - s + 1) if t + s in orders]
     befores = ((before, res, [((t, s), (k, k + 1) if s > 1 else None, (k - 1, k))])
                for (before, t, s, k), res in zip(shifts, q_indices(b for b, *_ in shifts)))
-    return _raises_q("edgeshift", {"t_plus_s_max": total_cap, "sep": sep}, befores, sep,
+    return _raises_q("edgeshift", {"n_range": list(n_range), "sep": sep}, befores, sep,
                      lambda ts: "shift t={},s={}".format(*ts))
 
 
-def claim41_specs(n_min=6, n_max=40, sample=100, seed=20240817):
-    """Path-join specs: every partition for n <= 12, sampled above."""
-    rng = random.Random(seed)
-    for n in range(n_min, n_max + 1):
+def claim41_specs(orders):
+    """Path-join specs, orders ascending: every partition for n <= 12, and
+    above it 100 partitions drawn from one stream, seeded once."""
+    rng = random.Random(20240817)
+    for n in sorted(orders):
         if n <= 12:
             yield from (PathJoinSpec(p) for p in _partitions(n - 1))
         else:
-            for _ in range(sample):
+            for _ in range(100):
                 yield PathJoinSpec(tuple(_random_partition(rng, n - 1)))
 
 
@@ -467,14 +470,11 @@ def _random_partition(rng, total):
 def _check_claim41(n_range, sep):
     """1/q + sep < x_v/x_hub < 1/q + 30/q^2 - sep on each spec's join, solved
     by path_join_ratios once per distinct spec; no bracket is a violation,
-    named once per distinct join. The orders must be consecutive."""
-    n_min, n_max = min(n_range), max(n_range)
-    if n_max - n_min + 1 != len(n_range):
-        raise ParameterError(f"lemma suite 'claim41' needs consecutive orders, got {n_range}")
+    named once per distinct join."""
     violations = []
     slack = math.inf
     count = 0
-    for n, group in groupby(claim41_specs(n_min, n_max), key=lambda spec: spec.order):
+    for n, group in groupby(claim41_specs(n_range), key=lambda spec: spec.order):
         specs = list(group)
         row = {parts: i for i, parts in enumerate(dict.fromkeys(spec.parts for spec in specs))}
         q, x, radii = path_join_ratios(row)
@@ -493,7 +493,7 @@ def _check_claim41(n_range, sep):
             elif v < n - 1:
                 violations.append((join, f"entry x_{v}={x[i, v]} outside ({lo[i, 0]}, {hi[i, 0]})"))
         count += len(specs)
-    return _report("claim41", {"n_min": n_min, "n_max": n_max, "sep": sep},
+    return _report("claim41", {"n_range": list(n_range), "sep": sep},
                    [(path_join(join), message) for join, message in violations[:20]],
                    slack, notes=[f"specs checked: {count}"])
 
@@ -503,8 +503,8 @@ _WITH_EDGE = range(2, CONNECTED_CAP + 1)
 
 # suite name -> (runner, default n range, orders the suite is defined for).
 # The connected-graph suites stop at CONNECTED_CAP; obv, delta and qmu
-# need an edge. edgeshift's n is the largest t + s, and its gadgets add
-# t + s vertices to seeds of up to 3, within the 64-vertex limit.
+# need an edge. edgeshift's n is t + s, and its gadgets add t + s
+# vertices to seeds of up to 3, within the 64-vertex limit.
 _LEMMA_SUITES = {
     "obv": (_check_obv, range(2, 9), range(2, EXHAUSTIVE_CAP + 1)),
     "addedges": (partial(_move_suite, "addedges", "AddEdge"), range(2, 8), _CONNECTED),
@@ -524,8 +524,8 @@ def check_lemma(name: str, n_range=None, sep: float = 1e-9) -> VerificationRepor
     """Run one invariant suite over its enumerated class.
 
     n_range must be nonempty, hold only ints (not bools), repeat no
-    order and lie within the orders the suite is defined for (claim41's
-    also consecutive), and sep must be >= 0; else ParameterError.
+    order and lie within the orders the suite is defined for, and sep
+    must be a number >= 0 (not a bool); else ParameterError.
     """
     check_sep(sep)
     if name not in _LEMMA_SUITES:

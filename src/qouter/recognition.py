@@ -7,8 +7,9 @@ graph, whatever its components; only the ascent calls it, and generation
 reads it off each parent. Both forbidden patterns are decided by one
 path search, `_paths_from`, held in `is_f_free`: a C_l is a path on l
 vertices that ends next to its start, and tP_l is t disjoint paths.
-`ForbiddenPattern` checks t and l; `contains_cycle` and
-`contains_disjoint_paths` check their arguments by building one.
+`ForbiddenPattern` checks t and l, and `check_pattern` that an entry
+point's pattern is one; `contains_cycle` and `contains_disjoint_paths`
+check their arguments by building one.
 """
 
 from __future__ import annotations
@@ -129,11 +130,18 @@ def _paths_from(g: Graph, s: int, k: int, allowed: int) -> Iterator[tuple[int, i
             free ^= 1 << w
 
 
+def check_pattern(pattern: ForbiddenPattern | None) -> None:
+    """Refuse a pattern that is neither a ForbiddenPattern nor None."""
+    if pattern is not None and not isinstance(pattern, ForbiddenPattern):
+        raise PatternError(f"pattern must be a ForbiddenPattern or None, got {pattern!r}")
+
+
 def is_f_free(g: Graph, pattern: ForbiddenPattern) -> bool:
     """True iff g has no subgraph `pattern` (whose type checked its t and
-    ell). A C_ell is a path on ell vertices from its least vertex s that
-    ends next to s; tP_ell is t disjoint paths on ell vertices, each grown
-    from its smaller end a, placed in increasing a."""
+    ell; an unchecked query, the scans' inner loop, so it must be a
+    ForbiddenPattern). A C_ell is a path on ell vertices from its least
+    vertex s that ends next to s; tP_ell is t disjoint paths on ell
+    vertices, each grown from its smaller end a, placed in increasing a."""
     ell = pattern.ell
     if pattern.kind == "cycle":
         return ell > g.n or not any(

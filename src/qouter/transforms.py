@@ -165,10 +165,11 @@ def greedy_ascent(
     pattern-free. The seed and each accepted graph are solved once, and the
     scan reads that vector. The moves are defined on connected graphs
     only, so a disconnected seed is returned unchanged with an empty
-    trace, and is not solved. max_steps must be an int >= 0, else
-    ParameterError.
+    trace, and is not solved. max_steps must be an int >= 0 and pattern
+    a ForbiddenPattern or None, else ParameterError.
     """
     check_max_steps(max_steps)
+    recognition.check_pattern(pattern)
     trace: list[TraceStep] = []
     if not g.is_connected():
         return g, trace

@@ -170,6 +170,11 @@ def test_lemma_subcommand(capsys):
     report = json.loads(out)
     assert report["status"] == "Confirmed"
     assert report["parameters"]["n_range"] == [2, 3, 4, 5]
+    # edgeshift's orders are the values of t + s, each checked alone
+    code, out, _ = run(capsys, "lemma", "edgeshift", "--n-min", "8", "--n-max", "8")
+    report = json.loads(out)
+    assert (code, report["status"], report["notes"]) == (0, "Confirmed", ["instances checked: 36"])
+    assert report["parameters"]["n_range"] == [8]
 
 
 def _reject_constant(name):

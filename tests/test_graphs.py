@@ -50,6 +50,9 @@ def test_validation_rejects_bad_rows():
     for rows in ((2.0, 1), (True, False), (0b10, True)):  # a bool row is no 0 or 1
         with pytest.raises(ValueError, match=r"row \d is .*, not an int"):
             Graph(2, rows)
+    for adj in ([0b10, 0b01], range(2)):  # a list would make the graph unhashable
+        with pytest.raises(ValueError, match="adj must be a tuple of rows"):
+            Graph(2, adj)
     with pytest.raises(CapacityError):
         Graph(0, ())
     with pytest.raises(CapacityError):

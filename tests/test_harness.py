@@ -75,14 +75,48 @@ def test_verify_cycle_theorem_confirms():
     assert report.runtime_ms >= 0
 
 
-@pytest.mark.parametrize("sep", [-1.0, float("nan")])
+@pytest.mark.parametrize("sep", [-1.0, float("nan"), True, False, None, "1", np.float32(-1)])
 def test_bad_sep_is_rejected(sep):
-    # a NaN sep once excluded nothing and certified a 19-way Tie
+    """A NaN sep once excluded nothing and certified a 19-way Tie; True
+    was read as 1 (a cycle Tie, a delta Refuted), and None or a string
+    raised a bare TypeError. Each is refused at every entry point."""
     for check in (lambda: verify_cycle_theorem(6, 4, sep),
                   lambda: check_lemma("obv", [4], sep),
-                  lambda: check_lemma("claim41", [6], sep)):
+                  lambda: check_lemma("delta", sep=sep),
+                  lambda: check_lemma("claim41", [6], sep),
+                  lambda: extremal_argmax(EnumerationClass(5), sep),
+                  lambda: compare_results(spectral.q_index(path(3)), 3, sep)):
         with pytest.raises(ParameterError, match="sep must be nonnegative"):
             check()
+
+
+@pytest.mark.parametrize("sep", [0, 1, 1e-9, np.float64(1e-6), np.float32(0.0), math.inf])
+def test_numeric_seps_are_accepted(sep):
+    """An int, a float and a numpy float are each a separation: q(P_4) =
+    3.41 is GREATER than 3 unless sep covers the gap, C_4 at n = 5 is a
+    Tie once sep reaches 1 (True used to be read so), and so is delta's
+    bound on K_3 (q = 4 against 3)."""
+    wide = sep >= 1
+    assert compare_results(spectral.q_index(path(4)), 3, sep) is (
+        Ordering.INDISTINGUISHABLE if wide else Ordering.GREATER)
+    assert verify_cycle_theorem(5, 4, sep).status == (TIE if wide else CONFIRMED)
+    assert check_lemma("delta", [2, 3], sep).status == (REFUTED if wide else CONFIRMED)
+
+
+@pytest.mark.parametrize("pattern", ["C4", 4, ("cycle", 4)])
+def test_a_pattern_that_is_not_a_forbidden_pattern_is_refused(pattern):
+    """A pattern given as a string or a tuple used to reach its first
+    attribute read and raise AttributeError; each entry point that takes
+    a pattern refuses it with a ParameterError. None, no pattern, stays
+    allowed where it means the unfiltered class."""
+    with pytest.raises(ParameterError, match=r"structural check needs .*, got n=5, pattern="):
+        structural_check(5, pattern)
+    for check in (lambda: extremal_argmax(EnumerationClass(5, pattern)),
+                  lambda: greedy_ascent(path(5), pattern)):
+        with pytest.raises(ParameterError, match="pattern must be a ForbiddenPattern or None"):
+            check()
+    assert extremal_argmax(EnumerationClass(5, None)).q == extremal_argmax(EnumerationClass(5)).q
+    assert greedy_ascent(path(5), None)[0].n == 5
 
 
 def test_verify_cycle_theorem_sep_zero():
@@ -405,15 +439,29 @@ def test_check_lemma_rejects_a_repeated_order():
             check_lemma(name, [n, n + 1, n])
 
 
-def test_claim41_refuses_orders_with_a_gap():
-    """claim41 checks every order from the least to the largest it is
-    given, so orders with a gap ([6, 9] would check 7 and 8 too) are
-    refused; consecutive ones, in any order, are not."""
-    with pytest.raises(ParameterError, match=r"needs consecutive orders, got \[6, 9\]"):
-        check_lemma("claim41", [6, 9])
-    report = check_lemma("claim41", [7, 6])
-    assert report.parameters == {"n_min": 6, "n_max": 7, "sep": 1e-9}
-    assert report.notes == ["specs checked: 18"]
+def test_claim41_checks_exactly_the_orders_it_is_given():
+    """Orders with a gap check only those orders: [6, 9] reads the
+    partitions of 5 and of 8, 7 + 22 specs; the orders are walked in
+    increasing order, so [7, 6] is [6, 7]."""
+    report = check_lemma("claim41", [6, 9])
+    assert (report.status, report.notes) == (CONFIRMED, ["specs checked: 29"])
+    assert report.parameters == {"n_range": [6, 9], "sep": 1e-9}
+    shuffled, ordered = check_lemma("claim41", [7, 6]), check_lemma("claim41", [6, 7])
+    assert shuffled.notes == ordered.notes == ["specs checked: 18"]
+    assert (shuffled.status, shuffled.margin) == (ordered.status, ordered.margin)
+    assert shuffled.parameters == {"n_range": [7, 6], "sep": 1e-9}
+    assert list(harness.claim41_specs([40, 13])) == list(harness.claim41_specs([13, 40]))
+
+
+def test_edgeshift_checks_exactly_the_orders_it_is_given():
+    """edgeshift's orders are the values of t + s: 4 shifts of each of the
+    9 attachments (h, u) at t + s = 8, 36 instances; 108 at 5..8, and
+    the default's 144 at 2..8, which a lone 8 used to read as well."""
+    for n_range, count in (([8], 36), ([5, 6, 7, 8], 108), (range(2, 9), 144), ([2], 9)):
+        report = check_lemma("edgeshift", n_range)
+        assert report.status == CONFIRMED, n_range
+        assert report.notes == [f"instances checked: {count}"], n_range
+        assert report.parameters == {"n_range": list(n_range), "sep": 1e-9}
 
 
 def test_check_lemma_rejects_orders_outside_domain():
@@ -528,9 +576,9 @@ PINNED_LEMMAS = {
     "edgemove3": ({"n_range": [4, 5, 6, 7], "sep": 1e-09},
                   ["instances checked: 127"], 0.097646416986648),
     "edgemove": ({"n_range": [7], "sep": 1e-09}, ["instances checked: 9"], 0.029367654462941317),
-    "edgeshift": ({"t_plus_s_max": 8, "sep": 1e-09},
+    "edgeshift": ({"n_range": [2, 3, 4, 5, 6, 7, 8], "sep": 1e-09},
                   ["instances checked: 144"], 0.0001820701086572285),
-    "claim41": ({"n_min": 6, "n_max": 40, "sep": 1e-09}, ["specs checked: 2983"],
+    "claim41": ({"n_range": list(range(6, 41)), "sep": 1e-09}, ["specs checked: 2983"],
                 0.000637631788516408),
 }
 
@@ -778,7 +826,7 @@ def test_claim41_names_the_first_entry_outside_and_slack_before_it(monkeypatch):
     sep = 1e-9
     report = check_lemma("claim41", range(6, 16), sep)
     violations, witnesses, slack, count, seen = [], [], math.inf, 0, set()
-    for spec in harness.claim41_specs(6, 15):
+    for spec in harness.claim41_specs(range(6, 16)):
         count += 1
         if spec.parts in seen:  # a sampled repeat of an earlier join
             continue

@@ -196,7 +196,10 @@ def test_q_monotone_under_edge_addition():
 def _join_gate_specs():
     """Each distinct claim41 join, five seeded random partitions per order
     13..64, and the star, the fan and the all-P_2 join of each order 5..64."""
-    specs = list(harness.claim41_specs()) + list(harness.claim41_specs(13, 64, 5, seed=11))
+    rng = random.Random(11)
+    specs = list(harness.claim41_specs(range(6, 41)))
+    specs += [PathJoinSpec(tuple(harness._random_partition(rng, n - 1)))
+              for n in range(13, 65) for _ in range(5)]
     for n in range(5, 65):
         specs += [PathJoinSpec((1,) * (n - 1)), PathJoinSpec((n - 1,)),
                   PathJoinSpec((2,) * ((n - 1) // 2) + (1,) * ((n - 1) % 2))]
