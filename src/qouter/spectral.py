@@ -135,43 +135,52 @@ def q_index(g: Graph) -> SpectralResult:
 
 def path_join_ratios(parts_list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """q, the Perron ratios x_v / x_hub (a row per join, its paths in the
-    order given) and the Collatz-Wielandt radii of the joins
-    K_1 v (P_{a_1} u ... u P_{a_s}) of one order n >= 5, each as if alone.
+    order given, zero past its own n - 1 vertices) and the Collatz-Wielandt
+    radii of the joins K_1 v (P_{a_1} u ... u P_{a_s}), of any orders
+    n >= 5, each bit for bit as if solved alone.
 
     y = x / x_hub solves ((q - 1)I - Q(F))y = 1 on the linear forest F, and
     q is the root of f(q) = q - (n - 1) - sum(y), f'(q) = 1 + |y|^2. Newton
     starts at q(K_{1,n-1}) = n <= q, right of every pole (1 + q(F) < 5 <= n)
-    where f rises and is concave, and stops at the first iterate not rising."""
+    where f rises and is concave, and stops at the first iterate not rising.
+    A join shorter than the longest is padded with zero links and a zero
+    right-hand side, so its y is exactly 0 there and adds exact zeros to
+    its sums; a join that has stopped keeps its q and recomputes its y."""
     parts_list = list(parts_list)
     if any(type(a) is not int for parts in parts_list for a in parts):  # a bool is no order
         raise ParameterError(f"path joins need int parts, got {parts_list}")
-    k = sum(parts_list[0]) if parts_list else 0
-    if k < 4 or any(sum(parts) != k or min(parts) < 1 for parts in parts_list):
-        raise ParameterError("path joins need one order n >= 5 and parts >= 1")
+    ks = [sum(parts) for parts in parts_list]
+    if not ks or any(k < 4 or min(parts) < 1 for k, parts in zip(ks, parts_list)):
+        raise ParameterError("path joins need orders n >= 5 and parts >= 1")
+    k, ks = max(ks), np.array(ks, dtype=np.float64)
+    own = np.arange(k)[:, None] < ks  # each join's own vertices
     # link[i] = 1 where F has the edge {i - 1, i}: 0 at each part boundary
-    link = np.ones((k + 1, len(parts_list)))
+    # and past the join's own vertices
+    link = (np.arange(k + 1)[:, None] < ks).astype(np.float64)
     for j, parts in enumerate(parts_list):
         link[[0, *accumulate(parts)], j] = 0.0
-    q, rise = np.full(len(parts_list), -np.inf), np.full(len(parts_list), k + 1.0)
-    pad = np.zeros((k + 2, len(parts_list)))  # y_v in row v + 1, 0 past the ends
+    q, rise = np.full(len(ks), -np.inf), ks + 1.0
+    pad = np.zeros((k + 2, len(ks)))  # y_v in row v + 1, 0 past the ends
     y = pad[1:-1]
     while (rise > q).any():
         q = np.maximum(q, rise)
         # y by a Thomas sweep, then f and f' (cumsum adds in vertex order)
-        pivot, rhs = (q - 1) - (link[:-1] + link[1:]), np.ones_like(y)
+        pivot, rhs = (q - 1) - (link[:-1] + link[1:]), own.astype(np.float64)
         for i in range(1, k):
             w = link[i] / pivot[i - 1]
             pivot[i] -= w
             rhs[i] += w * rhs[i - 1]
         for i in range(k - 1, -1, -1):
             y[i] = (rhs[i] + link[i + 1] * pad[i + 2]) / pivot[i]
-        hub = k + np.cumsum(y, axis=0)[-1]
+        hub = ks + np.cumsum(y, axis=0)[-1]
         rise = q - (q - hub) / (1.0 + np.cumsum(y * y, axis=0)[-1])
-    # (Q(y, 1))_v / y_v: each edge at v adds y_v and its other end's entry
-    ratios = (link[:-1] * (y + pad[:-2]) + link[1:] * (y + pad[2:]) + y + 1) / y
+    # (Q(y, 1))_v / y_v: each edge at v adds y_v and its other end's entry;
+    # the padding reads the hub's own ratio, which the bracket already holds
+    ratios = np.divide(link[:-1] * (y + pad[:-2]) + link[1:] * (y + pad[2:]) + y + 1, y,
+                       out=np.full(y.shape, hub), where=own)
     radii = np.maximum(q - np.minimum(ratios.min(axis=0), hub),
                        np.maximum(ratios.max(axis=0), hub) - q)
-    radii[y.min(axis=0) <= 0] = np.inf  # no positive vector, no bracket
+    radii[np.where(own, y, np.inf).min(axis=0) <= 0] = np.inf  # no positive vector, no bracket
     return q, y.T, radii
 
 

@@ -3,6 +3,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -812,11 +813,12 @@ def test_claim41_names_the_first_entry_outside_and_slack_before_it(monkeypatch):
         ys, radii = ys.copy(), radii.copy()
         for i, parts in enumerate(parts_list):
             key = sum(a * a for a in parts) + len(parts)
+            width = sum(parts)  # the join's own entries, before any padding
             if key % 4 == 1:  # two entries outside, the later one below
-                ys[i, -1] = 0.0
-                ys[i, key % (ys.shape[1] - 1)] *= 40
+                ys[i, width - 1] = 0.0
+                ys[i, key % (width - 1)] *= 40
             elif key % 4 == 2:
-                ys[i, (key + 2) % ys.shape[1]] = 0.0
+                ys[i, (key + 2) % width] = 0.0
             elif key % 8 == 3:  # no bracket, and an entry just inside that must not count
                 radii[i] = math.inf
                 ys[i, 0] = 1 / qs[i] + 1e-7
@@ -850,6 +852,60 @@ def test_claim41_names_the_first_entry_outside_and_slack_before_it(monkeypatch):
     assert report.witness_graphs == witnesses[:20]
     assert len(set(report.witness_graphs)) == 20
     assert report.margin == slack
+
+
+def _claim41_per_order(n_range, sep):
+    """The claim41 report's status, notes, witnesses and margin, with each
+    order's distinct joins solved in one path_join_ratios call."""
+    violations, slack, count = [], math.inf, 0
+    for n, group in groupby(harness.claim41_specs(n_range), key=lambda spec: spec.order):
+        specs = list(group)
+        row = {parts: i for i, parts in enumerate(dict.fromkeys(spec.parts for spec in specs))}
+        q, x, radii = spectral.path_join_ratios(row)
+        q = q[:, None]
+        lo, hi = 1 / q, 1 / q + 30 / (q * q)
+        outside = ~((lo + sep < x) & (x < hi - sep))
+        before = (~outside).cumprod(axis=1) > 0
+        before[radii == math.inf] = False
+        slack = min(slack, float((x - lo)[before].min(initial=slack)),
+                    float((hi - x)[before].min(initial=slack)))
+        for join, i in row.items():
+            v = before[i].sum()
+            if radii[i] == math.inf:
+                violations.append((join, f"no bracket at q={q[i, 0]}"))
+            elif v < n - 1:
+                violations.append((join, f"entry x_{v}={x[i, v]} outside ({lo[i, 0]}, {hi[i, 0]})"))
+        count += len(specs)
+    status = CONFIRMED if not violations else REFUTED
+    notes = [f"specs checked: {count}"] + [message for _, message in violations[:20]]
+    witnesses = [graph6_encode(harness.path_join(join)) for join, _ in violations[:20]]
+    return status, notes, witnesses, slack
+
+
+@pytest.mark.parametrize("n_range", [range(6, 41), [6, 9, 40]])
+@pytest.mark.parametrize("sep", [0, 1e-9, 1e-3])
+def test_claim41_blocks_match_a_per_order_solve(monkeypatch, n_range, sep):
+    """The report from mixed-order blocks is bit for bit the per-order
+    one; each block stays within _JOIN_ENTRIES padded entries, each
+    distinct join is solved exactly once, and the default run needs far
+    fewer calls than its 35 orders."""
+    blocks = []
+
+    def recorder(parts_list):
+        blocks.append(list(parts_list))
+        return spectral.path_join_ratios(parts_list)
+
+    monkeypatch.setattr(harness, "path_join_ratios", recorder)
+    report = check_lemma("claim41", n_range, sep)
+    status, notes, witnesses, slack = _claim41_per_order(n_range, sep)
+    assert (report.status, report.notes, report.witness_graphs) == (status, notes, witnesses)
+    assert report.margin == slack
+    assert all(len(block) * (max(map(sum, block)) + 2) <= harness._JOIN_ENTRIES
+               for block in blocks)
+    distinct = dict.fromkeys(spec.parts for spec in harness.claim41_specs(n_range))
+    assert [join for block in blocks for join in block] == list(distinct)
+    if n_range == range(6, 41):
+        assert len(blocks) < 35
 
 
 def test_claim41_sep_widens_the_interval():

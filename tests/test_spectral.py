@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 from itertools import groupby, product
 
@@ -231,11 +232,36 @@ def test_path_join_ratios_match_the_dense_solve():
     assert star_q[0] == 64.0 and star_radius[0] <= 1e-11
 
 
+def test_path_join_ratios_solve_mixed_orders_as_each_order_alone():
+    """All gate joins, orders 5..64, in one call: each join's q, radius and
+    first n - 1 ratios are bit for bit its order's group solved alone, its
+    row is exactly 0 past them, and no division by the padding warns."""
+    specs = _join_gate_specs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qs, ys, radii = path_join_ratios([spec.parts for spec in specs])
+    assert ys.shape == (len(specs), 63)
+    i = 0
+    for n, group in groupby(specs, key=lambda spec: spec.order):
+        q, y, radius = path_join_ratios([spec.parts for spec in group])
+        rows = slice(i, i + len(q))
+        assert np.array_equal(qs[rows], q) and np.array_equal(radii[rows], radius), n
+        assert np.array_equal(ys[rows, :n - 1], y) and not ys[rows, n - 1:].any(), n
+        i += len(q)
+    assert i == len(specs)
+
+
 @pytest.mark.parametrize("parts", [[], [()], [(1, 1, 1)], [(3,)], [(2, 1)],
-                                   [(2, 2), (3,)], [(4, 0)], [(5, -1)]])
+                                   [(2, 2), (3,)], [(4, 0)], [(5, -1)], [(4,), (2, 1)]])
 def test_path_join_ratios_reject_orders_below_five(parts):
     with pytest.raises(ParameterError):
         path_join_ratios(parts)
+
+
+def test_path_join_ratios_take_orders_five_and_up_together():
+    """The fan K_1 v P_4 and K_1 v P_5, orders 5 and 6, in one call."""
+    q, y, radii = path_join_ratios([(4,), (5,)])
+    assert y.shape == (2, 5) and y[0, 4] == 0.0 and (radii <= 1e-11).all()
 
 
 # -- the batch solver -------------------------------------------------
