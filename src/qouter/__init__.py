@@ -31,7 +31,6 @@ from .spectral import (
     q_indices,
 )
 from .constructions import (
-    PathJoinSpec,
     cycle_extremal,
     h_gadget,
     path_extremal,

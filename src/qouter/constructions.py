@@ -1,7 +1,8 @@
 """Extremal candidate graphs: joins of path unions and the pendant-fan gadget.
 
-Both theorems' candidates are K_1 v (union of paths): an optional fixed
-head part, then as many full parts as fit, then the remainder (the
+Both theorems' candidates are path joins K_1 v (union of paths), each
+given by its tuple of parts, which `path_join` alone checks: an optional
+fixed head part, then as many full parts as fit, then the remainder (the
 canonical decomposition). The paper's printed closed forms for the path
 theorem miss the part-sum identity whenever t >= 2, so only the
 canonical decomposition is built; a test pins where the two differ.
@@ -13,41 +14,25 @@ holds at, for the candidates and for the harness's theorem cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import recognition
 from .errors import CapacityError, ConstructionError, ParameterError
 from .graphs import Graph, MAX_VERTICES, disjoint_union, join_one, path
 
 
-@dataclass(frozen=True)
-class PathJoinSpec:
-    """Multiset of path orders a_1 >= ... >= a_s >= 1 for K_1 v (U P_{a_i})."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(type(p) is not int for p in self.parts):  # a bool is no order
-            raise ParameterError(f"path orders must be ints, got {self.parts}")
-        cleaned = tuple(sorted((p for p in self.parts if p != 0), reverse=True))
-        if any(p < 0 for p in cleaned):
-            raise ParameterError(f"negative path order in {self.parts}")
-        if not cleaned:
-            raise ParameterError("empty path-join spec")
-        if sum(cleaned) + 1 > MAX_VERTICES:
-            raise CapacityError(f"order {sum(cleaned) + 1} exceeds {MAX_VERTICES}")
-        object.__setattr__(self, "parts", cleaned)
-
-    @property
-    def order(self) -> int:
-        return sum(self.parts) + 1
-
-
-def path_join(spec) -> Graph:
-    """K_1 v (P_{a_1} u ... u P_{a_s}); the join vertex gets the last index."""
-    if not isinstance(spec, PathJoinSpec):
-        spec = PathJoinSpec(tuple(spec))
-    return join_one(disjoint_union([path(p) for p in spec.parts]))
+def path_join(parts) -> Graph:
+    """K_1 v (P_a for a in parts), hub last, paths longest first and zeros
+    dropped; the one check of a join's parts: ints, >= 0, not all 0, order <= 64."""
+    parts = tuple(parts)
+    if any(type(p) is not int for p in parts):  # a bool is no order
+        raise ParameterError(f"path orders must be ints, got {parts}")
+    if any(p < 0 for p in parts):
+        raise ParameterError(f"negative path order in {parts}")
+    parts = sorted((p for p in parts if p), reverse=True)
+    if not parts:
+        raise ParameterError("empty path-join spec")
+    if sum(parts) + 1 > MAX_VERTICES:
+        raise CapacityError(f"order {sum(parts) + 1} exceeds {MAX_VERTICES}")
+    return join_one(disjoint_union([path(p) for p in parts]))
 
 
 def join_is_f_free(parts, pattern: recognition.ForbiddenPattern) -> bool:
@@ -86,10 +71,10 @@ def _join_candidate(n: int, head: tuple[int, ...], part: int,
     if n > MAX_VERTICES:
         raise CapacityError(f"order {n} exceeds {MAX_VERTICES}")
     alpha, r = divmod(n - 1 - sum(head), part)
-    spec = PathJoinSpec(head + (part,) * alpha + (r,))
-    if not join_is_f_free(spec.parts, pattern):
+    parts = head + (part,) * alpha + (r,)  # a zero r adds nothing to the sums
+    if not join_is_f_free(parts, pattern):
         raise ConstructionError(f"constructed graph contains {pattern}")
-    return path_join(spec), alpha, r
+    return path_join(parts), alpha, r
 
 
 def cycle_extremal(n: int, ell: int) -> tuple[Graph, int, int]:

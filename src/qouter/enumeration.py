@@ -91,13 +91,14 @@ CONNECTED_CAP = 9  # connected_graphs: order 10 has 11,716,571 graphs
 
 @dataclass(frozen=True)
 class EnumerationClass:
-    """The connected outerplanar graphs of order n, `pattern`-free if given."""
+    """The connected outerplanar graphs of order n <= EXHAUSTIVE_CAP, `pattern`-free if given."""
 
     n: int
     pattern: recognition.ForbiddenPattern | None = None
 
     def __post_init__(self):
         recognition.check_pattern(self.pattern)
+        _check_level(self.n, EXHAUSTIVE_CAP)
 
 
 def _rivals(degree: list[int], nbrs: list[list[int]], split: list[list[int]],
@@ -202,14 +203,18 @@ def _children(parent: Graph, outerplanar: bool) -> Iterator[Graph]:
         yield child
 
 
-def _generate(n: int, generator: Callable[[int], tuple[Graph, ...]],
-              outerplanar: bool) -> tuple[Graph, ...]:
-    """Level n of a class from `generator(n - 1)`, its cached level below."""
-    cap = EXHAUSTIVE_CAP if outerplanar else CONNECTED_CAP
-    if type(n) is not int:  # 5.0 or True would cache a second chain of levels
+def _check_level(n: int, cap: int) -> None:
+    """Refuse an order not an int in 1..cap; 5.0 or True would be a second cache key."""
+    if type(n) is not int:
         raise CapacityError(f"exhaustive enumeration needs an int order, got {n!r}")
     if not 1 <= n <= cap:
         raise CapacityError(f"exhaustive enumeration needs 1 <= n <= {cap}, got {n}")
+
+
+def _generate(n: int, generator: Callable[[int], tuple[Graph, ...]],
+              outerplanar: bool) -> tuple[Graph, ...]:
+    """Level n of a class from `generator(n - 1)`, its cached level below."""
+    _check_level(n, EXHAUSTIVE_CAP if outerplanar else CONNECTED_CAP)
     if n == 1:
         return (Graph(1, (0,)),)
     return tuple(

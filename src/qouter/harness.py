@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import recognition, transforms
 from .canon import canonical_code
-from .constructions import PathJoinSpec, covers, cycle_extremal, h_gadget, path_extremal, path_join
+from .constructions import covers, cycle_extremal, h_gadget, path_extremal, path_join
 from .enumeration import (
     CONNECTED_CAP,
     EXHAUSTIVE_CAP,
@@ -438,15 +438,15 @@ def _check_edgeshift(n_range, sep):
 
 
 def claim41_specs(orders):
-    """Path-join specs, orders ascending: every partition for n <= 12, and
-    above it 100 partitions drawn from one stream, seeded once."""
+    """Path-join parts tuples, each descending, orders ascending: every partition
+    for n <= 12, and above it 100 partitions drawn from one stream, seeded once."""
     rng = random.Random(20240817)
     for n in sorted(orders):
         if n <= 12:
-            yield from (PathJoinSpec(p) for p in _partitions(n - 1))
+            yield from _partitions(n - 1)
         else:
             for _ in range(100):
-                yield PathJoinSpec(tuple(_random_partition(rng, n - 1)))
+                yield tuple(sorted(_random_partition(rng, n - 1), reverse=True))
 
 
 def _partitions(total, cap=None):
@@ -489,11 +489,11 @@ def _join_blocks(joins):
 
 def _check_claim41(n_range, sep):
     """1/q + sep < x_v/x_hub < 1/q + 30/q^2 - sep on each spec's join. Each
-    distinct join is solved once, by one path_join_ratios call per block of
-    _join_blocks; no bracket is a violation, named once per distinct join."""
+    distinct parts tuple is solved once, in one path_join_ratios call per block
+    of _join_blocks; no bracket is a violation, named once per distinct join."""
     violations = []
     slack = math.inf
-    joins = Counter(spec.parts for spec in claim41_specs(n_range))  # in stream order
+    joins = Counter(claim41_specs(n_range))  # in stream order
     for block in _join_blocks(joins):
         q, x, radii = path_join_ratios(block)
         q = q[:, None]

@@ -5,7 +5,6 @@ import pytest
 from qouter import constructions
 from qouter.canon import canonical_code
 from qouter.constructions import (
-    PathJoinSpec,
     covers,
     cycle_extremal,
     h_gadget,
@@ -29,23 +28,21 @@ from .oracles import cycle_oracle, path_pack_oracle
 
 
 def test_spec_normalization():
-    spec = PathJoinSpec((1, 3, 0, 2))
-    assert spec.parts == (3, 2, 1)
-    assert spec.order == 7
+    """Zeros are dropped and the parts laid out in descending order; a
+    negative part, all parts zero and an order past 64 are refused."""
+    g = path_join((1, 3, 0, 2))
+    assert g == path_join((3, 2, 1)) and g.n == 7
     with pytest.raises(ParameterError):
-        PathJoinSpec((2, -1))
+        path_join((2, -1))
     with pytest.raises(ParameterError):
-        PathJoinSpec((0, 0))
-    with pytest.raises(CapacityError):
-        PathJoinSpec((64,))
+        path_join((0, 0))
+    with pytest.raises(CapacityError, match="order 65 exceeds 64"):
+        path_join((64,))
 
 
 @pytest.mark.parametrize("parts", [(2.0, 1), (True, True, 2), (3, 0.0), (4, 1.5), ("2", 1)])
 def test_path_join_orders_must_be_ints(parts):
-    """A spec and a join refuse path orders that are not ints; a bool
-    counts as no int."""
-    with pytest.raises(ParameterError, match="ints, got"):
-        PathJoinSpec(parts)
+    """A join refuses path orders that are not ints; a bool counts as no int."""
     with pytest.raises(ParameterError, match="ints, got"):
         path_join(parts)
 
@@ -270,9 +267,9 @@ def test_h_gadget():
 
 def test_candidates_past_64_vertices_raise_before_building(monkeypatch):
     def build(*args):
-        raise AssertionError("a part was built")
+        raise AssertionError("a join was built")
 
-    monkeypatch.setattr(constructions, "PathJoinSpec", build)
+    monkeypatch.setattr(constructions, "path_join", build)
     with pytest.raises(CapacityError, match="order 1000000000 exceeds 64"):
         cycle_extremal(10**9, 4)
     with pytest.raises(CapacityError, match="order 65 exceeds 64"):

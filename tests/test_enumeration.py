@@ -422,6 +422,16 @@ def test_orders_must_be_ints(generator):
     assert generator.cache_info().currsize == before.currsize == 5
 
 
+@pytest.mark.parametrize("n, order", [(5.0, 5), (True, 1)])
+def test_enumeration_class_refuses_an_order_equal_to_a_scanned_one(n, order):
+    """5.0 and True equal the orders 5 and 1, so their classes would be
+    equal keys of the argmax's cache: each is refused even once the class
+    of that order has been scanned at the same sep."""
+    extremal_argmax(EnumerationClass(order))
+    with pytest.raises(CapacityError, match=f"needs an int order, got {n!r}"):
+        extremal_argmax(EnumerationClass(n))
+
+
 def test_connected_outerplanar_has_deletable_vertex():
     """The deletion rule behind 1-2 neighbour masks: a non-cut vertex of
     degree <= 2 exists in every connected outerplanar graph with n >= 2."""

@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import json
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -454,6 +456,19 @@ def test_claim41_checks_exactly_the_orders_it_is_given():
     assert list(harness.claim41_specs([40, 13])) == list(harness.claim41_specs([13, 40]))
 
 
+def test_claim41_default_sample_is_pinned():
+    """The default specs: 2,983 descending parts tuples, orders 6..40
+    ascending, 2,193 of them distinct, with one SHA-256 of their repr."""
+    specs = list(harness.claim41_specs(range(6, 41)))
+    assert len(specs) == 2983 and len(set(specs)) == 2193
+    assert all(type(parts) is tuple and list(parts) == sorted(parts, reverse=True)
+               for parts in specs)
+    orders = [sum(parts) + 1 for parts in specs]
+    assert orders == sorted(orders) and set(orders) == set(range(6, 41))
+    assert hashlib.sha256(repr(specs).encode()).hexdigest() == (
+        "1437af7a4b8c8f2c15dea1e96f7cebe1debbe2d7e1579193ddb404d2cb3b498b")
+
+
 def test_edgeshift_checks_exactly_the_orders_it_is_given():
     """edgeshift's orders are the values of t + s: 4 shifts of each of the
     9 attachments (h, u) at t + s = 8, 36 instances; 108 at 5..8, and
@@ -828,21 +843,21 @@ def test_claim41_names_the_first_entry_outside_and_slack_before_it(monkeypatch):
     sep = 1e-9
     report = check_lemma("claim41", range(6, 16), sep)
     violations, witnesses, slack, count, seen = [], [], math.inf, 0, set()
-    for spec in harness.claim41_specs(range(6, 16)):
+    for parts in harness.claim41_specs(range(6, 16)):
         count += 1
-        if spec.parts in seen:  # a sampled repeat of an earlier join
+        if parts in seen:  # a sampled repeat of an earlier join
             continue
-        seen.add(spec.parts)
-        (q,), (x,), (radius,) = perturbed([spec.parts])
+        seen.add(parts)
+        (q,), (x,), (radius,) = perturbed([parts])
         lo, hi = 1 / q, 1 / q + 30 / (q * q)
         if radius == math.inf:
             violations.append(f"no bracket at q={q}")
-            witnesses.append(graph6_encode(harness.path_join(spec)))
+            witnesses.append(graph6_encode(harness.path_join(parts)))
             continue
-        for v in range(spec.order - 1):
+        for v in range(sum(parts)):
             if not lo + sep < x[v] < hi - sep:
                 violations.append(f"entry x_{v}={x[v]} outside ({lo}, {hi})")
-                witnesses.append(graph6_encode(harness.path_join(spec)))
+                witnesses.append(graph6_encode(harness.path_join(parts)))
                 break
             slack = min(slack, x[v] - lo, hi - x[v])
     assert len(violations) > 20 and any(m.startswith("no bracket") for m in violations[:20])
@@ -858,9 +873,9 @@ def _claim41_per_order(n_range, sep):
     """The claim41 report's status, notes, witnesses and margin, with each
     order's distinct joins solved in one path_join_ratios call."""
     violations, slack, count = [], math.inf, 0
-    for n, group in groupby(harness.claim41_specs(n_range), key=lambda spec: spec.order):
+    for n, group in groupby(harness.claim41_specs(n_range), key=lambda parts: sum(parts) + 1):
         specs = list(group)
-        row = {parts: i for i, parts in enumerate(dict.fromkeys(spec.parts for spec in specs))}
+        row = {parts: i for i, parts in enumerate(dict.fromkeys(specs))}
         q, x, radii = spectral.path_join_ratios(row)
         q = q[:, None]
         lo, hi = 1 / q, 1 / q + 30 / (q * q)
@@ -902,7 +917,7 @@ def test_claim41_blocks_match_a_per_order_solve(monkeypatch, n_range, sep):
     assert report.margin == slack
     assert all(len(block) * (max(map(sum, block)) + 2) <= harness._JOIN_ENTRIES
                for block in blocks)
-    distinct = dict.fromkeys(spec.parts for spec in harness.claim41_specs(n_range))
+    distinct = dict.fromkeys(harness.claim41_specs(n_range))
     assert [join for block in blocks for join in block] == list(distinct)
     if n_range == range(6, 41):
         assert len(blocks) < 35
@@ -1046,6 +1061,33 @@ def _campaign(tmp_path, text):
     cfg_file = tmp_path / "campaign.cfg"
     cfg_file.write_text(text + f"out = {tmp_path / 'reports'}\n")
     return cfg_file
+
+
+def test_campaign_looks_each_check_up_by_name(tmp_path, monkeypatch):
+    """A campaign calls the three public checks through this module's names
+    at call time, so wrappers put in their place (as perfbench's campaign
+    workload times each cell) see every cell: 18 cycle, 15 path and 33
+    structural cells at n = 5..8, 66 calls in task order."""
+    calls = []
+
+    def recorder(name, check, *args):
+        report = check(*args)
+        calls.append((name, report.check_id))
+        return report
+
+    for name in ("verify_cycle_theorem", "verify_path_theorem", "structural_check"):
+        monkeypatch.setattr(harness, name, partial(recorder, name, getattr(harness, name)))
+    config = _campaign(tmp_path, "checks = cycle, path, structural\nn_min = 5\nn_max = 8\n")
+    tasks = harness._campaign_tasks(parse_campaign_config(config))
+    code, files = run_campaign(config)
+    kinds = {"cycle": "verify_cycle_theorem", "path": "verify_path_theorem",
+             "structural": "structural_check"}
+    assert calls == [(kinds[check_id.partition(":")[0]], check_id) for check_id, _ in tasks]
+    assert Counter(name for name, _ in calls) == {
+        "verify_cycle_theorem": 18, "verify_path_theorem": 15, "structural_check": 33}
+    assert code == 0 and len(files) == 67 and all(f.exists() for f in files)
+    assert [f.suffix for f in files] == [".json"] * 66 + [".csv"]
+    assert files[-1].name == "summary.csv"
 
 
 @pytest.mark.parametrize("text, token", [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qouter import harness, spectral
-from qouter.constructions import PathJoinSpec, path_join
+from qouter.constructions import path_join
 from qouter.enumeration import (
     EnumerationClass,
     connected_graphs,
@@ -196,15 +196,19 @@ def test_q_monotone_under_edge_addition():
 
 def _join_gate_specs():
     """Each distinct claim41 join, five seeded random partitions per order
-    13..64, and the star, the fan and the all-P_2 join of each order 5..64."""
+    13..64, and the star, the fan and the all-P_2 join of each order 5..64,
+    as descending parts tuples in ascending order sum(parts) + 1."""
     rng = random.Random(11)
     specs = list(harness.claim41_specs(range(6, 41)))
-    specs += [PathJoinSpec(tuple(harness._random_partition(rng, n - 1)))
+    specs += [tuple(sorted(harness._random_partition(rng, n - 1), reverse=True))
               for n in range(13, 65) for _ in range(5)]
     for n in range(5, 65):
-        specs += [PathJoinSpec((1,) * (n - 1)), PathJoinSpec((n - 1,)),
-                  PathJoinSpec((2,) * ((n - 1) // 2) + (1,) * ((n - 1) % 2))]
-    return sorted(set(specs), key=lambda spec: spec.order)
+        specs += [(1,) * (n - 1), (n - 1,), (2,) * ((n - 1) // 2) + (1,) * ((n - 1) % 2)]
+    return sorted(set(specs), key=_order)
+
+
+def _order(parts):
+    return sum(parts) + 1
 
 
 def test_path_join_ratios_match_the_dense_solve():
@@ -212,8 +216,8 @@ def test_path_join_ratios_match_the_dense_solve():
     1e-12 of the dense vector's, and a radius at most 1e-11 that encloses
     the dense q. A group's rows are bit for bit the joins solved alone."""
     orders = set()
-    for n, group in groupby(_join_gate_specs(), key=lambda spec: spec.order):
-        parts = [spec.parts for spec in group]
+    for n, group in groupby(_join_gate_specs(), key=_order):
+        parts = list(group)
         orders.add(n)
         qs, ys, radii = path_join_ratios(parts)
         assert ys.shape == (len(parts), n - 1)
@@ -239,11 +243,11 @@ def test_path_join_ratios_solve_mixed_orders_as_each_order_alone():
     specs = _join_gate_specs()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        qs, ys, radii = path_join_ratios([spec.parts for spec in specs])
+        qs, ys, radii = path_join_ratios(specs)
     assert ys.shape == (len(specs), 63)
     i = 0
-    for n, group in groupby(specs, key=lambda spec: spec.order):
-        q, y, radius = path_join_ratios([spec.parts for spec in group])
+    for n, group in groupby(specs, key=_order):
+        q, y, radius = path_join_ratios(list(group))
         rows = slice(i, i + len(q))
         assert np.array_equal(qs[rows], q) and np.array_equal(radii[rows], radius), n
         assert np.array_equal(ys[rows, :n - 1], y) and not ys[rows, n - 1:].any(), n
