@@ -13,7 +13,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, groupby
 from pathlib import Path
 from typing import Callable
 
@@ -30,6 +30,7 @@ from .enumeration import (
 )
 from .errors import ConfigError, ParameterError, check_sep
 from .graph6 import graph6_encode
+from .graphs import bits
 from .recognition import ForbiddenPattern
 from .spectral import Ordering, compare_results, eta_max, path_join_ratios, q_index, q_indices
 
@@ -349,6 +350,7 @@ def _rayleigh_setup(before, base, sep):
     numerator exceeds threshold = floor((q + radius + sep) * den), that
     sum formed exactly, has q above the before's bracket by more than sep:
     the exact twin of `compare_results`'s rule, on a lower bound of q.
+    _raises_q sets up each before once, at its first edit.
     """
     if not math.isfinite(base.q + base.radius + sep):
         return None
@@ -357,7 +359,8 @@ def _rayleigh_setup(before, base, sep):
     ratios = [value.as_integer_ratio() for value in (base.q, base.radius, sep)]
     scale = math.lcm(*(d for _, d in ratios))
     hi = sum(p * (scale // d) for p, d in ratios)
-    num = sum((xs[u] + xs[v]) ** 2 for u, v in before.edges())
+    num = sum((xs[u] + xs[v]) ** 2  # over the edges uv with u < v
+              for u, row in enumerate(before.adj) for v in bits(row >> u << u))
     return xs, num, hi * den // scale, den
 
 
@@ -370,32 +373,38 @@ def _raises_q(name, params, befores, sep, describe) -> VerificationReport:
     violation at before, named by describe(label). An edit is certified,
     its after never built, when the after's exact Rayleigh quotient R on
     before's scaled Perron vector clears q + radius + sep of before (see
-    _rayleigh_setup): its numerator is before's num plus (X_a + X_b)^2
-    for add = ab, less (X_c + X_d)^2 for drop = cd. Only the afters left
-    open are built (transforms.rewrite) and solved, as one batch, and
-    must compare GREATER than the before's result. The margin is a lower
-    bound on the least rise: R less the before's upper bracket end, or
-    the after's lower end less it for a solved after.
+    _rayleigh_setup): before is set up once, and the edit's rise of its
+    numerator, (X_a + X_b)^2 for add = ab less (X_c + X_d)^2 for drop =
+    cd, must exceed before's slack, threshold less num. Only the afters
+    left open are built (transforms.rewrite) and solved, as one batch,
+    and must compare GREATER than the before's result. The margin is a
+    lower bound on the least rise: R at a before's least certified rise,
+    or a solved after's lower bracket end, less the before's upper end.
     """
     violations = []
     margin = float("inf")
     count = 0
     left_open = []
     for before, base, instances in befores:
-        setup = None
+        slack = None
+        least = math.inf  # the least certified rise of before's numerator
         for label, drop, add in instances:
             count += 1
-            # set up at a before's first instance; without a bracket that is one test
-            setup = setup or _rayleigh_setup(before, base, sep)
-            if setup is not None:
-                xs, num, threshold, den = setup
-                num += (xs[add[0]] + xs[add[1]]) ** 2
-                if drop is not None:
-                    num -= (xs[drop[0]] + xs[drop[1]]) ** 2
-                if num > threshold:
-                    margin = min(margin, num / den - (base.q + base.radius))
-                    continue
-            left_open.append((before, base, label, drop, add))
+            if slack is None:  # set up at a before's first instance
+                # without a bracket, an infinite slack leaves every edit open
+                xs, num, threshold, den = (_rayleigh_setup(before, base, sep)
+                                           or ([0] * before.n, 0, math.inf, 1))
+                slack = threshold - num
+            rise = (xs[add[0]] + xs[add[1]]) ** 2
+            if drop is not None:
+                rise -= (xs[drop[0]] + xs[drop[1]]) ** 2
+            if rise <= slack:
+                left_open.append((before, base, label, drop, add))
+            elif rise < least:
+                least = rise
+        if least < math.inf:
+            # int / int rounds correctly, so the least rise has the least quotient
+            margin = min(margin, (num + least) / den - (base.q + base.radius))
     afters = q_indices(transforms.rewrite(g, drop, add) for g, _, _, drop, add in left_open)
     for (before, base, label, _, _), res in zip(left_open, afters):
         if compare_results(res, base, sep) is not Ordering.GREATER:
@@ -439,7 +448,13 @@ def _check_edgeshift(n_range, sep):
 
 def claim41_specs(orders):
     """Path-join parts tuples, each descending, orders ascending: every partition
-    for n <= 12, and above it 100 partitions drawn from one stream, seeded once."""
+    for n <= 12, and above it 100 partitions drawn from one stream, seeded once.
+    An order not an int in _CLAIM41_ORDERS (a bool is none) is a ParameterError."""
+    orders = list(orders)
+    for n in orders:
+        if type(n) is not int or n not in _CLAIM41_ORDERS:
+            raise ParameterError(f"claim41 needs orders in {_CLAIM41_ORDERS.start}.."
+                                 f"{_CLAIM41_ORDERS.stop - 1}, got {n!r}")
     rng = random.Random(20240817)
     for n in sorted(orders):
         if n <= 12:
@@ -490,11 +505,20 @@ def _join_blocks(joins):
 def _check_claim41(n_range, sep):
     """1/q + sep < x_v/x_hub < 1/q + 30/q^2 - sep on each spec's join. Each
     distinct parts tuple is solved once, in one path_join_ratios call per block
-    of _join_blocks; no bracket is a violation, named once per distinct join."""
+    of _join_blocks; no bracket is a violation, named once per distinct join.
+    Joins of different orders never coincide: one order's are held at a time."""
     violations = []
     slack = math.inf
-    joins = Counter(claim41_specs(n_range))  # in stream order
-    for block in _join_blocks(joins):
+    count = 0
+
+    def joins():  # in stream order
+        nonlocal count
+        for _, specs in groupby(claim41_specs(n_range), key=sum):
+            distinct = Counter(specs)
+            count += distinct.total()
+            yield from distinct
+
+    for block in _join_blocks(joins()):
         q, x, radii = path_join_ratios(block)
         q = q[:, None]
         lo, hi = 1 / q, 1 / q + 30 / (q * q)
@@ -512,11 +536,12 @@ def _check_claim41(n_range, sep):
                 violations.append((join, f"entry x_{v}={x[i, v]} outside ({lo[i, 0]}, {hi[i, 0]})"))
     return _report("claim41", {"n_range": list(n_range), "sep": sep},
                    [(path_join(join), message) for join, message in violations[:20]],
-                   slack, notes=[f"specs checked: {joins.total()}"])
+                   slack, notes=[f"specs checked: {count}"])
 
 
 _CONNECTED = range(1, CONNECTED_CAP + 1)
 _WITH_EDGE = range(2, CONNECTED_CAP + 1)
+_CLAIM41_ORDERS = range(6, 41)  # claim41 is stated for 6 <= n <= 40
 
 # suite name -> (runner, default n range, orders the suite is defined for).
 # The connected-graph suites stop at CONNECTED_CAP; obv, delta and qmu
@@ -532,7 +557,7 @@ _LEMMA_SUITES = {
     "edgemove3": (partial(_move_suite, "edgemove3", "PendantPull"), range(4, 8), _CONNECTED),
     "edgemove": (partial(_move_suite, "edgemove", "ChordSwap"), range(7, 8), _CONNECTED),
     "edgeshift": (_check_edgeshift, range(2, 9), range(2, 62)),
-    "claim41": (_check_claim41, range(6, 41), range(6, 41)),
+    "claim41": (_check_claim41, _CLAIM41_ORDERS, _CLAIM41_ORDERS),
 }
 LEMMA_NAMES = tuple(_LEMMA_SUITES)
 

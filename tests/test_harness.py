@@ -456,6 +456,16 @@ def test_claim41_checks_exactly_the_orders_it_is_given():
     assert list(harness.claim41_specs([40, 13])) == list(harness.claim41_specs([13, 40]))
 
 
+@pytest.mark.parametrize("orders", [[1], [5], [41], [70], [True], [6.0]], ids=repr)
+def test_claim41_specs_refuses_an_order_outside_its_domain(orders):
+    """The sampler reads claim41's orders 6..40, as check_lemma does, and
+    names the order it refuses: no empty join, none past 64 vertices, and
+    no bool or float read as an int."""
+    message = fr"claim41 needs orders in 6\.\.40, got {orders[0]!r}"
+    with pytest.raises(ParameterError, match=message):
+        list(harness.claim41_specs(orders))
+
+
 def test_claim41_default_sample_is_pinned():
     """The default specs: 2,983 descending parts tuples, orders 6..40
     ascending, 2,193 of them distinct, with one SHA-256 of their repr."""
@@ -660,8 +670,19 @@ MOVE_SUITES = [("addedges", "AddEdge", range(2, 7)), ("perron", "PerronRotate", 
                ("edgemove", "ChordSwap", range(7, 8))]
 
 
-@pytest.mark.parametrize("name, kind, n_range", MOVE_SUITES, ids=[m[0] for m in MOVE_SUITES])
-def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
+# (name, kind, n_range, sep, edits left open, befores with both open and
+# certified edits): each move suite at sep = 1e-9, where only ChordSwap
+# leaves edits open, each in a before that certifies none; and perron at
+# sep = 0.1, where 131 of its 582 edits stay open, in 48 befores whose
+# other edits are certified.
+ORACLE_CASES = ([(*suite, 1e-9, 2 if suite[1] == "ChordSwap" else 0, 0) for suite in MOVE_SUITES]
+                + [("perron", "PerronRotate", range(3, 7), 0.1, 131, 48)])
+
+
+@pytest.mark.parametrize("name, kind, n_range, sep, open_edits, mixed", ORACLE_CASES,
+                         ids=[m[0] for m in MOVE_SUITES] + ["perron-mixed"])
+def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range, sep, open_edits,
+                                                       mixed):
     """For every instance, the scaled vector, the threshold and the edit's
     numerator (before's, plus the added edge's term, less the dropped
     one's) are those of an exact Fraction computation entry by entry of
@@ -669,10 +690,10 @@ def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
     when its quotient clears q + radius + sep of its before, and then
     q(after) is at least that quotient. The report's margin is the least
     of the certified bounds and the solved rises, at most the least rise
-    solved the old way and widened by both radii."""
-    sep = 1e-9
+    solved the old way and widened by both radii, also where one before
+    has both certified and open edits."""
     least_bound = least_rise = math.inf
-    opened = 0
+    opened = both = 0
     for n in n_range:
         for before in connected_graphs(n):
             base = spectral.q_index(before)
@@ -685,6 +706,7 @@ def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
             for other in (0, Fraction(1, 3), Fraction(1, 10**9 + 7)):
                 hi_other = Fraction(base.q) + Fraction(base.radius) + other
                 assert harness._rayleigh_setup(before, base, other)[2] == math.floor(hi_other * den)
+            certified = left_open = 0
             for _, drop, add in transforms.MOVES[kind](before, base.vector):
                 after = transforms.rewrite(before, drop, add)
                 bound = rayleigh_quotient(after, xs)
@@ -696,13 +718,16 @@ def test_rayleigh_certificate_matches_the_exact_oracle(name, kind, n_range):
                 res = spectral.q_index(after)
                 least_rise = min(least_rise, res.q - base.q + res.radius + base.radius)
                 if bound > hi:
+                    certified += 1
                     assert res.q + res.radius >= float(bound)
                     least_bound = min(least_bound, float(bound) - (base.q + base.radius))
                 else:
-                    opened += 1
+                    left_open += 1
                     assert compare_results(res, base, sep) is Ordering.GREATER
                     least_bound = min(least_bound, res.q - res.radius - (base.q + base.radius))
-    assert opened == (2 if kind == "ChordSwap" else 0)
+            opened += left_open
+            both += certified > 0 and left_open > 0
+    assert (opened, both) == (open_edits, mixed)
     report = check_lemma(name, n_range, sep)
     assert report.status == CONFIRMED
     assert report.margin == least_bound
